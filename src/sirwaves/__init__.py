@@ -18,6 +18,7 @@ from .model import (
     ModelParams,
     Profile,
     Tail,
+    centered_differences,
     exp_growth,
     incidence,
     r_naught,
@@ -45,15 +46,12 @@ from .resolvent import (
     GridTooSmall,
     ResolventSpec,
     TailIncompatible,
-    WeightedNormContext,
     apply_delta,
     apply_delta_inverse,
     choose_alphas,
     choose_mu,
-    delta_inverse_derivatives,
     delta_inverse_piecewise_g,
     discrete_kernel,
-    weighted_norm,
 )
 from .wave_profile import (
     BoundSet,
@@ -69,6 +67,7 @@ from .wave_profile import (
     eval_bounds,
     make_bound_set,
     make_gamma_set,
+    map_inverses,
     profile_diagnostics,
     select_Ms,
     select_epsilons,
@@ -86,7 +85,6 @@ from .pde_sim import (
     StabilityViolated,
     front_position,
     run,
-    step,
     subcritical_falsification,
     traveling_frame_check,
 )

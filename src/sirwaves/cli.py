@@ -29,6 +29,8 @@ from .linear_analysis import (
     minimal_speed,
 )
 from .wave_profile import (
+    NotConverged,
+    SingularJacobian,
     align_profiles,
     profile_diagnostics,
     solve_bvp_newton,
@@ -244,7 +246,11 @@ def cmd_profile(args) -> int:
     profiles = {"picard": report.profile}
     agreement = None
     if args.solver in ("newton", "both") and report.converged:
-        newton = solve_bvp_newton(p, c, grid, report.profile, bounds=report.gamma_set.bounds)
+        try:
+            newton = solve_bvp_newton(p, c, grid, report.profile, bounds=report.gamma_set.bounds)
+        except (NotConverged, SingularJacobian) as exc:
+            print(f"newton solve failed: {exc}", file=sys.stderr)
+            return 2
         profiles["newton"] = newton
         _, agreement = align_profiles(report.profile, newton)
     chosen = profiles.get("newton", profiles["picard"]) if args.solver == "newton" else profiles["picard"]
@@ -351,7 +357,7 @@ def cmd_simulate(args) -> int:
         "outcome": result.outcome,
         "front_hit_boundary": hit,
         "clipped_mass": result.clipped_mass,
-        "dt": sim_cfg.t_end / max(1, int(np.ceil(sim_cfg.t_end / (sim_cfg.dt or sim_cfg.dt_bound)))),
+        "dt": sim_cfg.time_steps()[0],
         "dt_bound": sim_cfg.dt_bound,
     }
     _write_json(os.path.join(out, "summary.json"), summary)

@@ -132,20 +132,6 @@ class GridFunction:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def extended_value(self, x: float) -> float:
-        """Evaluate at a point outside the window using the declared tail model."""
-        if self.grid.x_min <= x <= self.grid.x_max:
-            return float(np.interp(x, self.grid.x, self.values))
-        if x < self.grid.x_min:
-            tail, edge, v = self.left_tail, self.grid.x_min, self.values[0]
-        else:
-            tail, edge, v = self.right_tail, self.grid.x_max, self.values[-1]
-        if tail.kind == "zero":
-            return 0.0
-        if tail.kind == "constant":
-            return float(v)
-        return float(v * np.exp(tail.rate * (x - edge)))
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -194,12 +180,20 @@ def reaction_terms(s, i, r, p: ModelParams, eta: float = ETA_DEFAULT):
     """Reaction parts of the three equations: (-incidence, incidence-(gamma+delta)*I, gamma*I).
 
     The three components sum to -delta*I exactly; with delta = 0 the local
-    population is conserved.
+    population is conserved. Works elementwise on arrays; scalars in give
+    scalars out.
     """
     inc = incidence(s, i, r, p.beta, eta)
     i = np.asarray(i, dtype=float)
-    f_i = inc - (p.gamma + p.delta) * i
-    f_r = p.gamma * i
-    if np.ndim(inc) == 0:
-        return (-float(inc), float(f_i), float(f_r))
-    return (-inc, f_i, f_r)
+    return -inc, inc - (p.gamma + p.delta) * i, p.gamma * i
+
+
+def centered_differences(y: np.ndarray):
+    """Interior centred differences along the last axis of y.
+
+    Returns (y[j+1] - 2 y[j] + y[j-1], y[j+1] - y[j-1]) for j = 1..n-2; divided
+    by dx^2 and 2*dx they are the second and first derivatives. The end
+    points are left to each caller's boundary closure. Applied to the rows of
+    np.eye(3) the two results are the stencil weights of (y[j-1], y[j], y[j+1]).
+    """
+    return y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2], y[..., 2:] - y[..., :-2]

@@ -20,9 +20,9 @@ from .model import (
     GridFunction,
     ModelParams,
     Profile,
-    exp_growth,
-    incidence,
+    centered_differences,
     r_naught,
+    reaction_terms,
 )
 from .linear_analysis import SubThreshold, lambda0, minimal_speed
 
@@ -91,6 +91,11 @@ class SimConfig:
         dmax = max(self.params.d1, self.params.d2, self.params.d3)
         return CFL_SAFETY * self.grid.dx**2 / (2.0 * dmax)
 
+    def time_steps(self) -> tuple[float, int]:
+        """Step size and count: t_end split evenly under the requested or automatic step."""
+        n_steps = max(1, int(np.ceil(self.t_end / (self.dt_bound if self.dt is None else self.dt))))
+        return self.t_end / n_steps, n_steps
+
     @property
     def ic_center(self) -> float:
         if self.ic.center is not None:
@@ -148,45 +153,31 @@ class SimResult:
 
 
 def _rhs(state: np.ndarray, p: ModelParams, dx: float) -> np.ndarray:
-    s, i, r = state
-    inc = incidence(s, i, r, p.beta)
+    """Diffusion by centred differences with mirror-ghost (no-flux) end rows, plus reaction."""
     out = np.empty_like(state)
-    for k, (d, f) in enumerate(
-        ((p.d1, -inc), (p.d2, inc - (p.gamma + p.delta) * i), (p.d3, p.gamma * i))
-    ):
-        y = state[k]
-        lap = np.empty_like(y)
-        lap[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2
-        lap[0] = 2.0 * (y[1] - y[0]) / dx**2  # mirror ghost: no flux
-        lap[-1] = 2.0 * (y[-2] - y[-1]) / dx**2
-        out[k] = d * lap + f
+    np.divide(centered_differences(state)[0], dx**2, out=out[:, 1:-1])
+    out[:, 0] = 2.0 * (state[:, 1] - state[:, 0]) / dx**2
+    out[:, -1] = 2.0 * (state[:, -2] - state[:, -1]) / dx**2
+    for k, (d, f) in enumerate(zip((p.d1, p.d2, p.d3), reaction_terms(*state, p))):
+        out[k] *= d
+        out[k] += f
     return out
 
 
 def _rk4_step(state: np.ndarray, dt: float, p: ModelParams, dx: float) -> np.ndarray:
+    """Classical RK4; the weighted sum of the stages is formed in place, in the textbook order."""
     k1 = _rhs(state, p, dx)
     k2 = _rhs(state + 0.5 * dt * k1, p, dx)
     k3 = _rhs(state + 0.5 * dt * k2, p, dx)
     k4 = _rhs(state + dt * k3, p, dx)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(state: Profile, cfg: SimConfig) -> Profile:
-    """Advance one RK4 step; roundoff negatives are clipped to zero."""
-    dt = cfg.dt if cfg.dt is not None else cfg.dt_bound
-    if dt > cfg.dt_bound:
-        raise StabilityViolated(f"dt = {dt} exceeds the stability bound {cfg.dt_bound}")
-    arr = _rk4_step(state.as_array(), dt, cfg.params, cfg.grid.dx)
-    arr = np.clip(arr, 0.0, None)
-    return _wrap_state(arr, cfg.grid)
-
-
-def _wrap_state(arr: np.ndarray, grid: Grid) -> Profile:
-    return Profile(
-        GridFunction(grid, arr[0], CONSTANT, CONSTANT),
-        GridFunction(grid, arr[1], ZERO, ZERO),
-        GridFunction(grid, arr[2], CONSTANT, CONSTANT),
-    )
+    k2 *= 2.0
+    k3 *= 2.0
+    k1 += k2
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += state
+    return k1
 
 
 def front_position(x: np.ndarray, i_vals: np.ndarray, threshold: float) -> float:
@@ -223,17 +214,30 @@ def _fit_speed(times: np.ndarray, positions: np.ndarray, fit_window: float):
 
 
 def run(cfg: SimConfig, fit_window: float = 0.5) -> SimResult:
-    """Integrate to t_end, tracking fronts, mass budget and snapshots.
+    """Integrate to t_end from the configured pulse, tracking fronts, mass budget and snapshots.
 
     Raises FrontHitBoundary (carrying the partial result) if the front comes
     within 10*dx of the right edge: speed fits from such a run are unusable.
     """
+    result = _simulate(cfg, cfg.initial_state(), fit_window, stop_at_boundary=True)
+    if result.trace.hit_boundary:
+        raise FrontHitBoundary(
+            f"front reached x_max - 10*dx before t_end = {cfg.t_end}", result=result
+        )
+    return result
+
+
+def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boundary: bool) -> SimResult:
+    """The stepping loop of every simulation: RK4 from state to t_end at cfg's step size.
+
+    Roundoff negatives are clipped to zero after each step and their mass is
+    counted. Fronts, mass budget and max I are sampled about n_outputs times,
+    the full fields n_snapshots times. With stop_at_boundary the run ends as
+    soon as a sample finds the front within 10*dx of the right edge.
+    """
     p, grid = cfg.params, cfg.grid
     x, dx = grid.x, grid.dx
-    dt_max = cfg.dt_bound if cfg.dt is None else cfg.dt
-    n_steps = max(1, int(np.ceil(cfg.t_end / dt_max)))
-    dt = cfg.t_end / n_steps
-
+    dt, n_steps = cfg.time_steps()
     sample_every = max(1, n_steps // cfg.n_outputs)
     snap_every = max(1, n_steps // max(cfg.n_snapshots - 1, 1))
     thresholds = {
@@ -242,7 +246,6 @@ def run(cfg: SimConfig, fit_window: float = 0.5) -> SimResult:
         "1e-5": 1e-5 * p.s_minus_inf,
     }
 
-    state = cfg.initial_state()
     clipped = 0.0
     times, fronts, masses, infected, imax = [], [], [], [], []
     aux_fronts = {k: [] for k in thresholds}
@@ -272,7 +275,7 @@ def run(cfg: SimConfig, fit_window: float = 0.5) -> SimResult:
                 hit_boundary = True
         if k % snap_every == 0 or k == n_steps:
             snapshots.append((t, state.copy()))
-        if hit_boundary:
+        if hit_boundary and stop_at_boundary:
             break
 
     times = np.asarray(times)
@@ -291,9 +294,13 @@ def run(cfg: SimConfig, fit_window: float = 0.5) -> SimResult:
         key: _fit_speed(times, np.asarray(vals), fit_window)[0]
         for key, vals in aux_fronts.items()
     }
-    result = SimResult(
+    return SimResult(
         config=cfg,
-        final=_wrap_state(state, grid),
+        final=Profile(
+            GridFunction(grid, state[0], CONSTANT, CONSTANT),
+            GridFunction(grid, state[1], ZERO, ZERO),
+            GridFunction(grid, state[2], CONSTANT, CONSTANT),
+        ),
         trace=trace,
         mass_times=times,
         mass_total=np.asarray(masses),
@@ -303,11 +310,6 @@ def run(cfg: SimConfig, fit_window: float = 0.5) -> SimResult:
         snapshots=snapshots,
         threshold_speeds=thr_speeds,
     )
-    if hit_boundary:
-        raise FrontHitBoundary(
-            f"front reached x_max - 10*dx before t_end = {cfg.t_end}", result=result
-        )
-    return result
 
 
 @dataclass(frozen=True)
@@ -407,31 +409,16 @@ def subcritical_falsification(cfg: SimConfig, c_target: float, fit_window: float
     x0 = cfg.ic_center
     i0 = amp * np.minimum(1.0, np.exp(-lam_seed * (x - x0)))
     s0 = np.maximum(p.s_minus_inf - i0, 0.0)
-    state = np.array([s0, i0, np.zeros_like(x)])
-
-    dt_max = cfg.dt_bound if cfg.dt is None else cfg.dt
-    n_steps = max(1, int(np.ceil(cfg.t_end / dt_max)))
-    dt = cfg.t_end / n_steps
-    sample_every = max(1, n_steps // cfg.n_outputs)
-
-    times, fronts, imax = [0.0], [front_position(x, state[1], cfg.threshold)], [float(np.max(state[1]))]
-    for k in range(1, n_steps + 1):
-        state = _rk4_step(state, dt, p, grid.dx)
-        state = np.clip(state, 0.0, None)
-        if k % sample_every == 0 or k == n_steps:
-            times.append(k * dt)
-            fronts.append(front_position(x, state[1], cfg.threshold))
-            imax.append(float(np.max(state[1])))
-
-    speed, stderr = _fit_speed(np.asarray(times), np.asarray(fronts), fit_window)
-    late = np.asarray(imax[len(imax) // 2 :])
+    result = _simulate(cfg, np.array([s0, i0, np.zeros_like(x)]), fit_window, stop_at_boundary=False)
+    imax = result.i_max_trace
+    late = imax[len(imax) // 2 :]
     extinct = imax[-1] < 1e-3 * imax[0] and bool(np.all(np.diff(late) <= 1e-15))
     return FalsificationReport(
         c_target=c_target,
         c_star=float(c_star),
-        measured_speed=float(speed),
-        measured_stderr=float(stderr),
-        i_max_initial=imax[0],
-        i_max_final=imax[-1],
+        measured_speed=float(result.trace.speed_fit),
+        measured_stderr=float(result.trace.speed_stderr),
+        i_max_initial=float(imax[0]),
+        i_max_final=float(imax[-1]),
         outcome="extinction" if extinct else "relaxed_to_minimal_speed",
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import ZERO, Grid, GridFunction, ModelParams, Profile, Tail, exp_growth
+from .model import ZERO, Grid, GridFunction, ModelParams, Tail, centered_differences, exp_growth
 from .linear_analysis import lambda0
 
 
@@ -77,13 +77,6 @@ class ResolventSpec:
 
 
 @dataclass(frozen=True)
-class WeightedNormContext:
-    """Weight exponent mu for the norm sup_x exp(-mu|x|)|u(x)|."""
-
-    mu: float
-
-
-@dataclass(frozen=True)
 class DiscreteKernel:
     """Grid-level kernel data: stencil roots z_-, z_+ and the discrete normalizer.
 
@@ -94,8 +87,6 @@ class DiscreteKernel:
 
     z_minus: float
     z_plus: float
-    kappa_minus: float
-    kappa_plus: float
     rho_hat: float
     dx: float
 
@@ -125,8 +116,8 @@ def choose_alphas(p: ModelParams, c: float, floor_scale: float = 1.0):
     return tuple(specs)
 
 
-def choose_mu(specs, lam0: float) -> WeightedNormContext:
-    """Midpoint weight exponent: lambda0 < mu < min_i |lambda_i^-|."""
+def choose_mu(specs, lam0: float) -> float:
+    """Midpoint exponent of the weight exp(-mu|x|): lambda0 < mu < min_i |lambda_i^-|."""
     bound = min(-s.lambda_minus for s in specs)
     if not bound > lam0:
         raise AssertionError("specs violate |lambda_i^-| > lambda0")
@@ -134,20 +125,7 @@ def choose_mu(specs, lam0: float) -> WeightedNormContext:
     for s in specs:
         if not (s.lambda_minus < -mu < mu < s.lambda_plus):
             raise AssertionError("mu sandwich failed")
-    return WeightedNormContext(mu=mu)
-
-
-def weighted_norm(u, ctx: WeightedNormContext) -> float:
-    """sup over grid points and components of exp(-mu|x|)|u(x)|."""
-    if isinstance(u, Profile):
-        comps = (u.s, u.i, u.r)
-    else:
-        comps = (u,)
-    out = 0.0
-    for gf in comps:
-        w = np.exp(-ctx.mu * np.abs(gf.grid.x))
-        out = max(out, float(np.max(w * np.abs(gf.values))))
-    return out
+    return mu
 
 
 def discrete_kernel(spec: ResolventSpec, dx: float) -> DiscreteKernel:
@@ -171,8 +149,6 @@ def discrete_kernel(spec: ResolventSpec, dx: float) -> DiscreteKernel:
     return DiscreteKernel(
         z_minus=z_minus,
         z_plus=z_plus,
-        kappa_minus=np.log(z_minus) / dx,
-        kappa_plus=np.log(z_plus) / dx,
         rho_hat=rho_hat,
         dx=dx,
     )
@@ -187,8 +163,9 @@ def apply_delta(h: GridFunction, spec: ResolventSpec) -> GridFunction:
     v = h.values
     d1 = np.empty(n)
     d2 = np.empty(n)
-    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
+    inner2, inner1 = centered_differences(v)
+    d1[1:-1] = inner1 / (2.0 * dx)
+    d2[1:-1] = inner2 / dx**2
     d1[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
     d1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
     d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dx**2
@@ -245,6 +222,24 @@ def _kernel_sums(g: np.ndarray, kern: DiscreteKernel, t_left: float, t_right: fl
     return left, right
 
 
+def inverse_operator(spec: ResolventSpec, dx: float, left: Tail, right: Tail):
+    """D^{-1} on samples of spacing dx whose tails follow (left, right), as values -> values.
+
+    The kernel and the tail checks are done once here, so a solver can apply
+    the returned map at every iteration on plain arrays.
+    """
+    kern = discrete_kernel(spec, dx)
+    _check_tail(left, spec, kern, "left")
+    _check_tail(right, spec, kern, "right")
+
+    def invert(g: np.ndarray) -> np.ndarray:
+        t_left, t_right = _tail_sums(g, left, right, kern)
+        lsum, rsum = _kernel_sums(g, kern, t_left, t_right)
+        return (lsum + rsum) / kern.rho_hat
+
+    return invert
+
+
 def apply_delta_inverse(h: GridFunction, spec: ResolventSpec) -> GridFunction:
     """Two-sided exponential-kernel inverse of apply_delta.
 
@@ -252,40 +247,8 @@ def apply_delta_inverse(h: GridFunction, spec: ResolventSpec) -> GridFunction:
     apply_delta_inverse(apply_delta(h)) == h hold to roundoff by construction
     of the kernel ratios; accuracy against the continuum operator is O(dx^2).
     """
-    kern = discrete_kernel(spec, h.grid.dx)
-    _check_tail(h.left_tail, spec, kern, "left")
-    _check_tail(h.right_tail, spec, kern, "right")
-    t_left, t_right = _tail_sums(h.values, h.left_tail, h.right_tail, kern)
-    left, right = _kernel_sums(h.values, kern, t_left, t_right)
-    out = (left + right) / kern.rho_hat
-    return GridFunction(h.grid, out, h.left_tail, h.right_tail)
-
-
-def delta_inverse_derivatives(h: GridFunction, spec: ResolventSpec):
-    """First and second derivative of the inverse via kernel-differentiated sums.
-
-    Differentiating the kernel multiplies the one-sided integrals by their
-    exponents, and the second derivative picks up the local term -h/d from the
-    kink of the kernel. The end cells get trapezoid half-weight corrections so
-    both formulas stay second-order.
-    """
-    kern = discrete_kernel(spec, h.grid.dx)
-    _check_tail(h.left_tail, spec, kern, "left")
-    _check_tail(h.right_tail, spec, kern, "right")
-    g = h.values
-    t_left, t_right = _tail_sums(g, h.left_tail, h.right_tail, kern)
-    left, right = _kernel_sums(g, kern, t_left, t_right)
-    half = 0.5 * kern.dx * g
-    km, kp = kern.kappa_minus, kern.kappa_plus
-    d1 = (km * (left - half) + kp * (right + half)) / kern.rho_hat
-    d2 = (km * km * (left - half) + kp * kp * (right + half)) / kern.rho_hat - g / spec.d
-
-    def deriv_tail(tail: Tail) -> Tail:
-        return tail if tail.kind == "exp" else ZERO
-
-    gf1 = GridFunction(h.grid, d1, deriv_tail(h.left_tail), deriv_tail(h.right_tail))
-    gf2 = GridFunction(h.grid, d2, deriv_tail(h.left_tail), deriv_tail(h.right_tail))
-    return gf1, gf2
+    invert = inverse_operator(spec, h.grid.dx, h.left_tail, h.right_tail)
+    return GridFunction(h.grid, invert(h.values), h.left_tail, h.right_tail)
 
 
 def delta_inverse_piecewise_g(

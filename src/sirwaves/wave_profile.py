@@ -10,6 +10,7 @@ identities and asymptotics that the converged wave must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -25,11 +26,17 @@ from .model import (
     GridFunction,
     ModelParams,
     Profile,
+    centered_differences,
     exp_growth,
     incidence,
+    reaction_terms,
 )
 from .linear_analysis import characteristic_f, lambda0
-from .resolvent import apply_delta_inverse, choose_alphas, choose_mu
+from .resolvent import choose_alphas, choose_mu, inverse_operator
+
+# Largest share of grid points the final projection onto the envelope set may
+# move in a solve that counts as converged.
+CLAMP_BUDGET = 0.01
 
 
 class SearchExhausted(RuntimeError):
@@ -97,31 +104,19 @@ class GammaSet:
     """The invariant convex set: profiles sandwiched between the envelopes."""
 
     bounds: BoundSet
-    params: ModelParams
-    grid: Grid
     super_profile: Profile
     sub_profile: Profile
 
-    @property
+    @cached_property
     def super_array(self) -> np.ndarray:
         return self.super_profile.as_array()
 
-    @property
+    @cached_property
     def sub_array(self) -> np.ndarray:
         return self.sub_profile.as_array()
 
-    def clamp(self, arr: np.ndarray) -> np.ndarray:
-        return np.clip(arr, self.sub_array, self.super_array)
-
-    def contains(self, u: Profile, slack: float = 0.0) -> bool:
-        a = u.as_array()
-        return bool(
-            np.all(a >= self.sub_array - slack) and np.all(a <= self.super_array + slack)
-        )
-
-    def membership_margin(self, u: Profile) -> float:
-        """Smallest signed distance to the envelopes; negative means outside."""
-        a = u.as_array()
+    def membership_margin(self, a: np.ndarray) -> float:
+        """Smallest signed distance of a (3, n) array to the envelopes; negative means outside."""
         return float(min(np.min(a - self.sub_array), np.min(self.super_array - a)))
 
 
@@ -135,10 +130,6 @@ class SubInequalityReport:
     s_argmin: float
     i_argmin: float
     r_argmin: float
-
-    @property
-    def all_satisfied(self) -> bool:
-        return min(self.s_margin, self.i_margin, self.r_margin) >= -1e-10
 
 
 @dataclass
@@ -214,27 +205,26 @@ def select_Ms(p: ModelParams, c: float, eps):
     if denom <= 0:
         raise AssertionError("c*lambda0 - d3*lambda0^2 must be positive (d3 < 2*d2 regime)")
 
-    m1 = 1.1 * _smallest_m(
-        lambda m: m * e1 * (c - p.d1 * e1) - p.beta * m ** (-(l0 - e1) / e1)
-    )
+    def ineq1(m):
+        return m * e1 * (c - p.d1 * e1) - p.beta * m ** (-(l0 - e1) / e1)
 
+    m1 = 1.1 * _smallest_m(ineq1)
     rhs2 = p.beta * (p.gamma + denom) / denom
     f2 = characteristic_f(l0 + e2, c, p)
     lo2 = max(1.0, m1 ** (e2 / e1)) * (1.0 + 1e-9)  # keeps 1 - M1*M2^(-e1/e2) > 0 and x2 < x1
-    m2 = 1.1 * _smallest_m(
-        lambda m: m * f2 * sm * (1.0 - m1 * m ** (-e1 / e2)) - rhs2 * m ** (-(l0 - e2) / e2),
-        lo=lo2,
-    )
 
+    def ineq2(m):
+        return m * f2 * sm * (1.0 - m1 * m ** (-e1 / e2)) - rhs2 * m ** (-(l0 - e2) / e2)
+
+    m2 = 1.1 * _smallest_m(ineq2, lo=lo2)
     num3 = (c * (l0 + e3) - p.d3 * (l0 + e3) ** 2) / denom
-    m3 = 1.1 * _smallest_m(lambda m: num3 * m - m2 * m ** (-(e2 - e3) / e3))
 
+    def ineq3(m):
+        return num3 * m - m2 * m ** (-(e2 - e3) / e3)
+
+    m3 = 1.1 * _smallest_m(ineq3)
     # re-verify everything at the returned values
-    checks = (
-        m1 * e1 * (c - p.d1 * e1) - p.beta * m1 ** (-(l0 - e1) / e1),
-        m2 * f2 * sm * (1.0 - m1 * m2 ** (-e1 / e2)) - rhs2 * m2 ** (-(l0 - e2) / e2),
-        num3 * m3 - m2 * m3 ** (-(e2 - e3) / e3),
-    )
+    checks = (ineq1(m1), ineq2(m2), ineq3(m3))
     if min(checks) < 0:
         raise AssertionError(f"amplitude inequalities failed on re-check: {checks}")
     if not (-np.log(m2) / e2 < -np.log(m1) / e1):
@@ -285,7 +275,7 @@ def eval_bounds(b: BoundSet, p: ModelParams, c: float, grid: Grid):
 def make_gamma_set(p: ModelParams, c: float, grid: Grid, bounds: BoundSet | None = None) -> GammaSet:
     b = bounds if bounds is not None else make_bound_set(p, c)
     sup, sub = eval_bounds(b, p, c, grid)
-    return GammaSet(bounds=b, params=p, grid=grid, super_profile=sup, sub_profile=sub)
+    return GammaSet(bounds=b, super_profile=sup, sub_profile=sub)
 
 
 def verify_sub_inequalities(b: BoundSet, p: ModelParams, c: float, grid: Grid) -> SubInequalityReport:
@@ -367,46 +357,44 @@ def discrete_decay_rate(p: ModelParams, c: float, dx: float) -> float:
     return brentq(fdisc, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def apply_F(u: Profile, specs, p: ModelParams, tail_rate: float | None = None) -> Profile:
-    """One application of the integral map F = D^{-1} o (shifted reaction).
+def map_inverses(specs, p: ModelParams, dx: float, tail_rate: float | None = None):
+    """The three inverses D_i^{-1} of the integral map on spacing dx, prepared once per solve.
 
     Integrand tails: susceptible-like constant on both sides, infected-like
     exponential on the left and zero on the right, removed-like exponential on
     the left and constant on the right. The left exponential rate defaults to
     the mesh decay rate so the closures match what the stencil propagates.
     """
-    grid = u.grid
     if tail_rate is None:
-        tail_rate = discrete_decay_rate(p, specs[1].c, grid.dx)
-    s, i, r = u.s.values, u.i.values, u.r.values
-    inc = incidence(s, i, r, p.beta)
-    a1, a2, a3 = specs[0].alpha, specs[1].alpha, specs[2].alpha
-    g1 = GridFunction(grid, a1 * s - inc, CONSTANT, CONSTANT)
-    g2 = GridFunction(grid, a2 * i + inc - (p.gamma + p.delta) * i, exp_growth(tail_rate), ZERO)
-    g3 = GridFunction(grid, a3 * r + p.gamma * i, exp_growth(tail_rate), CONSTANT)
-    f1 = apply_delta_inverse(g1, specs[0])
-    f2 = apply_delta_inverse(g2, specs[1])
-    f3 = apply_delta_inverse(g3, specs[2])
-    return Profile(
-        GridFunction(grid, f1.values, CONSTANT, CONSTANT),
-        GridFunction(grid, f2.values, exp_growth(tail_rate), ZERO),
-        GridFunction(grid, f3.values, exp_growth(tail_rate), CONSTANT),
-    )
+        tail_rate = discrete_decay_rate(p, specs[1].c, dx)
+    lead = exp_growth(tail_rate)
+    tails = ((CONSTANT, CONSTANT), (lead, ZERO), (lead, CONSTANT))
+    return tuple(inverse_operator(spec, dx, *t) for spec, t in zip(specs, tails))
 
 
-def _fd_ode_residual(arr: np.ndarray, p: ModelParams, c: float, dx: float) -> float:
-    """Sup norm of the centered-difference residual of the wave equations (interior)."""
-    s, i, r = arr
+def apply_F(u: np.ndarray, specs, p: ModelParams, inverses) -> np.ndarray:
+    """One application of the integral map F = D^{-1} o (shifted reaction) to a (3, n) array.
+
+    inverses comes from map_inverses for the same specs and grid spacing.
+    """
+    s, i, r = u
     inc = incidence(s, i, r, p.beta)
-    out = 0.0
-    for d, y, f in ((p.d1, s, -inc), (p.d2, i, inc - (p.gamma + p.delta) * i), (p.d3, r, p.gamma * i)):
-        res = (
-            -d * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2
-            + c * (y[2:] - y[:-2]) / (2.0 * dx)
-            - f[1:-1]
-        )
-        out = max(out, float(np.max(np.abs(res))))
-    return out
+    inv1, inv2, inv3 = inverses
+    return np.array([
+        inv1(specs[0].alpha * s - inc),
+        inv2(specs[1].alpha * i + inc - (p.gamma + p.delta) * i),
+        inv3(specs[2].alpha * r + p.gamma * i),
+    ])
+
+
+def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.ndarray:
+    """Centred-difference residual d*u'' - c*u' + f(u) of the wave equations, interior points only.
+
+    Rows are S, I, R. Newton drives it to zero; the fixed point reports its sup norm.
+    """
+    second, first = centered_differences(u)
+    d = np.array([[p.d1], [p.d2], [p.d3]])
+    return d * second / dx**2 - c * first / (2.0 * dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
 
 
 def solve_fixed_point(
@@ -416,8 +404,6 @@ def solve_fixed_point(
     tol: float = 1e-8,
     max_iter: int = 5000,
     alpha_floor_scale: float = 1.0,
-    accelerate: str | None = None,
-    clamp_budget: float = 0.01,
 ) -> FixedPointReport:
     """Projected iteration of F from the envelope midpoint until the residual drops.
 
@@ -427,16 +413,16 @@ def solve_fixed_point(
     window guard, so the pin is a phase convention, not a constraint on the
     shape). Convergence requires the weighted residual and the plain sup
     residual to both reach tol, so the reported wave-equation residual
-    inherits the tolerance rather than the discretization error; plain
-    iteration is the default, Anderson mixing (depth 3) is opt-in.
+    inherits the tolerance rather than the discretization error.
     """
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
         raise ValueError("parameters outside the wave regime (need R0 > 1 and d3 < 2*d2)")
     specs = choose_alphas(p, c, alpha_floor_scale)
-    ctx = choose_mu(specs, roots.lambda0)
+    mu = choose_mu(specs, roots.lambda0)
     gamma_set = make_gamma_set(p, c, grid)
     tail_rate = discrete_decay_rate(p, c, grid.dx)
+    inverses = map_inverses(specs, p, grid.dx, tail_rate)
 
     warnings = []
     if np.exp(roots.lambda0 * grid.x_min) >= 1e-10:
@@ -444,19 +430,16 @@ def solve_fixed_point(
             f"left window too short: exp(lambda0*x_min) = {np.exp(roots.lambda0 * grid.x_min):.2e} >= 1e-10"
         )
 
+    def ode_residual(arr: np.ndarray) -> float:
+        return float(np.max(np.abs(_wave_residual(arr, p, c, grid.dx))))
+
     sub = gamma_set.sub_array
     sup = gamma_set.super_array
     u = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
     pin_value = sup[1, 0]
     u[1, 0] = pin_value
-    w = np.exp(-ctx.mu * np.abs(grid.x))
+    w = np.exp(-mu * np.abs(grid.x))
 
-    def F_arrays(arr: np.ndarray) -> np.ndarray:
-        prof = _profile_from_array(arr, grid, tail_rate)
-        return apply_F(prof, specs, p, tail_rate).as_array()
-
-    hist_u: list[np.ndarray] = []
-    hist_g: list[np.ndarray] = []
     res_w = res_m = np.inf
     clamp_fraction = 1.0
     iterations = 0
@@ -468,22 +451,12 @@ def solve_fixed_point(
     tightenings = 0
     ode_res = np.inf
     for iterations in range(1, max_iter + 1):
-        v = F_arrays(u)
+        v = apply_F(u, specs, p, inverses)
         diff = v - u
         res_w = float(np.max(w * np.abs(diff)))
         res_m = float(np.max(np.abs(diff)))
-        if accelerate == "anderson" and res_m > target:
-            g = diff.ravel()
-            hist_u.append(u.ravel().copy())
-            hist_g.append(g.copy())
-            if len(hist_u) > 4:  # depth 3
-                hist_u.pop(0)
-                hist_g.pop(0)
-            if len(hist_u) > 1:
-                G = np.stack([hist_g[j + 1] - hist_g[j] for j in range(len(hist_g) - 1)], axis=1)
-                U = np.stack([hist_u[j + 1] - hist_u[j] for j in range(len(hist_u) - 1)], axis=1)
-                theta, *_ = np.linalg.lstsq(G, g, rcond=None)
-                v = (u.ravel() + g - (U + G) @ theta).reshape(u.shape)
+        if not np.isfinite(res_m):
+            raise ValueError(f"fixed-point step is not finite at iteration {iterations}")
         clamped = np.clip(v, sub, sup)
         # grazing the envelopes within the solve tolerance is not a projection
         # event, so only count moves the iteration itself could resolve
@@ -491,19 +464,19 @@ def solve_fixed_point(
         u = clamped
         u[1, 0] = pin_value
         if res_w <= target and res_m <= target:
-            ode_res = _fd_ode_residual(u, p, c, grid.dx)
+            ode_res = ode_residual(u)
             if ode_res <= 10.0 * tol or tightenings >= 4 or target <= 1e-14:
                 break
             target *= 0.25
             tightenings += 1
 
-    converged = res_w <= tol and res_m <= tol and clamp_fraction <= clamp_budget
+    converged = res_w <= tol and res_m <= tol and clamp_fraction <= CLAMP_BUDGET
     profile = _profile_from_array(np.clip(u, 0.0, None), grid, tail_rate)
 
     n_tail = max(2, int(0.1 * grid.n))
     s_inf = float(np.mean(u[0, -n_tail:]))
     if not np.isfinite(ode_res):
-        ode_res = _fd_ode_residual(u, p, c, grid.dx)
+        ode_res = ode_residual(u)
     if converged and ode_res > 10.0 * tol:
         converged = False
         warnings.append(f"wave-equation residual {ode_res:.2e} exceeds 10*tol")
@@ -526,7 +499,7 @@ def solve_fixed_point(
         ode_residual=ode_res,
         gamma_set=gamma_set,
         specs=specs,
-        mu=ctx.mu,
+        mu=mu,
         lambda0=roots.lambda0,
         c=c,
         warnings=tuple(warnings),
@@ -563,73 +536,57 @@ def solve_bvp_newton(
     x0 = grid.x_min
     l0 = b.lambda0
     kappa = (np.sqrt(c * c + 4.0 * p.d2 * (p.gamma + p.delta)) - c) / (2.0 * p.d2)
-    bc_left = (
+    bc_left = np.array([
         p.s_minus_inf * (1.0 - b.m1 * np.exp(b.eps1 * x0)),
         np.exp(l0 * x0),
         b.r_coef * np.exp(l0 * x0) * (1.0 - b.m3 * np.exp(b.eps3 * x0)),
-    )
+    ])
+    robin = np.array([0.0, kappa, 0.0])
     ds = (p.d1, p.d2, p.d3)
 
     def residual(vec: np.ndarray) -> np.ndarray:
-        s, i, r = vec[:n], vec[n : 2 * n], vec[2 * n :]
-        inc = incidence(s, i, r, p.beta)
-        reactions = (-inc, inc - (p.gamma + p.delta) * i, p.gamma * i)
-        out = np.zeros(3 * n)
-        for comp, (d, f) in enumerate(zip(ds, reactions)):
-            y = vec[comp * n : (comp + 1) * n]
-            out[comp * n + 1 : (comp + 1) * n - 1] = (
-                d * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2
-                - c * (y[2:] - y[:-2]) / (2.0 * dx)
-                + f[1:-1]
-            )
-            out[comp * n] = y[0] - bc_left[comp]
-            robin = kappa if comp == 1 else 0.0
-            out[(comp + 1) * n - 1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dx) + robin * y[-1]
-        return out
+        u = vec.reshape(3, n)
+        out = np.empty((3, n))
+        out[:, 1:-1] = _wave_residual(u, p, c, dx)
+        out[:, 0] = u[:, 0] - bc_left
+        out[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * dx) + robin * u[:, -1]
+        return out.ravel()
 
     interior = np.arange(1, n - 1)
+    # stencil weights of (y[j-1], y[j], y[j+1]) in the two centred differences
+    w2, w1 = (w[:, 0] for w in centered_differences(np.eye(3)))
 
     def jacobian(vec: np.ndarray) -> csr_matrix:
-        s, i, r = vec[:n], vec[n : 2 * n], vec[2 * n :]
+        s, i, r = vec.reshape(3, n)
         ntot = s + i + r
         ok = ntot > 1e-12
         safe = np.where(ok, ntot, 1.0)
-        dinc_s = np.where(ok, p.beta * i * (i + r) / safe**2, 0.0)
-        dinc_i = np.where(ok, p.beta * s * (s + r) / safe**2, 0.0)
-        dinc_r = np.where(ok, -p.beta * s * i / safe**2, 0.0)
-
-        rows, cols, vals = [], [], []
-
-        def add(r_, c_, v_):
-            rows.append(r_)
-            cols.append(c_)
-            vals.append(v_)
-
+        # derivatives of the incidence in S, I and R at the interior points
+        dinc = [
+            np.where(ok, g / safe**2, 0.0)[interior]
+            for g in (p.beta * i * (i + r), p.beta * s * (s + r), -p.beta * s * i)
+        ]
         e = np.ones(n - 2)
-        for comp, d in enumerate(ds):
-            base = comp * n
-            add(base + interior, base + interior - 1, (d / dx**2 + c / (2.0 * dx)) * e)
-            add(base + interior, base + interior, (-2.0 * d / dx**2) * e)
-            add(base + interior, base + interior + 1, (d / dx**2 - c / (2.0 * dx)) * e)
-        # reaction coupling (interior only)
-        add(interior, interior, -dinc_s[interior])
-        add(interior, n + interior, -dinc_i[interior])
-        add(interior, 2 * n + interior, -dinc_r[interior])
-        add(n + interior, interior, dinc_s[interior])
-        add(n + interior, n + interior, dinc_i[interior] - (p.gamma + p.delta) * e)
-        add(n + interior, 2 * n + interior, dinc_r[interior])
-        add(2 * n + interior, n + interior, p.gamma * e)
-        # boundary rows
+        # interior entries as (equation, unknown, column offset, values)
+        entries = [
+            (comp, comp, offset, weight * e)
+            for comp, d in enumerate(ds)
+            for offset, weight in zip((-1, 0, 1), d * w2 / dx**2 - c * w1 / (2.0 * dx))
+        ]
+        entries += [(0, k, 0, -dinc[k]) for k in range(3)]
+        entries += [(1, 0, 0, dinc[0]), (1, 1, 0, dinc[1] - (p.gamma + p.delta) * e), (1, 2, 0, dinc[2])]
+        entries += [(2, 1, 0, p.gamma * e)]
+        # boundary rows: Dirichlet on the left, the one-sided outflow closure on the right
+        edge = []
         for comp in range(3):
-            base = comp * n
-            add(np.array([base]), np.array([base]), np.array([1.0]))
-            robin = kappa if comp == 1 else 0.0
-            add(np.array([base + n - 1]), np.array([base + n - 1]), np.array([3.0 / (2.0 * dx) + robin]))
-            add(np.array([base + n - 1]), np.array([base + n - 2]), np.array([-4.0 / (2.0 * dx)]))
-            add(np.array([base + n - 1]), np.array([base + n - 3]), np.array([1.0 / (2.0 * dx)]))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
+            first, last = comp * n, comp * n + n - 1
+            edge += [(first, first, 1.0), (last, last, 3.0 / (2.0 * dx) + robin[comp]),
+                     (last, last - 1, -4.0 / (2.0 * dx)), (last, last - 2, 1.0 / (2.0 * dx))]
+        edge_rows, edge_cols, edge_vals = zip(*edge)
+        rows = np.concatenate([a * n + interior for a, _, _, _ in entries] + [edge_rows])
+        cols = np.concatenate([b * n + interior + offset for _, b, offset, _ in entries] + [edge_cols])
+        vals = np.concatenate([v for _, _, _, v in entries] + [edge_vals])
+        del entries, dinc  # free the per-block arrays before the matrix is built
         return csr_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n))
 
     vec = init.as_array().ravel().copy()

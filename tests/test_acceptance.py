@@ -22,6 +22,7 @@ from sirwaves import (
     lambda0,
     make_bound_set,
     make_gamma_set,
+    map_inverses,
     minimal_speed,
     profile_diagnostics,
     report_json,
@@ -32,7 +33,6 @@ from sirwaves import (
     subcritical_falsification,
     verify_sub_inequalities,
 )
-from sirwaves.model import CONSTANT, GridFunction, Profile, ZERO, exp_growth
 from sirwaves.resolvent import choose_alphas
 from sirwaves.verification import inversion_errors
 from sirwaves.cli import main as cli_main
@@ -102,19 +102,14 @@ def test_criterion_4_gamma_invariance():
     t0 = time.time()
     gset = make_gamma_set(P0, C, WAVE_GRID)
     specs = choose_alphas(P0, C)
-    l0 = gset.bounds.lambda0
+    inverses = map_inverses(specs, P0, WAVE_GRID.dx)
     rng = np.random.default_rng(0x5EED)
     sub, sup = gset.sub_array, gset.super_array
     worst = np.inf
     for _ in range(100):
         theta = rng.uniform(size=sub.shape)
-        arr = sub + theta * (sup - sub)
-        u = Profile(
-            GridFunction(WAVE_GRID, arr[0], CONSTANT, CONSTANT),
-            GridFunction(WAVE_GRID, arr[1], exp_growth(l0), ZERO),
-            GridFunction(WAVE_GRID, arr[2], exp_growth(l0), CONSTANT),
-        )
-        worst = min(worst, gset.membership_margin(apply_F(u, specs, P0)))
+        u = sub + theta * (sup - sub)
+        worst = min(worst, gset.membership_margin(apply_F(u, specs, P0, inverses)))
     elapsed = time.time() - t0
     ok = worst >= -1e-6 and elapsed < 30.0
     report(4, ok, elapsed, f"worst membership margin over 100 profiles: {worst:.2e}")
@@ -213,19 +208,15 @@ def test_criterion_9_alpha_floor_robustness(p0_solution):
     ineq_ok = min(rep_ineq.s_margin, rep_ineq.i_margin, rep_ineq.r_margin) >= -1e-10
 
     specs4 = choose_alphas(P0, C, floor_scale=4.0)
+    inverses4 = map_inverses(specs4, P0, WAVE_GRID.dx)
     gset = make_gamma_set(P0, C, WAVE_GRID, b)
     rng = np.random.default_rng(0x5EED)
     sub, sup = gset.sub_array, gset.super_array
     worst = np.inf
     for _ in range(100):
         theta = rng.uniform(size=sub.shape)
-        arr = sub + theta * (sup - sub)
-        u = Profile(
-            GridFunction(WAVE_GRID, arr[0], CONSTANT, CONSTANT),
-            GridFunction(WAVE_GRID, arr[1], exp_growth(b.lambda0), ZERO),
-            GridFunction(WAVE_GRID, arr[2], exp_growth(b.lambda0), CONSTANT),
-        )
-        worst = min(worst, gset.membership_margin(apply_F(u, specs4, P0)))
+        u = sub + theta * (sup - sub)
+        worst = min(worst, gset.membership_margin(apply_F(u, specs4, P0, inverses4)))
     invariance_ok = worst >= -1e-6
 
     rep4 = solve_fixed_point(P0, C, WAVE_GRID, tol=1e-8, alpha_floor_scale=4.0)

@@ -171,11 +171,45 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
 
     original = model.incidence
     monkeypatch.setattr(
-        "sirwaves.wave_profile.incidence",
+        "sirwaves.model.incidence",
         lambda s, i, r, beta, eta=model.ETA_DEFAULT: -original(s, i, r, beta, eta),
     )
     path = write_config(tmp_path, P0_CONFIG)
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+
+
+def test_verify_newton_failure_is_a_failed_check(tmp_path):
+    # near c* with d1 < d2 the Newton cross-check stalls; the suite records
+    # fixed_point as failed and still reports the diagnostics of the Picard wave
+    cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
+                      "delta": 0.5, "s_minus_inf": 2.0}}
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--c", "3.6373", "--out", str(tmp_path / "out")]) == 3
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["fixed_point"]["status"] == "fail"
+    assert "newton solve failed" in checks["fixed_point"]["details"]
+    assert checks["profile_diagnostics"]["status"] != "skipped"
+
+
+def test_profile_newton_failure_exits_2(tmp_path, capsys):
+    cfg = {"params": P0_CONFIG["params"], "grid": {"x_min": -70.0, "x_max": 70.0, "n": 2801}}
+    path = write_config(tmp_path, cfg)
+    rc = main(["profile", path, "--c", "2.01", "--solver", "both", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("newton solve failed: ")
+
+
+def test_verify_far_above_c_star_passes(tmp_path):
+    # the sech oracle's right tail leaves operator 2's kernel strip at c = 10;
+    # that pair is left out of the inversion check instead of raising
+    path = write_config(tmp_path, P0_CONFIG)
+    assert main(["verify", path, "--c", "10", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    inversion = report["checks"][0]
+    assert inversion["name"] == "resolvent_inversion"
+    assert "('sech', 2)" in inversion["details"]
 
 
 def test_sweep_rows_and_outcome_flip(tmp_path):

@@ -9,6 +9,7 @@ from sirwaves import (
     ModelParams,
     Profile,
     Tail,
+    centered_differences,
     exp_growth,
     incidence,
     r_naught,
@@ -129,12 +130,25 @@ def test_grid_function_validation():
 def test_tail_models():
     with pytest.raises(ValueError):
         Tail("linear")
+    with pytest.raises(ValueError):
+        Tail("constant", 1.0)  # only exponential tails carry a rate
     g = Grid(-1.0, 1.0, 5)
     gf = GridFunction(g, np.full(5, 3.0), left_tail=CONSTANT, right_tail=exp_growth(-2.0))
-    assert gf.extended_value(-5.0) == 3.0
-    assert gf.extended_value(2.0) == pytest.approx(3.0 * np.exp(-2.0))
-    gf0 = GridFunction(g, np.full(5, 3.0), left_tail=ZERO)
-    assert gf0.extended_value(-5.0) == 0.0
+    assert gf.right_tail == Tail("exp", -2.0)
+    assert GridFunction(g, np.full(5, 3.0)).left_tail == CONSTANT
+
+
+def test_centered_differences_weights_and_exactness():
+    second, first = centered_differences(np.eye(3))
+    assert second[:, 0].tolist() == [1.0, -2.0, 1.0]
+    assert first[:, 0].tolist() == [-1.0, 0.0, 1.0]
+    # exact on quadratics, row by row along the last axis
+    g = Grid(-1.0, 1.0, 21)
+    y = np.array([g.x**2, 3.0 * g.x - 1.0])
+    second, first = centered_differences(y)
+    assert second.shape == first.shape == (2, g.n - 2)
+    assert np.allclose(second / g.dx**2, [[2.0], [0.0]], atol=1e-10)
+    assert np.allclose(first / (2.0 * g.dx), [2.0 * g.x[1:-1], np.full(g.n - 2, 3.0)], atol=1e-12)
 
 
 def test_profile_shared_grid_and_nonnegativity():

@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 
 from sirwaves import (
-    CONSTANT,
-    ZERO,
     Grid,
-    GridFunction,
     ModelParams,
-    Profile,
     PulseIC,
     SimConfig,
     StabilityViolated,
     front_position,
     minimal_speed,
     run,
-    step,
     subcritical_falsification,
     traveling_frame_check,
 )
+from sirwaves.model import incidence
+from sirwaves.pde_sim import _rhs, _rk4_step
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 SUB = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.8, gamma=1.0, delta=1.0, s_minus_inf=1.0)
@@ -27,13 +24,9 @@ def config(p=P0, L=50.0, dx=0.2, t_end=10.0, **kw):
     return SimConfig(params=p, grid=Grid.symmetric(L, dx), t_end=t_end, **kw)
 
 
-def uniform_state(grid, s, i, r):
-    n = grid.n
-    return Profile(
-        GridFunction(grid, np.full(n, s), CONSTANT, CONSTANT),
-        GridFunction(grid, np.full(n, i), ZERO, ZERO),
-        GridFunction(grid, np.full(n, r), CONSTANT, CONSTANT),
-    )
+def clipped_step(state, cfg):
+    """One RK4 step at the automatic step size with roundoff negatives clipped, as the runs take it."""
+    return np.clip(_rk4_step(state, cfg.dt_bound, cfg.params, cfg.grid.dx), 0.0, None)
 
 
 def test_auto_dt_satisfies_stability_bound():
@@ -50,11 +43,41 @@ def test_pulse_must_sit_inside_window():
 
 def test_equilibrium_is_unchanged():
     cfg = config()
-    state = uniform_state(cfg.grid, P0.s_minus_inf, 0.0, 0.0)
-    out = step(state, cfg)
-    assert np.array_equal(out.s.values, state.s.values)
-    assert np.array_equal(out.i.values, state.i.values)
-    assert np.array_equal(out.r.values, state.r.values)
+    n = cfg.grid.n
+    state = np.array([np.full(n, P0.s_minus_inf), np.zeros(n), np.zeros(n)])
+    out = clipped_step(state, cfg)
+    assert np.array_equal(out[0], state[0])
+    assert np.array_equal(out[1], state[1])
+    assert np.array_equal(out[2], state[2])
+
+
+def test_rhs_and_step_match_componentwise_reference():
+    # the row-vectorised RHS and the in-place RK4 sum keep the arithmetic of
+    # the per-component loop and the textbook stage sum, so results are equal
+    p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    dx, dt = 0.2, 0.004
+    state = np.random.default_rng(5).uniform(0.0, 1.0, size=(3, 101))
+
+    def reference(st):
+        s, i, r = st
+        inc = incidence(s, i, r, p.beta)
+        out = np.empty_like(st)
+        for k, (d, f) in enumerate(((p.d1, -inc), (p.d2, inc - (p.gamma + p.delta) * i), (p.d3, p.gamma * i))):
+            y = st[k]
+            lap = np.empty_like(y)
+            lap[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2
+            lap[0] = 2.0 * (y[1] - y[0]) / dx**2
+            lap[-1] = 2.0 * (y[-2] - y[-1]) / dx**2
+            out[k] = d * lap + f
+        return out
+
+    assert np.array_equal(_rhs(state, p, dx), reference(state))
+    k1 = reference(state)
+    k2 = reference(state + 0.5 * dt * k1)
+    k3 = reference(state + 0.5 * dt * k2)
+    k4 = reference(state + dt * k3)
+    expected = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(_rk4_step(state, dt, p, dx), expected)
 
 
 def test_mass_conserved_per_step_without_removal():
@@ -63,14 +86,9 @@ def test_mass_conserved_per_step_without_removal():
     state = cfg.initial_state()
     x = cfg.grid.x
     m0 = np.trapezoid(state.sum(axis=0), x)
-    prof = Profile(
-        GridFunction(cfg.grid, state[0], CONSTANT, CONSTANT),
-        GridFunction(cfg.grid, state[1], ZERO, ZERO),
-        GridFunction(cfg.grid, state[2], CONSTANT, CONSTANT),
-    )
     for _ in range(20):
-        prof = step(prof, cfg)
-    m1 = np.trapezoid(prof.as_array().sum(axis=0), x)
+        state = clipped_step(state, cfg)
+    m1 = np.trapezoid(state.sum(axis=0), x)
     assert abs(m1 - m0) <= 1e-10 * m0
 
 

@@ -9,7 +9,6 @@ from sirwaves import (
     GridFunction,
     GridTooSmall,
     ModelParams,
-    Profile,
     ResolventSpec,
     TailIncompatible,
     ExponentOrdering,
@@ -17,12 +16,10 @@ from sirwaves import (
     apply_delta_inverse,
     choose_alphas,
     choose_mu,
-    delta_inverse_derivatives,
     delta_inverse_piecewise_g,
     discrete_kernel,
     exp_growth,
     lambda0,
-    weighted_norm,
 )
 from sirwaves.verification import ORACLE_FUNCTIONS, inversion_errors
 
@@ -66,43 +63,18 @@ def test_rho_two_forms_agree():
 
 
 def test_choose_mu_p0():
-    ctx = choose_mu(SPECS, L0)
-    assert ctx.mu == pytest.approx(0.693, abs=1e-3)
+    mu = choose_mu(SPECS, L0)
+    assert mu == pytest.approx(0.693, abs=1e-3)
     for s in SPECS:
-        assert s.lambda_minus < -ctx.mu < ctx.mu < s.lambda_plus
+        assert s.lambda_minus < -mu < mu < s.lambda_plus
 
 
 def test_choose_mu_near_degenerate():
     spec = ResolventSpec.build(1, 1.0, 2.5, 4.0)
     eps = 1e-6
     lam0_tight = -spec.lambda_minus - eps
-    ctx = choose_mu((spec,), lam0_tight)
-    assert lam0_tight < ctx.mu < -spec.lambda_minus
-
-
-# ---------- weighted norm ----------
-
-def test_weighted_norm_constant():
-    g = grid(10.0, 0.1)
-    assert weighted_norm(GridFunction(g, np.ones(g.n)), choose_mu(SPECS, L0)) == 1.0
-
-
-def test_weighted_norm_exponential_peaks_at_origin():
-    g = grid(20.0, 0.01)
-    ctx = choose_mu(SPECS, L0)
-    gf = GridFunction(g, np.exp(L0 * g.x), exp_growth(L0), exp_growth(L0))
-    assert weighted_norm(gf, ctx) == pytest.approx(1.0)
-
-
-def test_weighted_norm_of_envelope_triple():
-    from sirwaves import make_bound_set, eval_bounds
-
-    g = grid(20.0, 0.01)
-    ctx = choose_mu(SPECS, L0)
-    b = make_bound_set(P0, C)
-    sup, _ = eval_bounds(b, P0, C, g)
-    expected = max(P0.s_minus_inf, 1.0, b.r_coef)
-    assert weighted_norm(sup, ctx) == pytest.approx(expected)
+    mu = choose_mu((spec,), lam0_tight)
+    assert lam0_tight < mu < -spec.lambda_minus
 
 
 # ---------- forward operator ----------
@@ -241,12 +213,25 @@ def test_recursive_accumulation_matches_direct_sum():
     assert np.allclose(out, direct, atol=1e-13)
 
 
+def test_inversion_errors_leave_out_pairs_outside_the_kernel_strip():
+    # far above c* the sech oracle's right tail rate -1/3 lies outside the
+    # strip of operator 2, so that pair is left out instead of raising
+    specs = choose_alphas(P0, 10.0)
+    errs = inversion_errors(specs, Grid.symmetric(20, 0.01))
+    assert ("sech", 2) not in errs
+    assert ("gaussian", 2) in errs and ("sech", 1) in errs
+    assert set(inversion_errors(SPECS, grid(20.0, 0.01))) == {
+        (f[0], s.index) for f in ORACLE_FUNCTIONS for s in SPECS
+    }
+
+
 def test_discrete_kernel_ratios_near_continuum():
     for dx in (0.05, 0.025):
         for s in SPECS:
             kern = discrete_kernel(s, dx)
-            assert abs(kern.kappa_minus - s.lambda_minus) < 0.2 * dx**2 * max(1, abs(s.lambda_minus) ** 3)
-            assert abs(kern.kappa_plus - s.lambda_plus) < 2.0 * dx**2 * max(1, s.lambda_plus**3)
+            kappa_minus, kappa_plus = np.log(kern.z_minus) / dx, np.log(kern.z_plus) / dx
+            assert abs(kappa_minus - s.lambda_minus) < 0.2 * dx**2 * max(1, abs(s.lambda_minus) ** 3)
+            assert abs(kappa_plus - s.lambda_plus) < 2.0 * dx**2 * max(1, s.lambda_plus**3)
             assert 0 < kern.z_minus < 1 < kern.z_plus
 
 
@@ -259,34 +244,7 @@ def test_tail_incompatible_raises():
         apply_delta_inverse(gf, s)
 
 
-# ---------- kernel-differentiated derivatives ----------
-
-def test_derivatives_of_constant_vanish():
-    # second-order consistency: both derivative formulas shrink like dx^2
-    prev1 = prev2 = None
-    for dx in (0.02, 0.01):
-        g = grid(10.0, dx)
-        s = SPECS[0]
-        d1, d2 = delta_inverse_derivatives(GridFunction(g, np.ones(g.n), CONSTANT, CONSTANT), s)
-        m1, m2 = np.max(np.abs(d1.values)), np.max(np.abs(d2.values))
-        assert m1 < 2e-4 and m2 < 1e-3
-        if prev1 is not None:
-            assert m1 < 0.3 * prev1 and m2 < 0.3 * prev2
-        prev1, prev2 = m1, m2
-
-
-def test_derivative_formulas_match_finite_differences():
-    g = grid(20.0, 0.01)
-    s = SPECS[1]
-    h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), ZERO, ZERO)
-    u = apply_delta_inverse(h, s).values
-    d1, d2 = delta_inverse_derivatives(h, s)
-    dx = g.dx
-    fd1 = (u[2:] - u[:-2]) / (2 * dx)
-    fd2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx**2
-    assert np.max(np.abs(d1.values[1:-1] - fd1)) < 5e-5
-    assert np.max(np.abs(d2.values[1:-1] - fd2)) < 5e-4
-
+# ---------- forward of the inverse ----------
 
 def test_plugging_derivatives_back_recovers_input():
     # -d u'' + c u' + alpha u = h: exact at interior points via the stencil
@@ -297,10 +255,6 @@ def test_plugging_derivatives_back_recovers_input():
     back = apply_delta(u, s).values
     inner = slice(2, -2)
     assert np.max(np.abs(back[inner] - h.values[inner])) < 1e-10
-    # and the kernel-form derivatives reproduce it to O(dx^2)
-    d1, d2 = delta_inverse_derivatives(h, s)
-    recon = -s.d * d2.values + s.c * d1.values + s.alpha * u.values
-    assert np.max(np.abs(recon[inner] - h.values[inner])) < 2e-3
 
 
 # ---------- piecewise clipped-exponential domination ----------

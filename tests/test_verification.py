@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ def test_quick_suite_is_bitwise_deterministic():
     assert a == b
 
 
+def test_quick_report_matches_golden_bytes():
+    # the behavioural contract: the P0 quick report, byte for byte
+    golden = Path(__file__).parent / "data" / "verify_report_p0_quick.json"
+    assert report_json(run_suite(P0, 2.5, level="quick")).encode() == golden.read_bytes()
+
+
 def test_report_table_renders(quick_results):
     table = report_table(quick_results)
     assert "resolvent_inversion" in table
@@ -72,7 +80,7 @@ def test_mutated_incidence_fails_checks(monkeypatch):
     def flipped(s, i, r, beta, eta=sirwaves.model.ETA_DEFAULT):
         return -original(s, i, r, beta, eta)
 
-    monkeypatch.setattr("sirwaves.wave_profile.incidence", flipped)
+    monkeypatch.setattr("sirwaves.model.incidence", flipped)
     results = run_suite(P0, 2.5, level="quick")
     failing = {r.name for r in results if r.status == "fail"}
     assert failing & {"gamma_invariance", "fixed_point", "profile_diagnostics"}
