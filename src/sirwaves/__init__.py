@@ -18,7 +18,7 @@ from .model import (
     ModelParams,
     Profile,
     Tail,
-    centered_differences,
+    centered_difference,
     exp_growth,
     incidence,
     r_naught,

@@ -188,12 +188,14 @@ def reaction_terms(s, i, r, p: ModelParams, eta: float = ETA_DEFAULT):
     return -inc, inc - (p.gamma + p.delta) * i, p.gamma * i
 
 
-def centered_differences(y: np.ndarray):
-    """Interior centred differences along the last axis of y.
+def centered_difference(y: np.ndarray, order: int) -> np.ndarray:
+    """Interior centred difference y[j+1] - 2y[j] + y[j-1] (order 2) or y[j+1] - y[j-1] (order 1).
 
-    Returns (y[j+1] - 2 y[j] + y[j-1], y[j+1] - y[j-1]) for j = 1..n-2; divided
-    by dx^2 and 2*dx they are the second and first derivatives. The end
-    points are left to each caller's boundary closure. Applied to the rows of
-    np.eye(3) the two results are the stencil weights of (y[j-1], y[j], y[j+1]).
+    Taken along the last axis for j = 1..n-2, it is dx^2 or 2*dx times the derivative; the
+    ends are left to each caller's closure. On the rows of np.eye(3) it gives the weights.
     """
-    return y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2], y[..., 2:] - y[..., :-2]
+    if order == 2:
+        return y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2]
+    if order == 1:
+        return y[..., 2:] - y[..., :-2]
+    raise ValueError(f"centred differences have order 1 or 2, not {order}")

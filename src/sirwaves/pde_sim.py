@@ -20,7 +20,7 @@ from .model import (
     GridFunction,
     ModelParams,
     Profile,
-    centered_differences,
+    centered_difference,
     r_naught,
     reaction_terms,
 )
@@ -155,7 +155,7 @@ class SimResult:
 def _rhs(state: np.ndarray, p: ModelParams, dx: float) -> np.ndarray:
     """Diffusion by centred differences with mirror-ghost (no-flux) end rows, plus reaction."""
     out = np.empty_like(state)
-    np.divide(centered_differences(state)[0], dx**2, out=out[:, 1:-1])
+    np.divide(centered_difference(state, 2), dx**2, out=out[:, 1:-1])
     out[:, 0] = 2.0 * (state[:, 1] - state[:, 0]) / dx**2
     out[:, -1] = 2.0 * (state[:, -2] - state[:, -1]) / dx**2
     for k, (d, f) in enumerate(zip((p.d1, p.d2, p.d3), reaction_terms(*state, p))):

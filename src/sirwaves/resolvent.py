@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import ZERO, Grid, GridFunction, ModelParams, Tail, centered_differences, exp_growth
+from .model import ZERO, Grid, GridFunction, ModelParams, Tail, centered_difference, exp_growth
 from .linear_analysis import lambda0
 
 
@@ -163,9 +163,8 @@ def apply_delta(h: GridFunction, spec: ResolventSpec) -> GridFunction:
     v = h.values
     d1 = np.empty(n)
     d2 = np.empty(n)
-    inner2, inner1 = centered_differences(v)
-    d1[1:-1] = inner1 / (2.0 * dx)
-    d2[1:-1] = inner2 / dx**2
+    d1[1:-1] = centered_difference(v, 1) / (2.0 * dx)
+    d2[1:-1] = centered_difference(v, 2) / dx**2
     d1[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
     d1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
     d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dx**2

@@ -229,7 +229,7 @@ def _gamma_invariance(ctx: _Context):
     worst = np.inf
     for _ in range(100):
         theta = ctx.rng.uniform(size=sub.shape)
-        img = apply_F(sub + theta * (sup - sub), ctx.specs, ctx.p, inverses)
+        img = apply_F(sub + theta * (sup - sub), ctx.p, inverses)
         worst = min(worst, gset.membership_margin(img))
     return float(worst), TOL_GAMMA, "100 seeded random profiles"
 

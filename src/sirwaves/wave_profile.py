@@ -26,9 +26,8 @@ from .model import (
     GridFunction,
     ModelParams,
     Profile,
-    centered_differences,
+    centered_difference,
     exp_growth,
-    incidence,
     reaction_terms,
 )
 from .linear_analysis import characteristic_f, lambda0
@@ -358,32 +357,32 @@ def discrete_decay_rate(p: ModelParams, c: float, dx: float) -> float:
 
 
 def map_inverses(specs, p: ModelParams, dx: float, tail_rate: float | None = None):
-    """The three inverses D_i^{-1} of the integral map on spacing dx, prepared once per solve.
+    """The three shifted inverses of the integral map on spacing dx, prepared once per solve.
 
-    Integrand tails: susceptible-like constant on both sides, infected-like
-    exponential on the left and zero on the right, removed-like exponential on
-    the left and constant on the right. The left exponential rate defaults to
-    the mesh decay rate so the closures match what the stencil propagates.
+    Returns one (alpha_i, D_i^{-1}) pair per equation. Integrand tails: S-like
+    constant on both sides, I-like exponential on the left and zero on the right,
+    R-like exponential on the left and constant on the right. The left rate defaults
+    to the mesh decay rate so the closures match what the stencil propagates.
     """
     if tail_rate is None:
         tail_rate = discrete_decay_rate(p, specs[1].c, dx)
     lead = exp_growth(tail_rate)
     tails = ((CONSTANT, CONSTANT), (lead, ZERO), (lead, CONSTANT))
-    return tuple(inverse_operator(spec, dx, *t) for spec, t in zip(specs, tails))
+    return tuple((spec.alpha, inverse_operator(spec, dx, *t)) for spec, t in zip(specs, tails))
 
 
-def apply_F(u: np.ndarray, specs, p: ModelParams, inverses) -> np.ndarray:
+def apply_F(u: np.ndarray, p: ModelParams, inverses) -> np.ndarray:
     """One application of the integral map F = D^{-1} o (shifted reaction) to a (3, n) array.
 
-    inverses comes from map_inverses for the same specs and grid spacing.
+    inverses comes from map_inverses on the grid spacing of u; f_S is minus the incidence.
     """
     s, i, r = u
-    inc = incidence(s, i, r, p.beta)
-    inv1, inv2, inv3 = inverses
+    f_s, _, f_r = reaction_terms(s, i, r, p)
+    (a1, inv1), (a2, inv2), (a3, inv3) = inverses
     return np.array([
-        inv1(specs[0].alpha * s - inc),
-        inv2(specs[1].alpha * i + inc - (p.gamma + p.delta) * i),
-        inv3(specs[2].alpha * r + p.gamma * i),
+        inv1(a1 * s + f_s),
+        inv2(a2 * i - f_s - (p.gamma + p.delta) * i),
+        inv3(a3 * r + f_r),
     ])
 
 
@@ -392,7 +391,7 @@ def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.nda
 
     Rows are S, I, R. Newton drives it to zero; the fixed point reports its sup norm.
     """
-    second, first = centered_differences(u)
+    second, first = centered_difference(u, 2), centered_difference(u, 1)
     d = np.array([[p.d1], [p.d2], [p.d3]])
     return d * second / dx**2 - c * first / (2.0 * dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
 
@@ -451,7 +450,7 @@ def solve_fixed_point(
     tightenings = 0
     ode_res = np.inf
     for iterations in range(1, max_iter + 1):
-        v = apply_F(u, specs, p, inverses)
+        v = apply_F(u, p, inverses)
         diff = v - u
         res_w = float(np.max(w * np.abs(diff)))
         res_m = float(np.max(np.abs(diff)))
@@ -554,7 +553,7 @@ def solve_bvp_newton(
 
     interior = np.arange(1, n - 1)
     # stencil weights of (y[j-1], y[j], y[j+1]) in the two centred differences
-    w2, w1 = (w[:, 0] for w in centered_differences(np.eye(3)))
+    w2, w1 = (centered_difference(np.eye(3), order)[:, 0] for order in (2, 1))
 
     def jacobian(vec: np.ndarray) -> csr_matrix:
         s, i, r = vec.reshape(3, n)
@@ -744,7 +743,7 @@ def profile_diagnostics(u: Profile, p: ModelParams, c: float) -> ProfileDiagnost
         left_fit = np.polyfit(x[:quarter], np.log(np.maximum(i[:quarter], 1e-300)), 1)[0]
         right_fit = np.polyfit(x[-quarter:], np.log(np.maximum(i[-quarter:], 1e-300)), 1)[0]
 
-    inc = incidence(s, i, r, p.beta)
+    inc = -reaction_terms(s, i, r, p)[0]
     int_i = float(np.trapezoid((p.gamma + p.delta) * i, x))
     int_inc = float(np.trapezoid(inc, x))
     c_drop = c * drop

@@ -109,7 +109,7 @@ def test_criterion_4_gamma_invariance():
     for _ in range(100):
         theta = rng.uniform(size=sub.shape)
         u = sub + theta * (sup - sub)
-        worst = min(worst, gset.membership_margin(apply_F(u, specs, P0, inverses)))
+        worst = min(worst, gset.membership_margin(apply_F(u, P0, inverses)))
     elapsed = time.time() - t0
     ok = worst >= -1e-6 and elapsed < 30.0
     report(4, ok, elapsed, f"worst membership margin over 100 profiles: {worst:.2e}")
@@ -216,7 +216,7 @@ def test_criterion_9_alpha_floor_robustness(p0_solution):
     for _ in range(100):
         theta = rng.uniform(size=sub.shape)
         u = sub + theta * (sup - sub)
-        worst = min(worst, gset.membership_margin(apply_F(u, specs4, P0, inverses4)))
+        worst = min(worst, gset.membership_margin(apply_F(u, P0, inverses4)))
     invariance_ok = worst >= -1e-6
 
     rep4 = solve_fixed_point(P0, C, WAVE_GRID, tol=1e-8, alpha_floor_scale=4.0)

@@ -176,6 +176,9 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     )
     path = write_config(tmp_path, P0_CONFIG)
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["gamma_invariance"]["status"] == "fail"  # the integral map reads it too
 
 
 def test_verify_newton_failure_is_a_failed_check(tmp_path):

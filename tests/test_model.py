@@ -9,7 +9,7 @@ from sirwaves import (
     ModelParams,
     Profile,
     Tail,
-    centered_differences,
+    centered_difference,
     exp_growth,
     incidence,
     r_naught,
@@ -138,14 +138,15 @@ def test_tail_models():
     assert GridFunction(g, np.full(5, 3.0)).left_tail == CONSTANT
 
 
-def test_centered_differences_weights_and_exactness():
-    second, first = centered_differences(np.eye(3))
-    assert second[:, 0].tolist() == [1.0, -2.0, 1.0]
-    assert first[:, 0].tolist() == [-1.0, 0.0, 1.0]
+def test_centered_difference_weights_and_exactness():
+    assert centered_difference(np.eye(3), 2)[:, 0].tolist() == [1.0, -2.0, 1.0]
+    assert centered_difference(np.eye(3), 1)[:, 0].tolist() == [-1.0, 0.0, 1.0]
+    with pytest.raises(ValueError):
+        centered_difference(np.eye(3), 3)
     # exact on quadratics, row by row along the last axis
     g = Grid(-1.0, 1.0, 21)
     y = np.array([g.x**2, 3.0 * g.x - 1.0])
-    second, first = centered_differences(y)
+    second, first = centered_difference(y, 2), centered_difference(y, 1)
     assert second.shape == first.shape == (2, g.n - 2)
     assert np.allclose(second / g.dx**2, [[2.0], [0.0]], atol=1e-10)
     assert np.allclose(first / (2.0 * g.dx), [2.0 * g.x[1:-1], np.full(g.n - 2, 3.0)], atol=1e-12)

@@ -84,4 +84,5 @@ def test_mutated_incidence_fails_checks(monkeypatch):
     results = run_suite(P0, 2.5, level="quick")
     failing = {r.name for r in results if r.status == "fail"}
     assert failing & {"gamma_invariance", "fixed_point", "profile_diagnostics"}
+    assert "gamma_invariance" in failing  # the integral map reads the same reaction terms
     assert not suite_passed(results)

@@ -115,7 +115,7 @@ def test_disease_free_state_is_fixed_point():
     g = Grid.symmetric(30.0, 0.1)
     specs = choose_alphas(P0, C)
     u = np.array([np.full(g.n, P0.s_minus_inf), np.zeros(g.n), np.zeros(g.n)])
-    out = apply_F(u, specs, P0, map_inverses(specs, P0, g.dx))
+    out = apply_F(u, P0, map_inverses(specs, P0, g.dx))
     assert out.shape == (3, g.n)
     assert np.allclose(out[0], P0.s_minus_inf, rtol=1e-13)
     assert np.allclose(out[1], 0.0, atol=1e-15)
@@ -132,7 +132,7 @@ def test_map_preserves_gamma_set():
     worst = np.inf
     for _ in range(100):
         theta = rng.uniform(size=sub.shape)
-        img = apply_F(sub + theta * (sup - sub), specs, P0, inverses)
+        img = apply_F(sub + theta * (sup - sub), P0, inverses)
         worst = min(worst, gset.membership_margin(img))
         assert np.all(img >= -1e-15)  # positivity of the map
     assert worst >= -1e-6
@@ -143,7 +143,7 @@ def test_map_output_nonnegative_for_nonnegative_input():
     specs = choose_alphas(P0, C)
     rng = np.random.default_rng(21)
     arr = rng.uniform(0, 2, size=(3, g.n))
-    out = apply_F(arr, specs, P0, map_inverses(specs, P0, g.dx))
+    out = apply_F(arr, P0, map_inverses(specs, P0, g.dx))
     assert np.all(out >= -1e-15)
 
 
