@@ -309,7 +309,6 @@ def cmd_profile(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     p = params_from_config(cfg)
-    out = _out_dir(args)
     grid = grid_from_config(cfg, args.L, args.dx)
     sim_block = cfg.get("sim", {})
     t_end = args.t_end if args.t_end is not None else float(sim_block.get("t_end", 80.0))
@@ -319,11 +318,16 @@ def cmd_simulate(args) -> int:
         width=float(sim_block.get("pulse_width", 2.0)),
         amplitude=sim_block.get("pulse_amplitude"),
     )
-    sim_cfg = pde_sim.SimConfig(
-        params=p, grid=grid, t_end=t_end,
-        dt=float(dt) if dt is not None else None,
-        ic=ic, front_threshold=float(sim_block.get("front_threshold", 1e-4)),
-    )
+    try:
+        sim_cfg = pde_sim.SimConfig(
+            params=p, grid=grid, t_end=t_end,
+            dt=float(dt) if dt is not None else None,
+            ic=ic, front_threshold=float(sim_block.get("front_threshold", 1e-4)),
+        )
+    except ValueError as exc:  # includes StabilityViolated
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
+    out = _out_dir(args)
     hit = False
     try:
         result = pde_sim.run(sim_cfg)
@@ -360,6 +364,8 @@ def cmd_simulate(args) -> int:
         "dt": sim_cfg.time_steps()[0],
         "dt_bound": sim_cfg.dt_bound,
     }
+    if np.isfinite(result.trace.pulled_front_speed):
+        summary["pulled_front_speed"] = result.trace.pulled_front_speed
     _write_json(os.path.join(out, "summary.json"), summary)
     write_manifest(out, "simulate", {**cfg, "sim": {**sim_block, "t_end": t_end}},
                    {"c_star": c_star, "dt": summary["dt"]})

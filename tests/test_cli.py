@@ -141,6 +141,8 @@ def test_simulate_writes_summary(tmp_path):
     assert summary["c_star"] == 2.0
     assert summary["outcome"] in ("front", "no_front")
     assert summary["dt"] <= summary["dt_bound"]
+    # the finite-time pulled-front speed sits beside the linear fit, below c*
+    assert summary["pulled_front_speed"] < summary["c_star"]
     files = os.listdir(out)
     assert "front_trace.csv" in files and "mass_budget.csv" in files
     assert any(f.startswith("snapshot_t") for f in files)
@@ -154,6 +156,21 @@ def test_simulate_extinction_outcome(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["outcome"] == "extinction"
+    assert "pulled_front_speed" not in summary  # R0 <= 1: no front to pull
+
+
+@pytest.mark.parametrize("dt,message", [
+    ("-1", "dt must be positive"),
+    ("0", "dt must be positive"),
+    ("1", "exceeds the stability bound"),  # dt_bound = 2/(beta+gamma+delta) = 2/3 at P0
+])
+def test_simulate_bad_dt_exits_2_with_one_line(config_path, tmp_path, capsys, dt, message):
+    out = str(tmp_path / "out")
+    rc = main(["simulate", config_path, "--dt", dt, "--t-end", "1", "--L", "20", "--dx", "0.2", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("simulate: ") and message in err[0]
+    assert not os.path.exists(out)  # nothing is written for rejected settings
 
 
 def test_verify_quick_exit_code_and_determinism(config_path, tmp_path):

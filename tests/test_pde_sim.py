@@ -14,10 +14,12 @@ from sirwaves import (
     traveling_frame_check,
 )
 from sirwaves.model import incidence
-from sirwaves.pde_sim import _rhs, _rk4_step
+from sirwaves.pde_sim import _diffusion_bands, _strang_step
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 SUB = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.8, gamma=1.0, delta=1.0, s_minus_inf=1.0)
+# unequal diffusion rates, so a species mix-up in the diffusion step shows
+P_MIXED = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 
 
 def config(p=P0, L=50.0, dx=0.2, t_end=10.0, **kw):
@@ -25,15 +27,127 @@ def config(p=P0, L=50.0, dx=0.2, t_end=10.0, **kw):
 
 
 def clipped_step(state, cfg):
-    """One RK4 step at the automatic step size with roundoff negatives clipped, as the runs take it."""
-    return np.clip(_rk4_step(state, cfg.dt_bound, cfg.params, cfg.grid.dx), 0.0, None)
+    """One split step at the automatic step size with roundoff negatives clipped, as the runs take it."""
+    dt = cfg.time_steps()[0]
+    return np.clip(_strang_step(cfg.params, cfg.grid.dx, cfg.grid.n, dt)(state), 0.0, None)
 
 
-def test_auto_dt_satisfies_stability_bound():
-    cfg = config()
-    assert cfg.dt_bound == pytest.approx(0.4 * 0.2**2 / 2.0)
+def reference_diffusion(st, p, dx):
+    """Per-component centred second differences with mirror-ghost (no-flux) end rows, times d."""
+    out = np.empty_like(st)
+    for k, d in enumerate((p.d1, p.d2, p.d3)):
+        y = st[k]
+        lap = np.empty_like(y)
+        lap[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2
+        lap[0] = 2.0 * (y[1] - y[0]) / dx**2
+        lap[-1] = 2.0 * (y[-2] - y[-1]) / dx**2
+        out[k] = d * lap
+    return out
+
+
+def reference_rhs(st, p, dx):
+    """The method-of-lines right-hand side, written out per component."""
+    s, i, r = st
+    inc = incidence(s, i, r, p.beta)
+    return reference_diffusion(st, p, dx) + np.array([-inc, inc - (p.gamma + p.delta) * i, p.gamma * i])
+
+
+def reference_rk4(state, p, dx, t_end, n_steps):
+    """Explicit classical RK4 on the whole method-of-lines system, in the textbook stage sum."""
+    dt = t_end / n_steps
+    for _ in range(n_steps):
+        k1 = reference_rhs(state, p, dx)
+        k2 = reference_rhs(state + 0.5 * dt * k1, p, dx)
+        k3 = reference_rhs(state + 0.5 * dt * k2, p, dx)
+        k4 = reference_rhs(state + dt * k3, p, dx)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return state
+
+
+def test_auto_dt_and_stability_bound_follow_the_reaction_rates():
+    # implicit diffusion: the bound is RK4 stability of the reaction, whatever dx
+    rate = P0.beta + P0.gamma + P0.delta
+    assert config().dt_bound == pytest.approx(2.0 / rate)
+    assert config(dx=0.05).dt_bound == config().dt_bound
+    assert config().time_steps() == (pytest.approx(0.05), 200)
+    assert config(t_end=1.01).time_steps() == (pytest.approx(1.01 / 21), 21)
+    assert config(dt=0.1).time_steps() == (pytest.approx(0.1), 100)
+    assert config().time_steps()[0] <= config().dt_bound
+    config(dt=2.0 / rate)  # the bound itself is accepted
     with pytest.raises(StabilityViolated):
         config(dt=1.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            config(dt=bad)
+
+
+def test_diffusion_bands_match_componentwise_reference():
+    dx, n = 0.2, 101
+    state = np.random.default_rng(5).uniform(0.0, 1.0, size=(3, n))
+    lower, diag, upper = _diffusion_bands(P_MIXED, dx, n)
+    u = state.ravel()
+    applied = diag * u
+    applied[:-1] += upper * u[1:]
+    applied[1:] += lower * u[:-1]
+    np.testing.assert_allclose(applied.reshape(3, n), reference_diffusion(state, P_MIXED, dx), rtol=1e-12, atol=1e-9)
+    # the species do not couple, and the trapezoid weights make the operator symmetric
+    assert lower[n - 1] == upper[n - 1] == lower[2 * n - 1] == upper[2 * n - 1] == 0.0
+    w = np.tile(np.r_[0.5, np.ones(n - 2), 0.5], 3)
+    assert np.array_equal(w[:-1] * upper, w[1:] * lower)
+
+
+def test_split_step_converges_to_explicit_rk4_reference():
+    # the split scheme solves the same semi-discrete system as explicit RK4 at
+    # a fine step; its error falls as dt^2 (Strang splitting, TR-BDF2)
+    cfg = config(p=P_MIXED, L=20.0, dx=0.2, t_end=4.0)
+    grid, dt_auto = cfg.grid, cfg.time_steps()[0]
+    state = cfg.initial_state()
+    ref = reference_rk4(state, P_MIXED, grid.dx, cfg.t_end, 2 * int(np.ceil(cfg.t_end / 0.004)))
+    errors = []
+    for halvings in range(5):
+        n_steps = int(round(cfg.t_end / dt_auto)) * 2**halvings
+        step = _strang_step(P_MIXED, grid.dx, grid.n, cfg.t_end / n_steps)
+        u = state
+        for _ in range(n_steps):
+            u = step(u)
+        errors.append(float(np.max(np.abs(u - ref))))
+    assert errors[0] <= 1e-4
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(ratios >= 3.5), (errors, ratios)
+
+
+def test_no_ignition_ahead_of_the_front():
+    # a roundoff floor of 1e-16 ahead of the front would grow like
+    # exp((beta-gamma-delta)*t) and cross the tracking threshold near t = 28,
+    # igniting the whole window; the stepper must keep the leading edge clean
+    cfg = config(L=120.0, dx=0.25, t_end=40.0, n_outputs=80)
+    q = P0.beta - P0.gamma - P0.delta
+    assert 1e-16 * np.exp(q * cfg.t_end) > cfg.threshold
+    res = run(cfg)
+    x = cfg.grid.x
+    tail = x >= x[-1] - 0.1 * (x[-1] - x[0])
+    assert np.max(res.final.i.values[tail]) < 1e-20
+    assert np.max(res.i_max_trace) > cfg.threshold  # an outbreak did spread
+    c_star = minimal_speed(P0).c_star
+    t, pos = res.trace.times, res.trace.positions
+    ok = np.isfinite(pos)
+    assert np.all(ok[t > 0.0])
+    assert np.all(pos[ok] <= cfg.ic_center + c_star * t[ok] + 3.0 * cfg.ic.width)
+    assert pos[-1] >= cfg.ic_center + 0.8 * c_star * cfg.t_end
+
+
+def test_pulled_front_speed_reported_beside_the_fit():
+    cfg = config(L=100.0, dx=0.25, t_end=35.0, n_outputs=150)
+    trace = run(cfg).trace
+    t = trace.times[np.isfinite(trace.positions)]
+    t1, t2 = t[len(t) // 2], t[-1]
+    lam_star = np.sqrt((P0.beta - P0.gamma - P0.delta) / P0.d2)
+    expected = 2.0 - 1.5 / lam_star * np.log(t2 / t1) / (t2 - t1)
+    assert trace.pulled_front_speed == pytest.approx(expected, rel=1e-12)
+    # the leading-order lag overshoots at finite times (the next term is
+    # positive), so the measured speed sits between it and c*
+    assert trace.pulled_front_speed < trace.speed_fit < 2.0
+    assert np.isnan(run(config(p=SUB, L=40.0, dx=0.25, t_end=5.0)).trace.pulled_front_speed)
 
 
 def test_pulse_must_sit_inside_window():
@@ -49,35 +163,6 @@ def test_equilibrium_is_unchanged():
     assert np.array_equal(out[0], state[0])
     assert np.array_equal(out[1], state[1])
     assert np.array_equal(out[2], state[2])
-
-
-def test_rhs_and_step_match_componentwise_reference():
-    # the row-vectorised RHS and the in-place RK4 sum keep the arithmetic of
-    # the per-component loop and the textbook stage sum, so results are equal
-    p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
-    dx, dt = 0.2, 0.004
-    state = np.random.default_rng(5).uniform(0.0, 1.0, size=(3, 101))
-
-    def reference(st):
-        s, i, r = st
-        inc = incidence(s, i, r, p.beta)
-        out = np.empty_like(st)
-        for k, (d, f) in enumerate(((p.d1, -inc), (p.d2, inc - (p.gamma + p.delta) * i), (p.d3, p.gamma * i))):
-            y = st[k]
-            lap = np.empty_like(y)
-            lap[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2
-            lap[0] = 2.0 * (y[1] - y[0]) / dx**2
-            lap[-1] = 2.0 * (y[-2] - y[-1]) / dx**2
-            out[k] = d * lap + f
-        return out
-
-    assert np.array_equal(_rhs(state, p, dx), reference(state))
-    k1 = reference(state)
-    k2 = reference(state + 0.5 * dt * k1)
-    k3 = reference(state + 0.5 * dt * k2)
-    k4 = reference(state + dt * k3)
-    expected = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.array_equal(_rk4_step(state, dt, p, dx), expected)
 
 
 def test_mass_conserved_per_step_without_removal():

@@ -89,7 +89,7 @@ def test_verification_suite_beyond_canonical_parameters():
 def test_fixed_point_profile_advects_at_its_design_speed():
     # seed the simulator with the solved wave: it must propagate at the speed
     # it was built for, tying the profile solver and the time stepper together
-    from sirwaves.pde_sim import _rk4_step, _fit_speed, front_position
+    from sirwaves.pde_sim import _simulate
 
     p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
     c = 2.5
@@ -104,18 +104,10 @@ def test_fixed_point_profile_advects_at_its_design_speed():
     s0 = np.interp(-x, pg.x, rep.profile.s.values, left=p.s_minus_inf, right=rep.s_inf)
     i0 = np.interp(-x, pg.x, rep.profile.i.values, left=0.0, right=0.0)
     r0 = np.interp(-x, pg.x, rep.profile.r.values, left=0.0, right=rep.profile.r.values[-1])
-    state = np.array([s0, i0, r0])
 
-    dt = 0.4 * sim.dx**2 / 2.0
-    n_steps = int(np.ceil(20.0 / dt))
-    dt = 20.0 / n_steps
-    times, fronts = [0.0], [front_position(x, state[1], 1e-4)]
-    stride = max(1, n_steps // 100)
-    for k in range(1, n_steps + 1):
-        state = np.clip(_rk4_step(state, dt, p, sim.dx), 0.0, None)
-        if k % stride == 0:
-            times.append(k * dt)
-            fronts.append(front_position(x, state[1], 1e-4))
-    speed, stderr = _fit_speed(np.asarray(times), np.asarray(fronts), fit_window=0.7)
-    assert speed == pytest.approx(c, rel=0.02)
-    assert stderr < 0.01
+    # the stepping loop of every simulation, from the solved wave instead of a pulse
+    cfg = SimConfig(params=p, grid=sim, t_end=20.0, n_outputs=100)
+    res = _simulate(cfg, np.array([s0, i0, r0]), fit_window=0.7, stop_at_boundary=False)
+    assert res.trace.threshold == 1e-4
+    assert res.trace.speed_fit == pytest.approx(c, rel=0.02)
+    assert res.trace.speed_stderr < 0.01
