@@ -199,7 +199,10 @@ def _diffusion_bands(p: ModelParams, dx: float, n: int):
 
 
 def _reaction_rk4(state: np.ndarray, dt: float, p: ModelParams) -> np.ndarray:
-    """Classical RK4 on the pointwise reaction terms of the (3, n) state."""
+    """Classical RK4 on the pointwise reaction terms of the (3, n) state.
+
+    The weighted sum of the stages is formed in place, in the textbook order.
+    """
 
     def f(u):
         return np.array(reaction_terms(*u, p))
@@ -208,9 +211,10 @@ def _reaction_rk4(state: np.ndarray, dt: float, p: ModelParams) -> np.ndarray:
     k2 = f(state + 0.5 * dt * k1)
     k3 = f(state + 0.5 * dt * k2)
     k4 = f(state + dt * k3)
-    k2 += k3
     k2 *= 2.0
+    k3 *= 2.0
     k1 += k2
+    k1 += k3
     k1 += k4
     k1 *= dt / 6.0
     k1 += state

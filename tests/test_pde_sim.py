@@ -13,8 +13,8 @@ from sirwaves import (
     subcritical_falsification,
     traveling_frame_check,
 )
-from sirwaves.model import incidence
-from sirwaves.pde_sim import _diffusion_bands, _strang_step
+from sirwaves.model import incidence, reaction_terms
+from sirwaves.pde_sim import _diffusion_bands, _reaction_rk4, _strang_step
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 SUB = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.8, gamma=1.0, delta=1.0, s_minus_inf=1.0)
@@ -45,11 +45,16 @@ def reference_diffusion(st, p, dx):
     return out
 
 
-def reference_rhs(st, p, dx):
-    """The method-of-lines right-hand side, written out per component."""
+def reference_reaction(st, p):
+    """The pointwise reaction terms, written out per component."""
     s, i, r = st
     inc = incidence(s, i, r, p.beta)
-    return reference_diffusion(st, p, dx) + np.array([-inc, inc - (p.gamma + p.delta) * i, p.gamma * i])
+    return np.array([-inc, inc - (p.gamma + p.delta) * i, p.gamma * i])
+
+
+def reference_rhs(st, p, dx):
+    """The method-of-lines right-hand side, written out per component."""
+    return reference_diffusion(st, p, dx) + reference_reaction(st, p)
 
 
 def reference_rk4(state, p, dx, t_end, n_steps):
@@ -64,7 +69,7 @@ def reference_rk4(state, p, dx, t_end, n_steps):
     return state
 
 
-def test_auto_dt_and_stability_bound_follow_the_reaction_rates():
+def test_auto_dt_satisfies_stability_bound():
     # implicit diffusion: the bound is RK4 stability of the reaction, whatever dx
     rate = P0.beta + P0.gamma + P0.delta
     assert config().dt_bound == pytest.approx(2.0 / rate)
@@ -81,19 +86,37 @@ def test_auto_dt_and_stability_bound_follow_the_reaction_rates():
             config(dt=bad)
 
 
-def test_diffusion_bands_match_componentwise_reference():
-    dx, n = 0.2, 101
+def test_rhs_and_step_match_componentwise_reference():
+    # the split system's right-hand side (diffusion bands plus the shared
+    # reaction terms) is the per-component method-of-lines one, and the
+    # reaction step keeps the textbook RK4 stage sum, so results are equal
+    dx, dt, n = 0.2, 0.004, 101
     state = np.random.default_rng(5).uniform(0.0, 1.0, size=(3, n))
     lower, diag, upper = _diffusion_bands(P_MIXED, dx, n)
     u = state.ravel()
     applied = diag * u
     applied[:-1] += upper * u[1:]
     applied[1:] += lower * u[:-1]
+    # rtol, not equality: the bands scale by d/dx^2 before summing
     np.testing.assert_allclose(applied.reshape(3, n), reference_diffusion(state, P_MIXED, dx), rtol=1e-12, atol=1e-9)
     # the species do not couple, and the trapezoid weights make the operator symmetric
     assert lower[n - 1] == upper[n - 1] == lower[2 * n - 1] == upper[2 * n - 1] == 0.0
     w = np.tile(np.r_[0.5, np.ones(n - 2), 0.5], 3)
     assert np.array_equal(w[:-1] * upper, w[1:] * lower)
+
+    assert np.array_equal(np.array(reaction_terms(*state, P_MIXED)), reference_reaction(state, P_MIXED))
+    np.testing.assert_allclose(
+        applied.reshape(3, n) + np.array(reaction_terms(*state, P_MIXED)),
+        reference_rhs(state, P_MIXED, dx),
+        rtol=1e-12,
+        atol=1e-9,
+    )
+    k1 = reference_reaction(state, P_MIXED)
+    k2 = reference_reaction(state + 0.5 * dt * k1, P_MIXED)
+    k3 = reference_reaction(state + 0.5 * dt * k2, P_MIXED)
+    k4 = reference_reaction(state + dt * k3, P_MIXED)
+    expected = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(_reaction_rk4(state, dt, P_MIXED), expected)
 
 
 def test_split_step_converges_to_explicit_rk4_reference():
