@@ -19,10 +19,12 @@ from .model import (
     Profile,
     Tail,
     centered_difference,
+    edge_difference,
     exp_growth,
     incidence,
     r_naught,
     reaction_terms,
+    wave_operator,
 )
 from .linear_analysis import (
     CharRoots,

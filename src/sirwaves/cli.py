@@ -137,8 +137,7 @@ def write_manifest(out_dir: str, command: str, resolved: dict, derived: dict):
         "outputs": files,
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(path, manifest)
     return path
 
 

@@ -1,4 +1,4 @@
-"""Model parameters, grids, grid functions and the standard-incidence reaction terms.
+"""Model parameters, grids, grid functions, the standard-incidence reaction terms and the stencils.
 
 Everything here is an immutable value object; the other modules build on these
 without mutating them, so instances are safe to share across workers.
@@ -191,11 +191,31 @@ def reaction_terms(s, i, r, p: ModelParams, eta: float = ETA_DEFAULT):
 def centered_difference(y: np.ndarray, order: int) -> np.ndarray:
     """Interior centred difference y[j+1] - 2y[j] + y[j-1] (order 2) or y[j+1] - y[j-1] (order 1).
 
-    Taken along the last axis for j = 1..n-2, it is dx^2 or 2*dx times the derivative; the
-    ends are left to each caller's closure. On the rows of np.eye(3) it gives the weights.
+    Taken along the last axis for j = 1..n-2, it is dx^2 or 2*dx times the derivative;
+    edge_difference closes the ends. On the rows of np.eye(3) it gives the weights.
     """
     if order == 2:
         return y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2]
     if order == 1:
         return y[..., 2:] - y[..., :-2]
     raise ValueError(f"centred differences have order 1 or 2, not {order}")
+
+
+def wave_operator(y: np.ndarray, d, c: float, dx: float) -> np.ndarray:
+    """Centred discretization of the linear wave operator d*y'' - c*y' at j = 1..n-2 of the last axis.
+
+    d broadcasts against y[..., 1:-1], so a (3, 1) column gives one rate per species; c = 0
+    gives diffusion. On the rows of np.eye(3) it gives the weights of y[j-1], y[j], y[j+1].
+    """
+    return d * centered_difference(y, 2) / dx**2 - c * centered_difference(y, 1) / (2.0 * dx)
+
+
+def edge_difference(y: np.ndarray, dx: float):
+    """Second-order one-sided first derivatives (y'(x_0), y'(x_{n-1})) along the last axis.
+
+    These close the wave operator at the two ends of the window. On the rows of
+    np.eye(3) they give the weights of (y[0], y[1], y[2]) and of (y[-3], y[-2], y[-1]).
+    """
+    left = (-3.0 * y[..., 0] + 4.0 * y[..., 1] - y[..., 2]) / (2.0 * dx)
+    right = (3.0 * y[..., -1] - 4.0 * y[..., -2] + y[..., -3]) / (2.0 * dx)
+    return left, right

@@ -24,9 +24,9 @@ from .model import (
     GridFunction,
     ModelParams,
     Profile,
-    centered_difference,
     r_naught,
     reaction_terms,
+    wave_operator,
 )
 from .linear_analysis import SubThreshold, lambda0, minimal_speed
 
@@ -76,7 +76,6 @@ class SimConfig:
     t_end: float
     dt: float | None = None  # None = automatic from the reaction rates
     ic: PulseIC = field(default_factory=PulseIC)
-    bc: str = "no_flux"
     front_threshold: float = 1e-4  # tracking level as a fraction of S_-inf
     n_outputs: int = 200  # front-trace samples over the run
     n_snapshots: int = 9  # stored full fields
@@ -84,8 +83,6 @@ class SimConfig:
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.bc != "no_flux":
-            raise ValueError("only reflecting (no_flux) boundaries are supported")
         if self.dt is not None:
             if not self.dt > 0:
                 raise ValueError(f"dt must be positive, got {self.dt}")
@@ -184,18 +181,18 @@ class SimResult:
 def _diffusion_bands(p: ModelParams, dx: float, n: int):
     """Bands (lower, diagonal, upper) of the no-flux diffusion operator, the three species stacked.
 
-    Each species' block is d_k/dx^2 times the centred second difference, with
+    Each species' block is the wave operator at c = 0, d_k*y'', with
     mirror-ghost end rows (y[-1] = y[1], y[n] = y[n-2]) folding the ghost's
     weight onto the neighbour. The blocks are stacked into one 3n system with
     zero coupling between them, so one tridiagonal solve serves all three.
     """
-    w_lo, w_mid, w_hi = centered_difference(np.eye(3), 2)[:, 0]  # weights of y[j-1], y[j], y[j+1]
-    lower = np.full(n, w_lo)
-    lower[0], lower[-1] = 0.0, w_lo + w_hi  # row 0 has no left neighbour in its block
-    upper = np.full(n, w_hi)
-    upper[0], upper[-1] = w_lo + w_hi, 0.0  # row n-1 has no right neighbour in its block
-    coef = np.array([[p.d1], [p.d2], [p.d3]]) / dx**2
-    return (coef * lower).ravel()[1:], (coef * np.full(n, w_mid)).ravel(), (coef * upper).ravel()[:-1]
+    weights = [wave_operator(np.eye(3), d, 0.0, dx)[:, 0] for d in (p.d1, p.d2, p.d3)]
+    w_lo, w_mid, w_hi = np.array(weights).T  # per species, the weights of y[j-1], y[j], y[j+1]
+    lower = np.outer(w_lo, np.ones(n))
+    lower[:, 0], lower[:, -1] = 0.0, w_lo + w_hi  # row 0 has no left neighbour in its block
+    upper = np.outer(w_hi, np.ones(n))
+    upper[:, 0], upper[:, -1] = w_lo + w_hi, 0.0  # row n-1 has no right neighbour in its block
+    return lower.ravel()[1:], np.outer(w_mid, np.ones(n)).ravel(), upper.ravel()[:-1]
 
 
 def _reaction_rk4(state: np.ndarray, dt: float, p: ModelParams) -> np.ndarray:
@@ -341,15 +338,16 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     """The stepping loop of every simulation: split steps from state to t_end at cfg's step size.
 
     Roundoff negatives are clipped to zero after each step and their mass is
-    counted. Fronts, mass budget and max I are sampled about n_outputs times,
-    the full fields n_snapshots times. With stop_at_boundary the run ends as
-    soon as a sample finds the front within 10*dx of the right edge.
+    counted. Fronts, mass budget and max I are sampled at t = 0, every
+    ceil(n_steps/n_outputs) steps and at t_end, so at most n_outputs + 1 times;
+    the full fields about n_snapshots times. With stop_at_boundary the run ends
+    as soon as a sample finds the front within 10*dx of the right edge.
     """
     p, grid = cfg.params, cfg.grid
     x, dx = grid.x, grid.dx
     dt, n_steps = cfg.time_steps()
     step = _strang_step(p, dx, grid.n, dt)
-    sample_every = max(1, n_steps // cfg.n_outputs)
+    sample_every = -(-n_steps // cfg.n_outputs)  # ceil: at most n_outputs samples after t = 0
     snap_every = max(1, n_steps // max(cfg.n_snapshots - 1, 1))
     thresholds = {
         "1e-3": 1e-3 * p.s_minus_inf,

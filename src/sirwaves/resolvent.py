@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import ZERO, Grid, GridFunction, ModelParams, Tail, centered_difference, exp_growth
+from .model import ZERO, Grid, GridFunction, ModelParams, Tail, edge_difference, exp_growth, wave_operator
 from .linear_analysis import lambda0
 
 
@@ -139,19 +139,14 @@ def discrete_kernel(spec: ResolventSpec, dx: float) -> DiscreteKernel:
         raise ValueError(
             f"dx = {dx} too coarse for operator {spec.index}: need dx < 2d/c = {2.0 * d / c}"
         )
-    A = -d / dx**2 - c / (2.0 * dx)
-    B = 2.0 * d / dx**2 + alpha
-    E = -d / dx**2 + c / (2.0 * dx)
+    # D = alpha - (d*h'' - c*h'), so its stencil is alpha minus the wave operator's weights
+    w = wave_operator(np.eye(3), d, c, dx)[:, 0]
+    A, B, E = -w[0], alpha - w[1], -w[2]
     s = np.sqrt(B * B - 4.0 * A * E)  # = rho_hat/dx with rho_hat below
     z_minus = -2.0 * A / (B + s)
     z_plus = (B + s) / (-2.0 * E)
     rho_hat = s * dx  # = sqrt(c^2 + 4 d alpha + (alpha dx)^2)
-    return DiscreteKernel(
-        z_minus=z_minus,
-        z_plus=z_plus,
-        rho_hat=rho_hat,
-        dx=dx,
-    )
+    return DiscreteKernel(z_minus=z_minus, z_plus=z_plus, rho_hat=rho_hat, dx=dx)
 
 
 def apply_delta(h: GridFunction, spec: ResolventSpec) -> GridFunction:
@@ -161,18 +156,27 @@ def apply_delta(h: GridFunction, spec: ResolventSpec) -> GridFunction:
         raise GridTooSmall("apply_delta needs at least 5 points")
     dx = h.grid.dx
     v = h.values
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    d1[1:-1] = centered_difference(v, 1) / (2.0 * dx)
-    d2[1:-1] = centered_difference(v, 2) / dx**2
-    d1[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
-    d1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
-    d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dx**2
-    d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dx**2
-    out = -spec.d * d2 + spec.c * d1 + spec.alpha * v
+    out = np.empty(n)
+    out[1:-1] = -wave_operator(v, spec.d, spec.c, dx)
+    d1_left, d1_right = edge_difference(v, dx)
+    d2_left = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dx**2
+    d2_right = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dx**2
+    out[0] = -spec.d * d2_left + spec.c * d1_left
+    out[-1] = -spec.d * d2_right + spec.c * d1_right
+    out += spec.alpha * v
     # D maps each tail shape to itself (constants to constants, exponentials to
     # exponentials of the same rate), so the tags carry over.
     return GridFunction(h.grid, out, h.left_tail, h.right_tail)
+
+
+def first_order_recursion(b, ratio: float, x: np.ndarray, initial: float) -> np.ndarray:
+    """y[j] = b[0]*x[j] + b[1]*x[j-1] + ratio*y[j-1] along x, with y[0] = b[0]*x[0] + initial.
+
+    b has one or two entries. Every one-sided exponential sum of the package
+    (the kernel sums here, the decay convolution of the profile diagnostics)
+    runs through this one O(n) recursion.
+    """
+    return lfilter(b, [1.0, -ratio], x, zi=np.array([initial]))[0]
 
 
 def _check_tail(tail: Tail, spec: ResolventSpec, kern: DiscreteKernel, side: str):
@@ -207,18 +211,18 @@ def _tail_sums(g: np.ndarray, left: Tail, right: Tail, kern: DiscreteKernel):
     return t_left, t_right
 
 
-def _kernel_sums(g: np.ndarray, kern: DiscreteKernel, t_left: float, t_right: float):
-    """One-sided geometric accumulations L_j (from the left) and R_j (from the right).
+def _kernel_sums(g: np.ndarray, kern: DiscreteKernel, t_left: float, t_right: float) -> np.ndarray:
+    """The kernel quadrature (L_j + R_j)/rho_hat of g, i.e. D^{-1} g at the grid points.
 
-    L_j = dx * sum_{k<=j} z_-^(j-k) g_k and R_j = dx * sum_{k>j} z_+^(j-k) g_k,
-    seeded with the analytic tail sums; evaluated by first-order recursions in
-    O(n) instead of the O(n^2) direct double sum.
+    L_j = dx * sum_{k<=j} z_-^(j-k) g_k and R_j = dx * sum_{k>j} z_+^(j-k) g_k are the
+    one-sided accumulations from the left and from the right, seeded with the analytic
+    tail sums; evaluated by first-order recursions in O(n) instead of the O(n^2) double sum.
     """
     dx, zm, zp = kern.dx, kern.z_minus, kern.z_plus
-    left = lfilter([dx], [1.0, -zm], g, zi=np.array([zm * t_left]))[0]
+    left = first_order_recursion([dx], zm, g, zm * t_left)
     w = 1.0 / zp
-    right = lfilter([0.0, w * dx], [1.0, -w], g[::-1], zi=np.array([t_right]))[0][::-1]
-    return left, right
+    right = first_order_recursion([0.0, w * dx], w, g[::-1], t_right)[::-1]
+    return (left + right) / kern.rho_hat
 
 
 def inverse_operator(spec: ResolventSpec, dx: float, left: Tail, right: Tail):
@@ -232,9 +236,7 @@ def inverse_operator(spec: ResolventSpec, dx: float, left: Tail, right: Tail):
     _check_tail(right, spec, kern, "right")
 
     def invert(g: np.ndarray) -> np.ndarray:
-        t_left, t_right = _tail_sums(g, left, right, kern)
-        lsum, rsum = _kernel_sums(g, kern, t_left, t_right)
-        return (lsum + rsum) / kern.rho_hat
+        return _kernel_sums(g, kern, *_tail_sums(g, left, right, kern))
 
     return invert
 
@@ -293,8 +295,7 @@ def delta_inverse_piecewise_g(
             fl * np.exp(lam * grid.x_min) / (q1 - zm)
             - big_m * fle * np.exp((lam + eps) * grid.x_min) / (q2 - zm)
         )
-    left, right = _kernel_sums(dg, kern, t_left, 0.0)
-    result = (left + right) / kern.rho_hat
+    result = _kernel_sums(dg, kern, t_left, 0.0)
 
     g_vals = np.maximum(np.exp(lam * x) * (1.0 - big_m * np.exp(eps * x)), 0.0)
     margins = result - g_vals

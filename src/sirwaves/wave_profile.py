@@ -10,12 +10,10 @@ identities and asymptotics that the converged wave must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.signal import lfilter
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -26,12 +24,13 @@ from .model import (
     GridFunction,
     ModelParams,
     Profile,
-    centered_difference,
+    edge_difference,
     exp_growth,
     reaction_terms,
+    wave_operator,
 )
 from .linear_analysis import characteristic_f, lambda0
-from .resolvent import choose_alphas, choose_mu, inverse_operator
+from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
 # Largest share of grid points the final projection onto the envelope set may
 # move in a solve that counts as converged.
@@ -100,19 +99,11 @@ class BoundSet:
 
 @dataclass(frozen=True)
 class GammaSet:
-    """The invariant convex set: profiles sandwiched between the envelopes."""
+    """The invariant convex set: (3, n) arrays sandwiched between the envelopes on a grid."""
 
     bounds: BoundSet
-    super_profile: Profile
-    sub_profile: Profile
-
-    @cached_property
-    def super_array(self) -> np.ndarray:
-        return self.super_profile.as_array()
-
-    @cached_property
-    def sub_array(self) -> np.ndarray:
-        return self.sub_profile.as_array()
+    super_array: np.ndarray
+    sub_array: np.ndarray
 
     def membership_margin(self, a: np.ndarray) -> float:
         """Smallest signed distance of a (3, n) array to the envelopes; negative means outside."""
@@ -254,27 +245,18 @@ def make_bound_set(p: ModelParams, c: float) -> BoundSet:
     )
 
 
-def eval_bounds(b: BoundSet, p: ModelParams, c: float, grid: Grid):
-    """Evaluate the envelopes on the grid as (super, sub) profiles with tail tags."""
+def eval_bounds(b: BoundSet, grid: Grid):
+    """Evaluate the envelopes on the grid as (super, sub) arrays of shape (3, n), rows S, I, R."""
     x = grid.x
-    l0 = b.lambda0
-    sup = Profile(
-        GridFunction(grid, b.s_plus(x), CONSTANT, CONSTANT),
-        GridFunction(grid, b.i_plus(x), exp_growth(l0), exp_growth(l0)),
-        GridFunction(grid, b.r_plus(x), exp_growth(l0), exp_growth(l0)),
-    )
-    sub = Profile(
-        GridFunction(grid, b.s_minus(x), CONSTANT, ZERO),
-        GridFunction(grid, b.i_minus(x), exp_growth(l0), ZERO),
-        GridFunction(grid, b.r_minus(x), exp_growth(l0), ZERO),
-    )
+    sup = np.array([b.s_plus(x), b.i_plus(x), b.r_plus(x)])
+    sub = np.array([b.s_minus(x), b.i_minus(x), b.r_minus(x)])
     return sup, sub
 
 
 def make_gamma_set(p: ModelParams, c: float, grid: Grid, bounds: BoundSet | None = None) -> GammaSet:
     b = bounds if bounds is not None else make_bound_set(p, c)
-    sup, sub = eval_bounds(b, p, c, grid)
-    return GammaSet(bounds=b, super_profile=sup, sub_profile=sub)
+    sup, sub = eval_bounds(b, grid)
+    return GammaSet(bounds=b, super_array=sup, sub_array=sub)
 
 
 def verify_sub_inequalities(b: BoundSet, p: ModelParams, c: float, grid: Grid) -> SubInequalityReport:
@@ -391,9 +373,8 @@ def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.nda
 
     Rows are S, I, R. Newton drives it to zero; the fixed point reports its sup norm.
     """
-    second, first = centered_difference(u, 2), centered_difference(u, 1)
     d = np.array([[p.d1], [p.d2], [p.d3]])
-    return d * second / dx**2 - c * first / (2.0 * dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
+    return wave_operator(u, d, c, dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
 
 
 def solve_fixed_point(
@@ -548,12 +529,12 @@ def solve_bvp_newton(
         out = np.empty((3, n))
         out[:, 1:-1] = _wave_residual(u, p, c, dx)
         out[:, 0] = u[:, 0] - bc_left
-        out[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * dx) + robin * u[:, -1]
+        out[:, -1] = edge_difference(u, dx)[1] + robin * u[:, -1]
         return out.ravel()
 
     interior = np.arange(1, n - 1)
-    # stencil weights of (y[j-1], y[j], y[j+1]) in the two centred differences
-    w2, w1 = (centered_difference(np.eye(3), order)[:, 0] for order in (2, 1))
+    # weights of (y[n-3], y[n-2], y[n-1]) in the outflow closure's one-sided difference
+    edge_w = edge_difference(np.eye(3), dx)[1]
 
     def jacobian(vec: np.ndarray) -> csr_matrix:
         s, i, r = vec.reshape(3, n)
@@ -570,7 +551,7 @@ def solve_bvp_newton(
         entries = [
             (comp, comp, offset, weight * e)
             for comp, d in enumerate(ds)
-            for offset, weight in zip((-1, 0, 1), d * w2 / dx**2 - c * w1 / (2.0 * dx))
+            for offset, weight in zip((-1, 0, 1), wave_operator(np.eye(3), d, c, dx)[:, 0])
         ]
         entries += [(0, k, 0, -dinc[k]) for k in range(3)]
         entries += [(1, 0, 0, dinc[0]), (1, 1, 0, dinc[1] - (p.gamma + p.delta) * e), (1, 2, 0, dinc[2])]
@@ -579,8 +560,8 @@ def solve_bvp_newton(
         edge = []
         for comp in range(3):
             first, last = comp * n, comp * n + n - 1
-            edge += [(first, first, 1.0), (last, last, 3.0 / (2.0 * dx) + robin[comp]),
-                     (last, last - 1, -4.0 / (2.0 * dx)), (last, last - 2, 1.0 / (2.0 * dx))]
+            edge += [(first, first, 1.0), (last, last, edge_w[2] + robin[comp]),
+                     (last, last - 1, edge_w[1]), (last, last - 2, edge_w[0])]
         edge_rows, edge_cols, edge_vals = zip(*edge)
         rows = np.concatenate([a * n + interior for a, _, _, _ in entries] + [edge_rows])
         cols = np.concatenate([b * n + interior + offset for _, b, offset, _ in entries] + [edge_cols])
@@ -675,9 +656,7 @@ def _exp_decay_convolution(psi: np.ndarray, rate: float, dx: float, tail_rate: f
     v1 = (1.0 - np.exp(-b) * (1.0 + b)) / b**2
     w = np.exp(-b)
     tail = psi[-1] / (rate - min(tail_rate, 0.0))
-    rev = psi[::-1]
-    out = lfilter([dx * v0, dx * v1], [1.0, -w], rev, zi=np.array([tail - dx * v0 * rev[0]]))[0]
-    return out[::-1]
+    return first_order_recursion([dx * v0, dx * v1], w, psi[::-1], tail - dx * v0 * psi[-1])[::-1]
 
 
 def _cumulative_integral(psi: np.ndarray, dx: float, left_tail: float) -> np.ndarray:
@@ -770,8 +749,7 @@ def profile_diagnostics(u: Profile, p: ModelParams, c: float) -> ProfileDiagnost
     j_overshoot = float(j_max - (p.s_minus_inf - s[-1]))
     i_le_j = float(np.min(j - i))
 
-    i_prime_left = float((-3.0 * i[0] + 4.0 * i[1] - i[2]) / (2.0 * dx))
-    i_prime_right = float((3.0 * i[-1] - 4.0 * i[-2] + i[-3]) / (2.0 * dx))
+    i_prime_left, i_prime_right = (float(v) for v in edge_difference(i, dx))
 
     return ProfileDiagnostics(
         s_inf=s_inf,

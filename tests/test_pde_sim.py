@@ -218,6 +218,18 @@ def test_mass_conserved_over_full_run_without_removal():
     assert drift <= 1e-8 * res.mass_total[0]
 
 
+@pytest.mark.parametrize("n_outputs", [200, 7])
+def test_samples_at_most_n_outputs_evenly_spaced_but_the_last(n_outputs):
+    cfg = config(L=50.0, dx=0.25, t_end=15.0, n_outputs=n_outputs)
+    assert cfg.time_steps()[1] == 300
+    t = run(cfg).mass_times
+    assert len(t) <= n_outputs + 1
+    assert t[0] == 0.0 and t[-1] == pytest.approx(15.0)
+    gaps = np.diff(t)
+    assert np.allclose(gaps[:-1], gaps[0], rtol=1e-9)
+    assert 0.0 < gaps[-1] <= gaps[0] * (1.0 + 1e-9)
+
+
 def test_front_position_interpolates():
     x = np.linspace(0, 10, 11)
     i_vals = np.where(x <= 5, 1.0, 0.0) * (1 - x / 10)

@@ -67,6 +67,12 @@ def test_quick_report_matches_golden_bytes():
     assert report_json(run_suite(P0, 2.5, level="quick")).encode() == golden.read_bytes()
 
 
+def test_full_report_matches_golden_bytes():
+    # the full report adds the Newton cross-check and the three simulation checks
+    golden = Path(__file__).parent / "data" / "verify_report_p0_full.json"
+    assert report_json(run_suite(P0, 2.5, level="full")).encode() == golden.read_bytes()
+
+
 def test_report_table_renders(quick_results):
     table = report_table(quick_results)
     assert "resolvent_inversion" in table

@@ -76,18 +76,19 @@ def test_bound_set_inequalities_reverified(solved):
 def test_eval_bounds_crossover_and_values():
     g = Grid.symmetric(20.0, 0.01)
     b = make_bound_set(P0, C)
-    sup, sub = eval_bounds(b, P0, C, g)
+    sup, sub = eval_bounds(b, g)
+    assert sup.shape == sub.shape == (3, g.n)
     # infected lower envelope vanishes exactly at its crossover
     assert b.i_minus(np.array([b.x2]))[0] == pytest.approx(0.0, abs=1e-15)
-    assert np.all(sub.i.values[g.x >= b.x2] == 0.0)
+    assert np.all(sub[1][g.x >= b.x2] == 0.0)
     # removed upper envelope at the origin: gamma/(c*lam0 - d3*lam0^2) = 0.5 for P0
     k = np.argmin(np.abs(g.x))
-    assert sup.r.values[k] == pytest.approx(0.5)
+    assert sup[2][k] == pytest.approx(0.5)
     # far left the infected envelopes pinch together
-    ratio = sub.i.values[0] / sup.i.values[0]
+    ratio = sub[1][0] / sup[1][0]
     assert ratio == pytest.approx(1.0, abs=b.m2 * np.exp(b.eps2 * g.x_min) + 1e-12)
     # ordering everywhere
-    assert np.all(sub.as_array() <= sup.as_array() + 1e-15)
+    assert np.all(sub <= sup + 1e-15)
 
 
 def test_sub_inequalities_hold(solved):
