@@ -1,11 +1,12 @@
 """Solving for the traveling wave: envelopes, fixed point, cross-check.
 
 The wave at speed c > c* is found by iterating the integral map inside the
-region between explicit lower and upper envelopes. The converged profile is
-cross-validated by a damped-Newton solve of the discretized wave equations and
-against every identity the wave provably satisfies: monotone S and R, the
-sandwich 0 <= I <= S(-inf) - S(inf), the leading-edge decay rate, the
-conserved integrals, and the removed-field reconstruction from I alone.
+region between explicit lower and upper envelopes, and a tight solve is
+finished by Newton. The converged profile is cross-validated by a damped-Newton
+solve of the discretized wave equations and against every identity the wave
+provably satisfies: monotone S and R, the sandwich 0 <= I <= S(-inf) - S(inf),
+the leading-edge decay rate, the conserved integrals, and the removed-field
+reconstruction from I alone.
 """
 
 import numpy as np
@@ -27,12 +28,13 @@ rep = solve_fixed_point(p, c, grid, tol=1e-8)
 b = rep.gamma_set.bounds
 print(f"envelope constants: eps = ({b.eps1}, {b.eps2}, {b.eps3})")
 print(f"                    M   = ({b.m1:.4f}, {b.m2:.4f}, {b.m3:.4f})")
-print(f"converged in {rep.iterations} iterations, residual {rep.residual:.2e}")
+print(f"converged in {rep.iterations} iterations {rep.stage_iterations}, finished by {rep.finish}, "
+      f"residual {rep.residual:.2e}")
 print(f"wave-equation residual {rep.ode_residual:.2e}, S(inf) = {rep.s_inf:.6f}")
 
 newton = solve_bvp_newton(p, c, grid, rep.profile, bounds=b)
 shift, diff = align_profiles(rep.profile, newton)
-print(f"independent Newton solve agrees to {diff:.2e} after a {shift:.1e} shift")
+print(f"Newton solve from the fixed point agrees to {diff:.2e} after a {shift:.1e} shift")
 
 d = profile_diagnostics(rep.profile, p, c)
 print("\ndiagnostics of the converged wave:")

@@ -262,6 +262,8 @@ def cmd_profile(args) -> int:
     )
     diag = profile_diagnostics(chosen, p, c)
     b = report.gamma_set.bounds
+    solve = {"finish": report.finish, "finish_reason": report.finish_reason,
+             "stage_iterations": report.stage_iterations}
     payload = {
         "c": c,
         "converged": report.converged,
@@ -274,6 +276,7 @@ def cmd_profile(args) -> int:
         "alphas": [s.alpha for s in report.specs],
         "solver": args.solver,
         "solver_agreement": agreement,
+        "solve": solve,
         "warnings": list(report.warnings),
         "bound_set": {
             "eps": [b.eps1, b.eps2, b.eps3],
@@ -296,7 +299,7 @@ def cmd_profile(args) -> int:
         out, "profile", {**cfg, "c": c},
         {"c_star": c_star, "lambda0": report.lambda0, "mu": report.mu,
          "alphas": [s.alpha for s in report.specs],
-         "bound_set": payload["bound_set"]},
+         "bound_set": payload["bound_set"], "solve": solve},
     )
     print(json.dumps(payload["diagnostics"], indent=2, sort_keys=True))
     if not report.converged:

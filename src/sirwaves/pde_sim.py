@@ -340,7 +340,8 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     Roundoff negatives are clipped to zero after each step and their mass is
     counted. Fronts, mass budget and max I are sampled at t = 0, every
     ceil(n_steps/n_outputs) steps and at t_end, so at most n_outputs + 1 times;
-    the full fields about n_snapshots times. With stop_at_boundary the run ends
+    the full fields likewise every ceil(n_steps/(n_snapshots - 1)) steps, at
+    most n_snapshots + 1 times. With stop_at_boundary the run ends
     as soon as a sample finds the front within 10*dx of the right edge.
     """
     p, grid = cfg.params, cfg.grid
@@ -348,7 +349,7 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     dt, n_steps = cfg.time_steps()
     step = _strang_step(p, dx, grid.n, dt)
     sample_every = -(-n_steps // cfg.n_outputs)  # ceil: at most n_outputs samples after t = 0
-    snap_every = max(1, n_steps // max(cfg.n_snapshots - 1, 1))
+    snap_every = -(-n_steps // max(cfg.n_snapshots - 1, 1))  # ceil: at most n_snapshots + 1 fields
     thresholds = {
         "1e-3": 1e-3 * p.s_minus_inf,
         "1e-4": 1e-4 * p.s_minus_inf,

@@ -2,9 +2,9 @@
 
 The wave is found as a fixed point of u -> D^{-1}[shifted reaction], iterated
 inside the convex set sandwiched between explicit super- and sub-solution
-envelopes. A damped-Newton solve of the discretized wave equations provides an
-independent route to the same profile, and the diagnostics verify the integral
-identities and asymptotics that the converged wave must satisfy.
+envelopes. A damped-Newton solve of the discretized wave equations finishes
+tight solves and cross-checks the profile, and the diagnostics verify the
+integral identities and asymptotics that the converged wave must satisfy.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .model import (
@@ -35,6 +35,10 @@ from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_
 # Largest share of grid points the final projection onto the envelope set may
 # move in a solve that counts as converged.
 CLAMP_BUDGET = 0.01
+# Step residual at which the fixed-point iteration hands over to Newton, and
+# the most steps restarted from the Newton root may take to confirm it.
+LOOSE_TOL = 1e-4
+CONFIRM_BUDGET = 20
 
 
 class SearchExhausted(RuntimeError):
@@ -140,6 +144,9 @@ class FixedPointReport:
     lambda0: float
     c: float
     warnings: tuple
+    finish: str  # "newton" when the Newton root was confirmed, else "picard"
+    finish_reason: str  # why a "picard" finish did not go through Newton; empty otherwise
+    stage_iterations: dict  # applications of F: "picard" to the handover, "confirm", "resumed"
 
 
 def select_epsilons(p: ModelParams, c: float):
@@ -377,6 +384,42 @@ def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.nda
     return wave_operator(u, d, c, dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
 
 
+class _Picard:
+    """The projected iteration u -> P(F(u)) from one start, resumable across budgets.
+
+    The wave-equation residual is the step difference amplified by the map's
+    Lipschitz constant, so once both step residuals reach the target it is
+    tightened until the wave-equation residual fits under 10*tol (a few times
+    only: a residual that stays up reflects window error, not iteration error).
+    """
+
+    def __init__(self, u: np.ndarray, step, ode_residual, tol: float):
+        self.u, self.step, self.ode_residual, self.tol = u, step, ode_residual, tol
+        self.target, self.tightenings, self.iterations = tol, 0, 0
+        self.res_w = self.res_m = self.ode_res = np.inf
+        self.clamp_fraction = 1.0
+
+    def run(self, budget: int, handover: float | None = None) -> str:
+        """Take up to budget steps; returns "tol", "handover" or "budget" for why it stopped."""
+        for _ in range(budget):
+            self.iterations += 1
+            self.u, self.res_w, self.res_m, self.clamp_fraction = self.step(self.u, self.iterations)
+            res = max(self.res_w, self.res_m)
+            if res <= self.target:
+                self.ode_res = self.ode_residual(self.u)
+                if self.ode_res <= 10.0 * self.tol or self.tightenings >= 4 or self.target <= 1e-14:
+                    return "tol"
+                self.target *= 0.25
+                self.tightenings += 1
+            if handover is not None and res <= handover:
+                return "handover"
+        return "budget"
+
+    @property
+    def converged(self) -> bool:
+        return self.res_w <= self.tol and self.res_m <= self.tol and self.clamp_fraction <= CLAMP_BUDGET
+
+
 def solve_fixed_point(
     p: ModelParams,
     c: float,
@@ -384,8 +427,9 @@ def solve_fixed_point(
     tol: float = 1e-8,
     max_iter: int = 5000,
     alpha_floor_scale: float = 1.0,
+    init: Profile | None = None,
 ) -> FixedPointReport:
-    """Projected iteration of F from the envelope midpoint until the residual drops.
+    """Projected iteration of F from init (default: the envelope midpoint), finished by Newton.
 
     Each step projects F(u) back onto the invariant set and re-pins the
     infected value at the left edge to the upper envelope (the translation
@@ -394,6 +438,15 @@ def solve_fixed_point(
     shape). Convergence requires the weighted residual and the plain sup
     residual to both reach tol, so the reported wave-equation residual
     inherits the tolerance rather than the discretization error.
+
+    For tol below LOOSE_TOL the iteration stops at LOOSE_TOL, solve_bvp_newton
+    solves from that iterate, and at most CONFIRM_BUDGET steps restarted from
+    the Newton root confirm it as a fixed point of the map to tol; near c*
+    this replaces thousands of slowly contracting steps. If Newton fails or the
+    confirmation does not converge (the Newton root can be a translate of the
+    map's fixed point), the iteration resumes from the LOOSE_TOL iterate with
+    the rest of max_iter, which is the plain iteration's own trajectory.
+    iterations counts every application of F, confirmation included.
     """
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
@@ -415,42 +468,63 @@ def solve_fixed_point(
 
     sub = gamma_set.sub_array
     sup = gamma_set.super_array
-    u = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
     pin_value = sup[1, 0]
-    u[1, 0] = pin_value
     w = np.exp(-mu * np.abs(grid.x))
 
-    res_w = res_m = np.inf
-    clamp_fraction = 1.0
-    iterations = 0
-    # the wave-equation residual is the step difference amplified by the map's
-    # Lipschitz constant, so tighten the step target until it fits under 10*tol
-    # (a few times only: a residual that stays up reflects window error, not
-    # iteration error)
-    target = tol
-    tightenings = 0
-    ode_res = np.inf
-    for iterations in range(1, max_iter + 1):
+    def step(u: np.ndarray, k: int):
         v = apply_F(u, p, inverses)
         diff = v - u
         res_w = float(np.max(w * np.abs(diff)))
         res_m = float(np.max(np.abs(diff)))
         if not np.isfinite(res_m):
-            raise ValueError(f"fixed-point step is not finite at iteration {iterations}")
+            raise ValueError(f"fixed-point step is not finite at iteration {k}")
         clamped = np.clip(v, sub, sup)
         # grazing the envelopes within the solve tolerance is not a projection
         # event, so only count moves the iteration itself could resolve
         clamp_fraction = float(np.mean(np.abs(clamped - v) > 0.1 * tol))
-        u = clamped
-        u[1, 0] = pin_value
-        if res_w <= target and res_m <= target:
-            ode_res = ode_residual(u)
-            if ode_res <= 10.0 * tol or tightenings >= 4 or target <= 1e-14:
-                break
-            target *= 0.25
-            tightenings += 1
+        clamped[1, 0] = pin_value
+        return clamped, res_w, res_m, clamp_fraction
 
-    converged = res_w <= tol and res_m <= tol and clamp_fraction <= CLAMP_BUDGET
+    def start(u: np.ndarray) -> _Picard:
+        u = u.copy()
+        u[1, 0] = pin_value
+        return _Picard(u, step, ode_residual, tol)
+
+    if init is None:
+        u0 = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
+    else:
+        u0 = init.as_array()
+    final = picard = start(u0)
+    stopped = picard.run(max_iter, handover=LOOSE_TOL if tol < LOOSE_TOL else None)
+    stages = {"picard": picard.iterations, "confirm": 0, "resumed": 0}
+    finish = "picard"
+    if tol >= LOOSE_TOL:
+        reason = f"tol {tol:.1e} is not below the Newton handover {LOOSE_TOL:.0e}"
+    elif stopped == "budget":
+        reason = "max_iter reached before the Newton handover"
+    elif stopped == "tol":
+        reason = "converged before the Newton handover"
+    else:
+        try:
+            root = solve_bvp_newton(p, c, grid, _profile_from_array(picard.u, grid, tail_rate),
+                                    bounds=gamma_set.bounds)
+        except (NotConverged, SingularJacobian) as exc:
+            reason = f"newton failed: {type(exc).__name__}: {exc}"
+        else:
+            confirm = start(root.as_array())
+            stopped = confirm.run(CONFIRM_BUDGET)
+            stages["confirm"] = confirm.iterations
+            if stopped == "tol" and confirm.converged and confirm.ode_res <= 10.0 * tol:
+                finish, reason, final = "newton", "", confirm
+            else:
+                reason = f"confirmation did not converge in {CONFIRM_BUDGET} iterations"
+        if final is picard:
+            picard.run(max_iter - picard.iterations)
+            stages["resumed"] = picard.iterations - stages["picard"]
+    u, res_w, res_m = final.u, final.res_w, final.res_m
+    clamp_fraction, ode_res = final.clamp_fraction, final.ode_res
+
+    converged = final.converged
     profile = _profile_from_array(np.clip(u, 0.0, None), grid, tail_rate)
 
     n_tail = max(2, int(0.1 * grid.n))
@@ -470,7 +544,7 @@ def solve_fixed_point(
 
     return FixedPointReport(
         profile=profile,
-        iterations=iterations,
+        iterations=sum(stages.values()),
         residual=res_w,
         residual_max=res_m,
         clamp_fraction=clamp_fraction,
@@ -483,6 +557,9 @@ def solve_fixed_point(
         lambda0=roots.lambda0,
         c=c,
         warnings=tuple(warnings),
+        finish=finish,
+        finish_reason=reason,
+        stage_iterations=stages,
     )
 
 
@@ -535,8 +612,31 @@ def solve_bvp_newton(
     interior = np.arange(1, n - 1)
     # weights of (y[n-3], y[n-2], y[n-1]) in the outflow closure's one-sided difference
     edge_w = edge_difference(np.eye(3), dx)[1]
+    # interior blocks as (equation, unknown, column offset): the three stencils,
+    # then the reaction derivatives in the order jacobian() lists their values
+    blocks = [(comp, comp, offset) for comp in range(3) for offset in (-1, 0, 1)]
+    blocks += [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0), (2, 1, 0)]
+    # boundary rows: Dirichlet on the left, the one-sided outflow closure on the right
+    edge = []
+    for comp in range(3):
+        first, last = comp * n, comp * n + n - 1
+        edge += [(first, first, 1.0), (last, last, edge_w[2] + robin[comp]),
+                 (last, last - 1, edge_w[1]), (last, last - 2, edge_w[0])]
+    edge_rows, edge_cols, edge_vals = (np.array(v) for v in zip(*edge))
+    rows = np.concatenate([a * n + interior for a, _, _ in blocks] + [edge_rows])
+    cols = np.concatenate([b * n + interior + offset for _, b, offset in blocks] + [edge_cols])
+    # the compressed-column pattern, fixed for the solve: entries sorted by
+    # (column, row), with coinciding entries (at most two, so their sum is
+    # exact in either order) added by reduceat
+    order = np.lexsort((rows, cols))
+    key = cols[order] * (3 * n) + rows[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    indices = rows[order][starts]
+    indptr = np.searchsorted(cols[order][starts], np.arange(3 * n + 1))
+    stencils = [w for d in ds for w in wave_operator(np.eye(3), d, c, dx)[:, 0]]
+    del rows, cols, key  # only the pattern stays alive through the factorizations
 
-    def jacobian(vec: np.ndarray) -> csr_matrix:
+    def jacobian(vec: np.ndarray) -> csc_matrix:
         s, i, r = vec.reshape(3, n)
         ntot = s + i + r
         ok = ntot > 1e-12
@@ -547,27 +647,26 @@ def solve_bvp_newton(
             for g in (p.beta * i * (i + r), p.beta * s * (s + r), -p.beta * s * i)
         ]
         e = np.ones(n - 2)
-        # interior entries as (equation, unknown, column offset, values)
-        entries = [
-            (comp, comp, offset, weight * e)
-            for comp, d in enumerate(ds)
-            for offset, weight in zip((-1, 0, 1), wave_operator(np.eye(3), d, c, dx)[:, 0])
-        ]
-        entries += [(0, k, 0, -dinc[k]) for k in range(3)]
-        entries += [(1, 0, 0, dinc[0]), (1, 1, 0, dinc[1] - (p.gamma + p.delta) * e), (1, 2, 0, dinc[2])]
-        entries += [(2, 1, 0, p.gamma * e)]
-        # boundary rows: Dirichlet on the left, the one-sided outflow closure on the right
-        edge = []
-        for comp in range(3):
-            first, last = comp * n, comp * n + n - 1
-            edge += [(first, first, 1.0), (last, last, edge_w[2] + robin[comp]),
-                     (last, last - 1, edge_w[1]), (last, last - 2, edge_w[0])]
-        edge_rows, edge_cols, edge_vals = zip(*edge)
-        rows = np.concatenate([a * n + interior for a, _, _, _ in entries] + [edge_rows])
-        cols = np.concatenate([b * n + interior + offset for _, b, offset, _ in entries] + [edge_cols])
-        vals = np.concatenate([v for _, _, _, v in entries] + [edge_vals])
-        del entries, dinc  # free the per-block arrays before the matrix is built
-        return csr_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n))
+        vals = np.concatenate(
+            [weight * e for weight in stencils]
+            + [-dinc[0], -dinc[1], -dinc[2], dinc[0], dinc[1] - (p.gamma + p.delta) * e, dinc[2], p.gamma * e]
+            + [edge_vals]
+        )
+        return csc_matrix((np.add.reduceat(vals[order], starts), indices, indptr), shape=(3 * n, 3 * n))
+
+    def newton_step(vec: np.ndarray, res: np.ndarray) -> np.ndarray:
+        # the matrix and its factors go out of scope on return, before the
+        # line search and the next factorization
+        try:
+            jac = jacobian(vec)
+            lu = splu(jac)
+            step = lu.solve(-res)
+            # one round of iterative refinement: the raw solve's floor scales
+            # with the d/dx^2 entries and can sit above the Newton tolerance
+            step += lu.solve(-(res + jac @ step))
+        except Exception as exc:  # umfpack/superlu signal singularities differently
+            raise SingularJacobian(str(exc)) from exc
+        return step
 
     vec = init.as_array().ravel().copy()
     res = residual(vec)
@@ -576,15 +675,7 @@ def solve_bvp_newton(
     for _ in range(max_iter):
         if res_norm <= tol:
             break
-        try:
-            jac = jacobian(vec).tocsc()
-            lu = splu(jac)
-            step = lu.solve(-res)
-            # one round of iterative refinement: the raw solve's floor scales
-            # with the d/dx^2 entries and can sit above the Newton tolerance
-            step += lu.solve(-(res + jac @ step))
-        except Exception as exc:  # umfpack/superlu signal singularities differently
-            raise SingularJacobian(str(exc)) from exc
+        step = newton_step(vec, res)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("Newton step is not finite")
         step_norm = float(np.max(np.abs(step)))

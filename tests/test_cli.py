@@ -213,12 +213,28 @@ def test_verify_newton_failure_is_a_failed_check(tmp_path):
 
 
 def test_profile_newton_failure_exits_2(tmp_path, capsys):
-    cfg = {"params": P0_CONFIG["params"], "grid": {"x_min": -70.0, "x_max": 70.0, "n": 2801}}
+    # near c* with d1 < d2 the Newton cross-check from the Picard wave stalls
+    cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
+                      "delta": 0.5, "s_minus_inf": 2.0}}
     path = write_config(tmp_path, cfg)
-    rc = main(["profile", path, "--c", "2.01", "--solver", "both", "--out", str(tmp_path / "out")])
+    rc = main(["profile", path, "--c", "3.6373", "--solver", "both", "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("newton solve failed: ")
+
+
+def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
+    cfg = {"params": P0_CONFIG["params"], "grid": {"x_min": -70.0, "x_max": 70.0, "n": 2801}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["profile", path, "--c", "2.01", "--solver", "both", "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["converged"] and diag["solver_agreement"] <= 1e-5
+    solve = diag["solve"]
+    assert solve["finish"] == "newton" and solve["stage_iterations"]["resumed"] == 0
+    assert sum(solve["stage_iterations"].values()) == diag["iterations"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"]["solve"] == solve
 
 
 def test_verify_far_above_c_star_passes(tmp_path):

@@ -230,6 +230,18 @@ def test_samples_at_most_n_outputs_evenly_spaced_but_the_last(n_outputs):
     assert 0.0 < gaps[-1] <= gaps[0] * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("t_end,n_steps", [(15.0, 300), (0.75, 15)])
+def test_snapshots_at_most_n_snapshots_plus_one_evenly_spaced_but_the_last(t_end, n_steps):
+    cfg = config(L=50.0, dx=0.25, t_end=t_end)
+    assert cfg.time_steps()[1] == n_steps and cfg.n_snapshots == 9
+    t = np.array([ts for ts, _ in run(cfg).snapshots])
+    assert len(t) <= cfg.n_snapshots + 1
+    assert t[0] == 0.0 and t[-1] == pytest.approx(t_end)
+    gaps = np.diff(t)
+    assert np.allclose(gaps[:-1], gaps[0], rtol=1e-9)
+    assert 0.0 < gaps[-1] <= gaps[0] * (1.0 + 1e-9)
+
+
 def test_front_position_interpolates():
     x = np.linspace(0, 10, 11)
     i_vals = np.where(x <= 5, 1.0, 0.0) * (1 - x / 10)

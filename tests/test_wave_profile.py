@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,79 @@ def test_translation_representative():
     )
     assert abs(shift) < rep1.profile.grid.dx
     assert diff < 1e-6
+
+
+# ---------- Newton finish of the fixed point ----------
+
+# The ten parameter and grid sets of the profile ladder: c/c*, dx and the
+# window half-width max(60, ceil(26/lambda0/10)*10) at each rung.
+LADDER = [
+    ({}, 1.005, 0.05, 60.0),
+    ({}, 1.05, 0.05, 60.0),
+    ({}, 1.25, 0.05, 60.0),
+    ({}, 1.5, 0.05, 70.0),
+    ({}, 2.0, 0.05, 100.0),
+    ({}, 1.25, 0.1, 60.0),
+    ({}, 1.25, 0.025, 60.0),
+    ({"d3": 1.9}, 1.25, 0.05, 60.0),
+    ({"beta": 1.25}, 1.25, 0.05, 110.0),
+    ({"d1": 0.5}, 1.25, 0.05, 60.0),
+]
+
+
+@pytest.mark.parametrize("changes,ratio,dx,half", LADDER)
+def test_ladder_solves_finish_by_newton(changes, ratio, dx, half):
+    from sirwaves.wave_profile import CONFIRM_BUDGET
+
+    p = dataclasses.replace(P0, **changes)
+    c = ratio * 2.0 * np.sqrt(p.d2 * (p.beta - p.gamma - p.delta))
+    rep = solve_fixed_point(p, c, Grid.symmetric(half, dx), tol=1e-8)
+    assert rep.converged
+    assert (rep.finish, rep.finish_reason) == ("newton", "")
+    assert rep.stage_iterations["resumed"] == 0
+    assert 1 <= rep.stage_iterations["confirm"] <= CONFIRM_BUDGET
+    assert rep.iterations == rep.stage_iterations["picard"] + rep.stage_iterations["confirm"]
+
+
+def test_near_c_star_converges_fast():
+    import time
+
+    t0 = time.perf_counter()
+    rep = solve_fixed_point(P0, 2.001, Grid.symmetric(60.0, 0.05), tol=1e-8)
+    elapsed = time.perf_counter() - t0
+    assert rep.converged and rep.finish == "newton"
+    assert rep.iterations < 1000  # the plain iteration stops unconverged at 5000
+    assert elapsed < 1.0
+
+
+def test_fallback_is_the_plain_iteration(monkeypatch):
+    # on the short window the Newton root is a translate of the map's fixed
+    # point, the confirmation drifts, and the iteration resumes where it handed over
+    from sirwaves import wave_profile
+
+    grid = Grid.symmetric(30.0, 0.1)
+    rep = solve_fixed_point(P0, C, grid, tol=1e-6)
+    assert rep.finish == "picard" and "confirmation" in rep.finish_reason
+    assert rep.stage_iterations["confirm"] == wave_profile.CONFIRM_BUDGET
+    monkeypatch.setattr(wave_profile, "LOOSE_TOL", 0.0)  # no handover: the plain iteration
+    plain = solve_fixed_point(P0, C, grid, tol=1e-6)
+    assert plain.finish == "picard" and plain.stage_iterations["confirm"] == 0
+    assert np.array_equal(rep.profile.as_array(), plain.profile.as_array())
+    assert (rep.residual, rep.ode_residual, rep.converged) == (plain.residual, plain.ode_residual, plain.converged)
+    assert rep.iterations == plain.iterations + wave_profile.CONFIRM_BUDGET
+
+
+def test_init_at_the_fixed_point_stops_at_once(solved):
+    rep = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-8, init=solved.profile)
+    assert rep.converged and rep.finish == "picard"
+    assert rep.iterations <= 2
+    assert np.max(np.abs(rep.profile.as_array() - solved.profile.as_array())) <= 1e-8
+
+
+def test_loose_tolerance_skips_newton():
+    rep = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-4)
+    assert rep.finish == "picard" and "not below the Newton handover" in rep.finish_reason
+    assert rep.stage_iterations == {"picard": 128, "confirm": 0, "resumed": 0}  # the plain iteration's count
 
 
 # ---------- diagnostics ----------
