@@ -245,11 +245,13 @@ def cmd_profile(args) -> int:
     profiles = {"picard": report.profile}
     agreement = None
     if args.solver in ("newton", "both") and report.converged:
-        try:
-            newton = solve_bvp_newton(p, c, grid, report.profile, bounds=report.gamma_set.bounds)
-        except (NotConverged, SingularJacobian) as exc:
-            print(f"newton solve failed: {exc}", file=sys.stderr)
-            return 2
+        newton = report.newton  # the root a Newton finish confirmed, if any
+        if newton is None:
+            try:
+                newton = solve_bvp_newton(p, c, grid, report.profile, bounds=report.gamma_set.bounds)
+            except (NotConverged, SingularJacobian) as exc:
+                print(f"newton solve failed: {exc}", file=sys.stderr)
+                return 2
         profiles["newton"] = newton
         _, agreement = align_profiles(report.profile, newton)
     chosen = profiles.get("newton", profiles["picard"]) if args.solver == "newton" else profiles["picard"]

@@ -242,10 +242,12 @@ def _fixed_point(ctx: _Context):
     )
     if not report.converged:
         return -1.0, 0.0, "did not converge: " + details
-    try:
-        newton = solve_bvp_newton(ctx.p, ctx.c, ctx.wave_grid, report.profile, bounds=ctx.bounds)
-    except (NotConverged, SingularJacobian) as exc:
-        return -1.0, 0.0, f"{details}, newton solve failed: {exc}"
+    newton = report.newton  # the root a Newton finish confirmed, if any
+    if newton is None:
+        try:
+            newton = solve_bvp_newton(ctx.p, ctx.c, ctx.wave_grid, report.profile, bounds=ctx.bounds)
+        except (NotConverged, SingularJacobian) as exc:
+            return -1.0, 0.0, f"{details}, newton solve failed: {exc}"
     _, diff = align_profiles(report.profile, newton)
     tol = TOL_FIXED_POINT
     margin = min(tol - report.residual, 10.0 * tol - report.ode_residual, TOL_AGREEMENT - diff)

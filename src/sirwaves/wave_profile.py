@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.sparse import csc_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .model import (
@@ -147,6 +147,7 @@ class FixedPointReport:
     finish: str  # "newton" when the Newton root was confirmed, else "picard"
     finish_reason: str  # why a "picard" finish did not go through Newton; empty otherwise
     stage_iterations: dict  # applications of F: "picard" to the handover, "confirm", "resumed"
+    newton: Profile | None  # the confirmed Newton root after a "newton" finish, else None
 
 
 def select_epsilons(p: ModelParams, c: float):
@@ -427,9 +428,8 @@ def solve_fixed_point(
     tol: float = 1e-8,
     max_iter: int = 5000,
     alpha_floor_scale: float = 1.0,
-    init: Profile | None = None,
 ) -> FixedPointReport:
-    """Projected iteration of F from init (default: the envelope midpoint), finished by Newton.
+    """Projected iteration of F from the envelope midpoint, finished by Newton.
 
     Each step projects F(u) back onto the invariant set and re-pins the
     infected value at the left edge to the upper envelope (the translation
@@ -446,7 +446,9 @@ def solve_fixed_point(
     confirmation does not converge (the Newton root can be a translate of the
     map's fixed point), the iteration resumes from the LOOSE_TOL iterate with
     the rest of max_iter, which is the plain iteration's own trajectory.
-    iterations counts every application of F, confirmation included.
+    iterations counts every application of F, confirmation included. After a
+    Newton finish the report carries the root, so callers that compare the two
+    solvers need not solve again.
     """
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
@@ -490,14 +492,10 @@ def solve_fixed_point(
         u[1, 0] = pin_value
         return _Picard(u, step, ode_residual, tol)
 
-    if init is None:
-        u0 = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
-    else:
-        u0 = init.as_array()
-    final = picard = start(u0)
+    final = picard = start(np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup)))
     stopped = picard.run(max_iter, handover=LOOSE_TOL if tol < LOOSE_TOL else None)
     stages = {"picard": picard.iterations, "confirm": 0, "resumed": 0}
-    finish = "picard"
+    finish, newton = "picard", None
     if tol >= LOOSE_TOL:
         reason = f"tol {tol:.1e} is not below the Newton handover {LOOSE_TOL:.0e}"
     elif stopped == "budget":
@@ -515,7 +513,7 @@ def solve_fixed_point(
             stopped = confirm.run(CONFIRM_BUDGET)
             stages["confirm"] = confirm.iterations
             if stopped == "tol" and confirm.converged and confirm.ode_res <= 10.0 * tol:
-                finish, reason, final = "newton", "", confirm
+                finish, reason, final, newton = "newton", "", confirm, root
             else:
                 reason = f"confirmation did not converge in {CONFIRM_BUDGET} iterations"
         if final is picard:
@@ -560,6 +558,7 @@ def solve_fixed_point(
         finish=finish,
         finish_reason=reason,
         stage_iterations=stages,
+        newton=newton,
     )
 
 
@@ -612,31 +611,8 @@ def solve_bvp_newton(
     interior = np.arange(1, n - 1)
     # weights of (y[n-3], y[n-2], y[n-1]) in the outflow closure's one-sided difference
     edge_w = edge_difference(np.eye(3), dx)[1]
-    # interior blocks as (equation, unknown, column offset): the three stencils,
-    # then the reaction derivatives in the order jacobian() lists their values
-    blocks = [(comp, comp, offset) for comp in range(3) for offset in (-1, 0, 1)]
-    blocks += [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0), (2, 1, 0)]
-    # boundary rows: Dirichlet on the left, the one-sided outflow closure on the right
-    edge = []
-    for comp in range(3):
-        first, last = comp * n, comp * n + n - 1
-        edge += [(first, first, 1.0), (last, last, edge_w[2] + robin[comp]),
-                 (last, last - 1, edge_w[1]), (last, last - 2, edge_w[0])]
-    edge_rows, edge_cols, edge_vals = (np.array(v) for v in zip(*edge))
-    rows = np.concatenate([a * n + interior for a, _, _ in blocks] + [edge_rows])
-    cols = np.concatenate([b * n + interior + offset for _, b, offset in blocks] + [edge_cols])
-    # the compressed-column pattern, fixed for the solve: entries sorted by
-    # (column, row), with coinciding entries (at most two, so their sum is
-    # exact in either order) added by reduceat
-    order = np.lexsort((rows, cols))
-    key = cols[order] * (3 * n) + rows[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    indices = rows[order][starts]
-    indptr = np.searchsorted(cols[order][starts], np.arange(3 * n + 1))
-    stencils = [w for d in ds for w in wave_operator(np.eye(3), d, c, dx)[:, 0]]
-    del rows, cols, key  # only the pattern stays alive through the factorizations
 
-    def jacobian(vec: np.ndarray) -> csc_matrix:
+    def jacobian(vec: np.ndarray) -> csr_matrix:
         s, i, r = vec.reshape(3, n)
         ntot = s + i + r
         ok = ntot > 1e-12
@@ -647,18 +623,33 @@ def solve_bvp_newton(
             for g in (p.beta * i * (i + r), p.beta * s * (s + r), -p.beta * s * i)
         ]
         e = np.ones(n - 2)
-        vals = np.concatenate(
-            [weight * e for weight in stencils]
-            + [-dinc[0], -dinc[1], -dinc[2], dinc[0], dinc[1] - (p.gamma + p.delta) * e, dinc[2], p.gamma * e]
-            + [edge_vals]
-        )
-        return csc_matrix((np.add.reduceat(vals[order], starts), indices, indptr), shape=(3 * n, 3 * n))
+        # interior entries as (equation, unknown, column offset, values)
+        entries = [
+            (comp, comp, offset, weight * e)
+            for comp, d in enumerate(ds)
+            for offset, weight in zip((-1, 0, 1), wave_operator(np.eye(3), d, c, dx)[:, 0])
+        ]
+        entries += [(0, k, 0, -dinc[k]) for k in range(3)]
+        entries += [(1, 0, 0, dinc[0]), (1, 1, 0, dinc[1] - (p.gamma + p.delta) * e), (1, 2, 0, dinc[2])]
+        entries += [(2, 1, 0, p.gamma * e)]
+        # boundary rows: Dirichlet on the left, the one-sided outflow closure on the right
+        edge = []
+        for comp in range(3):
+            first, last = comp * n, comp * n + n - 1
+            edge += [(first, first, 1.0), (last, last, edge_w[2] + robin[comp]),
+                     (last, last - 1, edge_w[1]), (last, last - 2, edge_w[0])]
+        edge_rows, edge_cols, edge_vals = zip(*edge)
+        rows = np.concatenate([a * n + interior for a, _, _, _ in entries] + [edge_rows])
+        cols = np.concatenate([b * n + interior + offset for _, b, offset, _ in entries] + [edge_cols])
+        vals = np.concatenate([v for _, _, _, v in entries] + [edge_vals])
+        del entries, dinc  # free the per-block arrays before the matrix is built
+        return csr_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n))
 
     def newton_step(vec: np.ndarray, res: np.ndarray) -> np.ndarray:
         # the matrix and its factors go out of scope on return, before the
         # line search and the next factorization
         try:
-            jac = jacobian(vec)
+            jac = jacobian(vec).tocsc()
             lu = splu(jac)
             step = lu.solve(-res)
             # one round of iterative refinement: the raw solve's floor scales

@@ -237,6 +237,19 @@ def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
     assert manifest["derived"]["solve"] == solve
 
 
+def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monkeypatch):
+    import sirwaves.cli
+
+    def no_second_solve(*args, **kwargs):
+        raise AssertionError("Newton solved again after a Newton finish")
+
+    monkeypatch.setattr(sirwaves.cli, "solve_bvp_newton", no_second_solve)
+    out = tmp_path / "out"
+    assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["solve"]["finish"] == "newton" and diag["solver_agreement"] <= 1e-8
+
+
 def test_verify_far_above_c_star_passes(tmp_path):
     # the sech oracle's right tail leaves operator 2's kernel strip at c = 10;
     # that pair is left out of the inversion check instead of raising

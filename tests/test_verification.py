@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sirwaves.model
+import sirwaves.verification
 from sirwaves import ModelParams, run_suite, report_json, report_table, suite_passed
 from sirwaves.verification import CheckResult, _result
 
@@ -71,6 +72,16 @@ def test_full_report_matches_golden_bytes():
     # the full report adds the Newton cross-check and the three simulation checks
     golden = Path(__file__).parent / "data" / "verify_report_p0_full.json"
     assert report_json(run_suite(P0, 2.5, level="full")).encode() == golden.read_bytes()
+
+
+def test_fixed_point_check_reuses_the_newton_root(monkeypatch):
+    # the P0 solve finishes by Newton, so the cross-check compares against its root
+    def no_second_solve(*args, **kwargs):
+        raise AssertionError("Newton solved again after a Newton finish")
+
+    monkeypatch.setattr(sirwaves.verification, "solve_bvp_newton", no_second_solve)
+    golden = Path(__file__).parent / "data" / "verify_report_p0_quick.json"
+    assert report_json(run_suite(P0, 2.5, level="quick")).encode() == golden.read_bytes()
 
 
 def test_report_table_renders(quick_results):

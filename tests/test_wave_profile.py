@@ -287,17 +287,14 @@ def test_ladder_solves_finish_by_newton(changes, ratio, dx, half):
     assert rep.stage_iterations["resumed"] == 0
     assert 1 <= rep.stage_iterations["confirm"] <= CONFIRM_BUDGET
     assert rep.iterations == rep.stage_iterations["picard"] + rep.stage_iterations["confirm"]
+    assert rep.newton is not None
 
 
 def test_near_c_star_converges_fast():
-    import time
-
-    t0 = time.perf_counter()
     rep = solve_fixed_point(P0, 2.001, Grid.symmetric(60.0, 0.05), tol=1e-8)
-    elapsed = time.perf_counter() - t0
     assert rep.converged and rep.finish == "newton"
+    assert rep.stage_iterations["resumed"] == 0
     assert rep.iterations < 1000  # the plain iteration stops unconverged at 5000
-    assert elapsed < 1.0
 
 
 def test_fallback_is_the_plain_iteration(monkeypatch):
@@ -308,20 +305,13 @@ def test_fallback_is_the_plain_iteration(monkeypatch):
     grid = Grid.symmetric(30.0, 0.1)
     rep = solve_fixed_point(P0, C, grid, tol=1e-6)
     assert rep.finish == "picard" and "confirmation" in rep.finish_reason
-    assert rep.stage_iterations["confirm"] == wave_profile.CONFIRM_BUDGET
+    assert rep.stage_iterations["confirm"] == wave_profile.CONFIRM_BUDGET and rep.newton is None
     monkeypatch.setattr(wave_profile, "LOOSE_TOL", 0.0)  # no handover: the plain iteration
     plain = solve_fixed_point(P0, C, grid, tol=1e-6)
     assert plain.finish == "picard" and plain.stage_iterations["confirm"] == 0
     assert np.array_equal(rep.profile.as_array(), plain.profile.as_array())
     assert (rep.residual, rep.ode_residual, rep.converged) == (plain.residual, plain.ode_residual, plain.converged)
     assert rep.iterations == plain.iterations + wave_profile.CONFIRM_BUDGET
-
-
-def test_init_at_the_fixed_point_stops_at_once(solved):
-    rep = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-8, init=solved.profile)
-    assert rep.converged and rep.finish == "picard"
-    assert rep.iterations <= 2
-    assert np.max(np.abs(rep.profile.as_array() - solved.profile.as_array())) <= 1e-8
 
 
 def test_loose_tolerance_skips_newton():
