@@ -144,10 +144,14 @@ class FixedPointReport:
     lambda0: float
     c: float
     warnings: tuple
-    finish: str  # "newton" when the Newton root was confirmed, else "picard"
     finish_reason: str  # why a "picard" finish did not go through Newton; empty otherwise
     stage_iterations: dict  # applications of F: "picard" to the handover, "confirm", "resumed"
-    newton: Profile | None  # the confirmed Newton root after a "newton" finish, else None
+    newton: Profile | None  # the Newton root, when the confirmation accepted it
+
+    @property
+    def finish(self) -> str:
+        """"newton" when the Newton root was confirmed, else "picard"."""
+        return "picard" if self.newton is None else "newton"
 
 
 def select_epsilons(p: ModelParams, c: float):
@@ -495,7 +499,7 @@ def solve_fixed_point(
     final = picard = start(np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup)))
     stopped = picard.run(max_iter, handover=LOOSE_TOL if tol < LOOSE_TOL else None)
     stages = {"picard": picard.iterations, "confirm": 0, "resumed": 0}
-    finish, newton = "picard", None
+    newton = None
     if tol >= LOOSE_TOL:
         reason = f"tol {tol:.1e} is not below the Newton handover {LOOSE_TOL:.0e}"
     elif stopped == "budget":
@@ -513,7 +517,7 @@ def solve_fixed_point(
             stopped = confirm.run(CONFIRM_BUDGET)
             stages["confirm"] = confirm.iterations
             if stopped == "tol" and confirm.converged and confirm.ode_res <= 10.0 * tol:
-                finish, reason, final, newton = "newton", "", confirm, root
+                reason, final, newton = "", confirm, root
             else:
                 reason = f"confirmation did not converge in {CONFIRM_BUDGET} iterations"
         if final is picard:
@@ -555,7 +559,6 @@ def solve_fixed_point(
         lambda0=roots.lambda0,
         c=c,
         warnings=tuple(warnings),
-        finish=finish,
         finish_reason=reason,
         stage_iterations=stages,
         newton=newton,
