@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .model import (
@@ -615,7 +615,7 @@ def solve_bvp_newton(
     # weights of (y[n-3], y[n-2], y[n-1]) in the outflow closure's one-sided difference
     edge_w = edge_difference(np.eye(3), dx)[1]
 
-    def jacobian(vec: np.ndarray) -> csr_matrix:
+    def jacobian(vec: np.ndarray) -> csc_matrix:
         s, i, r = vec.reshape(3, n)
         ntot = s + i + r
         ok = ntot > 1e-12
@@ -646,13 +646,15 @@ def solve_bvp_newton(
         cols = np.concatenate([b * n + interior + offset for _, b, offset, _ in entries] + [edge_cols])
         vals = np.concatenate([v for _, _, _, v in entries] + [edge_vals])
         del entries, dinc  # free the per-block arrays before the matrix is built
-        return csr_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n))
+        # compressed columns straight away, as splu takes them: a CSR copy per
+        # step left the heap's high-water mark several MB higher
+        return csc_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n))
 
     def newton_step(vec: np.ndarray, res: np.ndarray) -> np.ndarray:
         # the matrix and its factors go out of scope on return, before the
         # line search and the next factorization
         try:
-            jac = jacobian(vec).tocsc()
+            jac = jacobian(vec)
             lu = splu(jac)
             step = lu.solve(-res)
             # one round of iterative refinement: the raw solve's floor scales
