@@ -11,14 +11,7 @@ reconstruction from I alone.
 
 import numpy as np
 
-from sirwaves import (
-    Grid,
-    ModelParams,
-    align_profiles,
-    profile_diagnostics,
-    solve_bvp_newton,
-    solve_fixed_point,
-)
+from sirwaves import Grid, ModelParams, newton_cross_check, profile_diagnostics, solve_fixed_point
 
 p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 c = 2.5
@@ -32,11 +25,10 @@ print(f"converged in {rep.iterations} iterations {rep.stage_iterations}, finishe
       f"residual {rep.residual:.2e}")
 print(f"wave-equation residual {rep.ode_residual:.2e}, S(inf) = {rep.s_inf:.6f}")
 
-newton = solve_bvp_newton(p, c, grid, rep.profile, bounds=b)
-shift, diff = align_profiles(rep.profile, newton)
-print(f"Newton solve from the fixed point agrees to {diff:.2e} after a {shift:.1e} shift")
+_, diff = newton_cross_check(rep, p)
+print(f"the Newton root of the discretized wave equations agrees to {diff:.2e} after alignment")
 
-d = profile_diagnostics(rep.profile, p, c)
+d = profile_diagnostics(rep.profile, grid, p, c)
 print("\ndiagnostics of the converged wave:")
 print(f"  susceptible drop    {d.s_drop:.6f}")
 print(f"  peak infected       {d.i_max:.6f} (bound {d.s_drop:.6f})")
@@ -47,9 +39,7 @@ print(f"  R rebuilt from I    max error {d.r_reconstruction_max_err:.2e}")
 
 print("\nwave profile every 10 length units:")
 print(f"{'x':>7s} {'S':>10s} {'I':>10s} {'R':>10s}")
+s, i, r = rep.profile
 for xq in range(-60, 61, 10):
     k = int(round((xq - grid.x_min) / grid.dx))
-    print(
-        f"{grid.x[k]:7.1f} {rep.profile.s.values[k]:10.6f} "
-        f"{rep.profile.i.values[k]:10.6f} {rep.profile.r.values[k]:10.6f}"
-    )
+    print(f"{grid.x[k]:7.1f} {s[k]:10.6f} {i[k]:10.6f} {r[k]:10.6f}")

@@ -16,7 +16,6 @@ from .model import (
     Grid,
     GridFunction,
     ModelParams,
-    Profile,
     Tail,
     centered_difference,
     edge_difference,
@@ -70,6 +69,7 @@ from .wave_profile import (
     make_bound_set,
     make_gamma_set,
     map_inverses,
+    newton_cross_check,
     profile_diagnostics,
     select_Ms,
     select_epsilons,

@@ -31,9 +31,8 @@ from .linear_analysis import (
 from .wave_profile import (
     NotConverged,
     SingularJacobian,
-    align_profiles,
+    newton_cross_check,
     profile_diagnostics,
-    solve_bvp_newton,
     solve_fixed_point,
 )
 from . import pde_sim
@@ -242,27 +241,18 @@ def cmd_profile(args) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
 
-    profiles = {"picard": report.profile}
-    agreement = None
+    chosen, agreement = report.profile, None
     if args.solver in ("newton", "both") and report.converged:
-        newton = report.newton  # the root a Newton finish confirmed, if any
-        if newton is None:
-            try:
-                newton = solve_bvp_newton(p, c, grid, report.profile, bounds=report.gamma_set.bounds)
-            except (NotConverged, SingularJacobian) as exc:
-                print(f"newton solve failed: {exc}", file=sys.stderr)
-                return 2
-        profiles["newton"] = newton
-        _, agreement = align_profiles(report.profile, newton)
-    chosen = profiles.get("newton", profiles["picard"]) if args.solver == "newton" else profiles["picard"]
+        try:
+            root, agreement = newton_cross_check(report, p)
+        except (NotConverged, SingularJacobian) as exc:
+            print(f"newton solve failed: {exc}", file=sys.stderr)
+            return 2
+        if args.solver == "newton":
+            chosen = root
 
-    x = grid.x
-    _write_csv(
-        os.path.join(out, "profile.csv"),
-        "x,S,I,R",
-        (x, chosen.s.values, chosen.i.values, chosen.r.values),
-    )
-    diag = profile_diagnostics(chosen, p, c)
+    _write_csv(os.path.join(out, "profile.csv"), "x,S,I,R", (grid.x, *chosen))
+    diag = profile_diagnostics(chosen, grid, p, c)
     b = report.gamma_set.bounds
     solve = {"finish": report.finish, "finish_reason": report.finish_reason,
              "stage_iterations": report.stage_iterations}
@@ -457,9 +447,8 @@ def cmd_sweep(args) -> int:
     base = {k: float(cfg["params"][k]) for k in PARAM_KEYS}
     c = cfg.get("c")
     jobs = [(base, c, combo, args.L, args.dx, args.tol) for combo in combos]
-    n_jobs = args.jobs or int(os.environ.get("SIRWAVES_JOBS", "1"))
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, jobs))
     else:
         rows = [_sweep_one(j) for j in jobs]
@@ -536,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("sweep", help="grid of runs over one or two varied keys")
     pw.add_argument("config")
     pw.add_argument("--vary", action="append", required=True, help="key=lo:hi:n")
-    pw.add_argument("--jobs", type=int, default=None)
+    pw.add_argument("--jobs", type=int, default=1)
     pw.add_argument("--L", type=float, default=40.0)
     pw.add_argument("--dx", type=float, default=0.1)
     pw.add_argument("--tol", type=float, default=1e-8)

@@ -15,9 +15,6 @@ import numpy as np
 # incidence is pinned to its physical limit 0 (SI/N <= min(S, I)).
 ETA_DEFAULT = 1e-12
 
-# Profiles may dip this far below zero (roundoff) before validation rejects them.
-NONNEG_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -133,36 +130,12 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """A candidate wave (S, I, R) as three grid functions on one shared grid."""
-
-    s: GridFunction
-    i: GridFunction
-    r: GridFunction
-
-    def __post_init__(self):
-        if not (self.s.grid == self.i.grid == self.r.grid):
-            raise ValueError("profile components must share one grid")
-        for name, gf in (("s", self.s), ("i", self.i), ("r", self.r)):
-            if np.min(gf.values) < -NONNEG_TOL:
-                raise ValueError(f"profile component {name} is negative beyond tolerance")
-
-    @property
-    def grid(self) -> Grid:
-        return self.s.grid
-
-    def as_array(self) -> np.ndarray:
-        """Stack the three components into a (3, n) array."""
-        return np.array([self.s.values, self.i.values, self.r.values])
-
-
 def r_naught(p: ModelParams) -> float:
     """Basic reproduction number beta/(gamma + delta)."""
     return p.beta / (p.gamma + p.delta)
 
 
-def incidence(s, i, r, beta: float, eta: float = ETA_DEFAULT):
+def incidence(s, i, r, beta: float):
     """Standard incidence beta*S*I/(S+I+R), pinned to 0 where the population is extinct.
 
     Works elementwise on arrays; scalars in give a scalar out.
@@ -171,19 +144,19 @@ def incidence(s, i, r, beta: float, eta: float = ETA_DEFAULT):
     i = np.asarray(i, dtype=float)
     r = np.asarray(r, dtype=float)
     n = s + i + r
-    safe = np.where(n > eta, n, 1.0)
-    out = np.where(n > eta, beta * s * i / safe, 0.0)
+    safe = np.where(n > ETA_DEFAULT, n, 1.0)
+    out = np.where(n > ETA_DEFAULT, beta * s * i / safe, 0.0)
     return out if out.ndim else float(out)
 
 
-def reaction_terms(s, i, r, p: ModelParams, eta: float = ETA_DEFAULT):
+def reaction_terms(s, i, r, p: ModelParams):
     """Reaction parts of the three equations: (-incidence, incidence-(gamma+delta)*I, gamma*I).
 
     The three components sum to -delta*I exactly; with delta = 0 the local
     population is conserved. Works elementwise on arrays; scalars in give
     scalars out.
     """
-    inc = incidence(s, i, r, p.beta, eta)
+    inc = incidence(s, i, r, p.beta)
     i = np.asarray(i, dtype=float)
     return -inc, inc - (p.gamma + p.delta) * i, p.gamma * i
 

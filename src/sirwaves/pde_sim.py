@@ -17,17 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import (
-    CONSTANT,
-    ZERO,
-    Grid,
-    GridFunction,
-    ModelParams,
-    Profile,
-    r_naught,
-    reaction_terms,
-    wave_operator,
-)
+from .model import Grid, ModelParams, r_naught, reaction_terms, wave_operator
 from .linear_analysis import SubThreshold, lambda0, minimal_speed
 
 
@@ -161,7 +151,7 @@ class FrontTrace:
 @dataclass
 class SimResult:
     config: SimConfig
-    final: Profile
+    final: np.ndarray  # (3, n) fields at the last step, rows S, I, R
     trace: FrontTrace
     mass_times: np.ndarray
     mass_total: np.ndarray  # integral of S+I+R
@@ -407,11 +397,7 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     }
     return SimResult(
         config=cfg,
-        final=Profile(
-            GridFunction(grid, state[0], CONSTANT, CONSTANT),
-            GridFunction(grid, state[1], ZERO, ZERO),
-            GridFunction(grid, state[2], CONSTANT, CONSTANT),
-        ),
+        final=state,
         trace=trace,
         mass_times=times,
         mass_total=np.asarray(masses),

@@ -20,13 +20,13 @@ from .resolvent import TailIncompatible, apply_delta_inverse, choose_alphas, del
 from .wave_profile import (
     NotConverged,
     SingularJacobian,
-    align_profiles,
     apply_F,
     make_bound_set,
     make_gamma_set,
     map_inverses,
+    newton_cross_check,
+    outflow_rate,
     profile_diagnostics,
-    solve_bvp_newton,
     solve_fixed_point,
     verify_sub_inequalities,
 )
@@ -176,11 +176,13 @@ class _Context:
     @cached_property
     def wave_grid(self) -> Grid:
         # the default window grows with shallow decay so the left tail fits
-        # under the window guard
+        # under the window guard, and the right edge with a slow outflow decay
+        # so that I has fallen below exp(-16.1) of its scale by x_max
         if self.grid is not None:
             return self.grid
         half = max(60.0, np.ceil(26.0 / self.l0 / 10.0) * 10.0)
-        return Grid.symmetric(half, 0.05)
+        right = max(half, np.ceil(16.1 / outflow_rate(self.p, self.c) / 10.0) * 10.0)
+        return Grid(-half, right, int(round((half + right) / 0.05)) + 1)
 
     @cached_property
     def bounds(self):
@@ -242,13 +244,10 @@ def _fixed_point(ctx: _Context):
     )
     if not report.converged:
         return -1.0, 0.0, "did not converge: " + details
-    newton = report.newton  # the root a Newton finish confirmed, if any
-    if newton is None:
-        try:
-            newton = solve_bvp_newton(ctx.p, ctx.c, ctx.wave_grid, report.profile, bounds=ctx.bounds)
-        except (NotConverged, SingularJacobian) as exc:
-            return -1.0, 0.0, f"{details}, newton solve failed: {exc}"
-    _, diff = align_profiles(report.profile, newton)
+    try:
+        _, diff = newton_cross_check(report, ctx.p)
+    except (NotConverged, SingularJacobian) as exc:
+        return -1.0, 0.0, f"{details}, newton solve failed: {exc}"
     tol = TOL_FIXED_POINT
     margin = min(tol - report.residual, 10.0 * tol - report.ode_residual, TOL_AGREEMENT - diff)
     return margin, 0.0, details + f", solver agreement {diff:.3e}"
@@ -261,13 +260,13 @@ def _profile_diagnostics(ctx: _Context):
     report = ctx.fixed_point
     if not report.converged:
         raise _Skip("no converged profile")
-    diag = profile_diagnostics(report.profile, ctx.p, ctx.c)
+    diag = profile_diagnostics(report.profile, report.grid, ctx.p, ctx.c)
     noise = 10.0 * TOL_FIXED_POINT
-    s_vals = report.profile.s.values
+    s_vals = report.profile[0]
     k = max(2, int(round(1.0 / ctx.wave_grid.dx)))
     r_abs = max(0.05, -diag.right_decay_rate)
     s_gap = max(0.0, float(s_vals[-1 - k] - s_vals[-1])) / max(np.expm1(r_abs), 1e-6)
-    edge = float(report.profile.i.values[-1]) + s_gap
+    edge = float(report.profile[1, -1]) + s_gap
     margins = {
         "S decreasing": noise - diag.s_max_wrong_increment,
         "R increasing": noise - diag.r_max_wrong_increment,

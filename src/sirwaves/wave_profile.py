@@ -19,11 +19,10 @@ from scipy.sparse.linalg import splu
 
 from .model import (
     CONSTANT,
+    ETA_DEFAULT,
     ZERO,
     Grid,
-    GridFunction,
     ModelParams,
-    Profile,
     edge_difference,
     exp_growth,
     reaction_terms,
@@ -128,9 +127,10 @@ class SubInequalityReport:
 
 @dataclass
 class FixedPointReport:
-    """Outcome of the projected fixed-point iteration."""
+    """Outcome of the projected fixed-point iteration; profiles are (3, n) arrays, rows S, I, R."""
 
-    profile: Profile
+    grid: Grid
+    profile: np.ndarray
     iterations: int
     residual: float  # weighted norm of F(u) - u at the final iterate
     residual_max: float  # same step in the plain sup norm
@@ -146,7 +146,7 @@ class FixedPointReport:
     warnings: tuple
     finish_reason: str  # why a "picard" finish did not go through Newton; empty otherwise
     stage_iterations: dict  # applications of F: "picard" to the handover, "confirm", "resumed"
-    newton: Profile | None  # the Newton root, when the confirmation accepted it
+    newton: np.ndarray | None  # the Newton root, when the confirmation accepted it
 
     @property
     def finish(self) -> str:
@@ -460,8 +460,7 @@ def solve_fixed_point(
     specs = choose_alphas(p, c, alpha_floor_scale)
     mu = choose_mu(specs, roots.lambda0)
     gamma_set = make_gamma_set(p, c, grid)
-    tail_rate = discrete_decay_rate(p, c, grid.dx)
-    inverses = map_inverses(specs, p, grid.dx, tail_rate)
+    inverses = map_inverses(specs, p, grid.dx)
 
     warnings = []
     if np.exp(roots.lambda0 * grid.x_min) >= 1e-10:
@@ -508,12 +507,11 @@ def solve_fixed_point(
         reason = "converged before the Newton handover"
     else:
         try:
-            root = solve_bvp_newton(p, c, grid, _profile_from_array(picard.u, grid, tail_rate),
-                                    bounds=gamma_set.bounds)
+            root = solve_bvp_newton(p, c, grid, picard.u, bounds=gamma_set.bounds)
         except (NotConverged, SingularJacobian) as exc:
             reason = f"newton failed: {type(exc).__name__}: {exc}"
         else:
-            confirm = start(root.as_array())
+            confirm = start(root)
             stopped = confirm.run(CONFIRM_BUDGET)
             stages["confirm"] = confirm.iterations
             if stopped == "tol" and confirm.converged and confirm.ode_res <= 10.0 * tol:
@@ -527,7 +525,6 @@ def solve_fixed_point(
     clamp_fraction, ode_res = final.clamp_fraction, final.ode_res
 
     converged = final.converged
-    profile = _profile_from_array(np.clip(u, 0.0, None), grid, tail_rate)
 
     n_tail = max(2, int(0.1 * grid.n))
     s_inf = float(np.mean(u[0, -n_tail:]))
@@ -545,7 +542,8 @@ def solve_fixed_point(
             warnings.append("right window too short: 99.9% of the infected mass is not inside")
 
     return FixedPointReport(
-        profile=profile,
+        grid=grid,
+        profile=np.clip(u, 0.0, None),
         iterations=sum(stages.values()),
         residual=res_w,
         residual_max=res_m,
@@ -565,42 +563,34 @@ def solve_fixed_point(
     )
 
 
-def _profile_from_array(arr: np.ndarray, grid: Grid, tail_rate: float) -> Profile:
-    return Profile(
-        GridFunction(grid, arr[0], CONSTANT, CONSTANT),
-        GridFunction(grid, arr[1], exp_growth(tail_rate), ZERO),
-        GridFunction(grid, arr[2], exp_growth(tail_rate), CONSTANT),
-    )
-
-
 def solve_bvp_newton(
     p: ModelParams,
     c: float,
     grid: Grid,
-    init: Profile,
+    init: np.ndarray,
     bounds: BoundSet | None = None,
     tol: float = 1e-12,
     max_iter: int = 30,
-) -> Profile:
+) -> np.ndarray:
     """Damped Newton on the centered-difference discretization of the wave equations.
 
-    Left boundary: Dirichlet values taken from the envelope construction, with
-    the infected value pinning the phase. Right boundary: outflow conditions
-    S' = 0 and R' = 0, and I' = -kappa*I with kappa the decay rate of small
-    infected perturbations ahead of the wave.
+    Starts from a copy of the (3, n) array init and returns the root as a
+    (3, n) array clipped at zero. Left boundary: Dirichlet values taken from
+    the envelope construction, with the infected value pinning the phase.
+    Right boundary: outflow conditions S' = 0 and R' = 0, and I' = -kappa*I
+    with kappa = outflow_rate(p, c).
     """
     b = bounds if bounds is not None else make_bound_set(p, c)
     n = grid.n
     dx = grid.dx
     x0 = grid.x_min
     l0 = b.lambda0
-    kappa = (np.sqrt(c * c + 4.0 * p.d2 * (p.gamma + p.delta)) - c) / (2.0 * p.d2)
     bc_left = np.array([
         p.s_minus_inf * (1.0 - b.m1 * np.exp(b.eps1 * x0)),
         np.exp(l0 * x0),
         b.r_coef * np.exp(l0 * x0) * (1.0 - b.m3 * np.exp(b.eps3 * x0)),
     ])
-    robin = np.array([0.0, kappa, 0.0])
+    robin = np.array([0.0, outflow_rate(p, c), 0.0])
     ds = (p.d1, p.d2, p.d3)
 
     def residual(vec: np.ndarray) -> np.ndarray:
@@ -618,7 +608,7 @@ def solve_bvp_newton(
     def jacobian(vec: np.ndarray) -> csc_matrix:
         s, i, r = vec.reshape(3, n)
         ntot = s + i + r
-        ok = ntot > 1e-12
+        ok = ntot > ETA_DEFAULT
         safe = np.where(ok, ntot, 1.0)
         # derivatives of the incidence in S, I and R at the interior points
         dinc = [
@@ -664,7 +654,7 @@ def solve_bvp_newton(
             raise SingularJacobian(str(exc)) from exc
         return step
 
-    vec = init.as_array().ravel().copy()
+    vec = np.array(init, dtype=float).reshape(3 * n)
     res = residual(vec)
     res_norm = float(np.max(np.abs(res)))
     stalls = 0
@@ -702,25 +692,32 @@ def solve_bvp_newton(
                 raise NotConverged(f"damped Newton stalled at residual {res_norm:.2e}")
     if res_norm > tol:
         raise NotConverged(f"Newton residual {res_norm:.2e} above tolerance {tol}")
-    arr = np.clip(vec.reshape(3, n), 0.0, None)
-    tail_rate = discrete_decay_rate(p, c, dx)
-    return _profile_from_array(arr, grid, tail_rate)
+    return np.clip(vec.reshape(3, n), 0.0, None)
 
 
-def align_profiles(a: Profile, b: Profile, max_shift: float = 2.0):
-    """Best translation of b onto a; returns (shift, max-norm difference after shifting).
+def outflow_rate(p: ModelParams, c: float) -> float:
+    """Outflow rate kappa of Newton's right boundary row I' = -kappa*I.
 
-    Components of b are interpolated with cubic splines and the shift is found
+    The positive root of d2*k^2 + c*k = gamma + delta: the decay rate of small
+    infected perturbations at the right edge. Windows are sized from it so
+    that I has decayed by x_max.
+    """
+    return (np.sqrt(c * c + 4.0 * p.d2 * (p.gamma + p.delta)) - c) / (2.0 * p.d2)
+
+
+def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid, max_shift: float = 2.0):
+    """Best translation of b onto a, two (3, n) arrays on grid; returns (shift, max-norm difference after shifting).
+
+    Rows of b are interpolated with cubic splines and the shift is found
     by golden-section on the sup-norm mismatch over the common interior.
     """
     from .linear_analysis import golden_section
 
-    grid = a.grid
     x = grid.x
     inner = (x >= grid.x_min + max_shift) & (x <= grid.x_max - max_shift)
     xs = x[inner]
-    splines = [CubicSpline(x, gf.values) for gf in (b.s, b.i, b.r)]
-    targets = [gf.values[inner] for gf in (a.s, a.i, a.r)]
+    splines = [CubicSpline(x, row) for row in b]
+    targets = [row[inner] for row in a]
 
     def mismatch(shift):
         return max(
@@ -729,6 +726,19 @@ def align_profiles(a: Profile, b: Profile, max_shift: float = 2.0):
 
     shift, diff = golden_section(mismatch, -max_shift, max_shift, tol=1e-14)
     return shift, diff
+
+
+def newton_cross_check(report: FixedPointReport, p: ModelParams):
+    """The Newton root of the report's wave and its aligned sup-norm distance from the fixed point.
+
+    After a Newton finish the root is the one the report carries; otherwise
+    solve_bvp_newton solves from the fixed point on report.grid. Returns
+    (root, agreement); raises NotConverged or SingularJacobian.
+    """
+    root = report.newton
+    if root is None:
+        root = solve_bvp_newton(p, report.c, report.grid, report.profile, bounds=report.gamma_set.bounds)
+    return root, align_profiles(report.profile, root, report.grid)[1]
 
 
 def _exp_decay_convolution(psi: np.ndarray, rate: float, dx: float, tail_rate: float = 0.0) -> np.ndarray:
@@ -791,10 +801,10 @@ class ProfileDiagnostics:
     i_prime_right: float
 
 
-def profile_diagnostics(u: Profile, p: ModelParams, c: float) -> ProfileDiagnostics:
-    grid = u.grid
+def profile_diagnostics(u: np.ndarray, grid: Grid, p: ModelParams, c: float) -> ProfileDiagnostics:
+    """Diagnostics of a (3, n) profile on grid, rows S, I, R."""
     x, dx = grid.x, grid.dx
-    s, i, r = u.s.values, u.i.values, u.r.values
+    s, i, r = u
     l0 = lambda0(c, p).lambda0
 
     n_tail = max(2, int(0.1 * grid.n))

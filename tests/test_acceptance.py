@@ -116,7 +116,7 @@ def test_criterion_4_gamma_invariance():
 
 
 def _criterion_5_checks(rep):
-    d = profile_diagnostics(rep.profile, P0, C)
+    d = profile_diagnostics(rep.profile, rep.grid, P0, C)
     checks = {
         "converged": rep.converged,
         "S decreasing": d.s_max_wrong_increment <= 1e-10,
@@ -153,8 +153,8 @@ def test_criterion_6_solver_cross_validation(p0_solution):
         half = max(60.0, np.ceil(26.0 / l0 / 10.0) * 10.0)
         grid = Grid.symmetric(half, 0.05)
         rep = p0_solution if (c == C and half == 60.0) else solve_fixed_point(P0, c, grid, tol=1e-8)
-        newton = solve_bvp_newton(P0, c, rep.profile.grid, rep.profile, bounds=rep.gamma_set.bounds)
-        _, diff = align_profiles(rep.profile, newton)
+        newton = solve_bvp_newton(P0, c, rep.grid, rep.profile, bounds=rep.gamma_set.bounds)
+        _, diff = align_profiles(rep.profile, newton, rep.grid)
         agreements[c] = diff
     elapsed = time.time() - t0
     ok = all(v <= 1e-5 for v in agreements.values()) and elapsed < 300.0
@@ -222,7 +222,7 @@ def test_criterion_9_alpha_floor_robustness(p0_solution):
     rep4 = solve_fixed_point(P0, C, WAVE_GRID, tol=1e-8, alpha_floor_scale=4.0)
     _, checks4 = _criterion_5_checks(rep4)
     diag_ok = all(checks4.values())
-    drift = float(np.max(np.abs(rep4.profile.as_array() - p0_solution.profile.as_array())))
+    drift = float(np.max(np.abs(rep4.profile - p0_solution.profile)))
     elapsed = time.time() - t0
     ok = ineq_ok and invariance_ok and diag_ok and drift < 1e-6 and elapsed < 300.0
     report(9, ok, elapsed,

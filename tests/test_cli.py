@@ -114,10 +114,10 @@ def test_profile_csv_roundtrip_precision(config_path, tmp_path):
     # the solved profile bit for bit
     p = ModelParams(**P0_CONFIG["params"])
     rep = solve_fixed_point(p, 2.5, Grid.symmetric(40.0, 0.1), tol=1e-7)
-    assert np.array_equal(vals[:, 0], rep.profile.grid.x)
-    assert np.array_equal(vals[:, 1], rep.profile.s.values)
-    assert np.array_equal(vals[:, 2], rep.profile.i.values)
-    assert np.array_equal(vals[:, 3], rep.profile.r.values)
+    assert np.array_equal(vals[:, 0], rep.grid.x)
+    assert np.array_equal(vals[:, 1], rep.profile[0])
+    assert np.array_equal(vals[:, 2], rep.profile[1])
+    assert np.array_equal(vals[:, 3], rep.profile[2])
 
 
 def test_explicit_grid_block_in_config(tmp_path):
@@ -189,7 +189,7 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     original = model.incidence
     monkeypatch.setattr(
         "sirwaves.model.incidence",
-        lambda s, i, r, beta, eta=model.ETA_DEFAULT: -original(s, i, r, beta, eta),
+        lambda s, i, r, beta: -original(s, i, r, beta),
     )
     path = write_config(tmp_path, P0_CONFIG)
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
@@ -238,16 +238,39 @@ def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
 
 
 def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monkeypatch):
-    import sirwaves.cli
+    # the cross-check solves Newton only when the solve did not finish by it:
+    # once after a Newton finish (inside the solve), once after a Picard finish
+    # at a loose tolerance (the cross-check's own), and twice after a failed
+    # Newton finish (the solve's, then the cross-check's)
+    import sirwaves.wave_profile
 
-    def no_second_solve(*args, **kwargs):
-        raise AssertionError("Newton solved again after a Newton finish")
+    calls = []
+    original = sirwaves.wave_profile.solve_bvp_newton
 
-    monkeypatch.setattr(sirwaves.cli, "solve_bvp_newton", no_second_solve)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sirwaves.wave_profile, "solve_bvp_newton", counted)
     out = tmp_path / "out"
     assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--out", str(out)]) == 0
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["solve"]["finish"] == "newton" and diag["solver_agreement"] <= 1e-8
+    assert len(calls) == 1
+
+    calls.clear()
+    assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--tol", "1e-4",
+                 "--out", str(tmp_path / "loose")]) == 0
+    diag = json.loads((tmp_path / "loose" / "diagnostics.json").read_text())
+    assert diag["solve"]["finish"] == "picard" and diag["solver_agreement"] < 1e-2
+    assert len(calls) == 1
+
+    calls.clear()
+    cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
+                      "delta": 0.5, "s_minus_inf": 2.0}}
+    path = write_config(tmp_path, cfg)
+    assert main(["profile", path, "--c", "3.6373", "--solver", "both", "--out", str(tmp_path / "fb")]) == 2
+    assert len(calls) == 2
 
 
 def test_verify_far_above_c_star_passes(tmp_path):

@@ -7,7 +7,6 @@ from sirwaves import (
     Grid,
     GridFunction,
     ModelParams,
-    Profile,
     Tail,
     centered_difference,
     edge_difference,
@@ -17,6 +16,7 @@ from sirwaves import (
     reaction_terms,
     wave_operator,
 )
+from sirwaves.model import ETA_DEFAULT
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 
@@ -51,7 +51,8 @@ def test_incidence_values():
 
 
 def test_incidence_guard_branch():
-    assert incidence(1e-14, 1e-14, 0.0, beta=2.0, eta=1e-12) == 0.0
+    assert ETA_DEFAULT == 1e-12
+    assert incidence(1e-14, 1e-14, 0.0, beta=2.0) == 0.0
 
 
 def test_incidence_monotone_in_s():
@@ -164,14 +165,3 @@ def test_centered_difference_weights_and_exactness():
     assert np.allclose(left, [2.0 * g.x[0], 3.0], atol=1e-12)
     assert np.allclose(right, [2.0 * g.x[-1], 3.0], atol=1e-12)
 
-
-def test_profile_shared_grid_and_nonnegativity():
-    g = Grid(-1.0, 1.0, 5)
-    ok = GridFunction(g, np.ones(5))
-    other = GridFunction(Grid(-1.0, 1.0, 7), np.ones(7))
-    with pytest.raises(ValueError):
-        Profile(ok, ok, other)
-    with pytest.raises(ValueError):
-        Profile(ok, GridFunction(g, np.array([1, 1, -1e-3, 1, 1.0])), ok)
-    # tolerance absorbs roundoff-level negatives
-    Profile(ok, GridFunction(g, np.array([1, 1, -1e-12, 1, 1.0])), ok)

@@ -149,7 +149,7 @@ def test_no_ignition_ahead_of_the_front():
     res = run(cfg)
     x = cfg.grid.x
     tail = x >= x[-1] - 0.1 * (x[-1] - x[0])
-    assert np.max(res.final.i.values[tail]) < 1e-20
+    assert np.max(res.final[1, tail]) < 1e-20
     assert np.max(res.i_max_trace) > cfg.threshold  # an outbreak did spread
     c_star = minimal_speed(P0).c_star
     t, pos = res.trace.times, res.trace.positions

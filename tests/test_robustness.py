@@ -43,7 +43,7 @@ def test_fixed_point_and_diagnostics_across_regimes(name, p, c):
     grid = wave_window(p, c)
     rep = solve_fixed_point(p, c, grid, tol=tol)
     assert rep.converged
-    d = profile_diagnostics(rep.profile, p, c)
+    d = profile_diagnostics(rep.profile, grid, p, c)
     noise = 10.0 * tol  # monotonicity holds down to the stopping tolerance
     assert d.s_max_wrong_increment <= noise
     assert d.r_max_wrong_increment <= noise
@@ -64,7 +64,7 @@ def test_solver_agreement_across_regimes(name, p, c):
     grid = wave_window(p, c)
     rep = solve_fixed_point(p, c, grid, tol=1e-9)
     newton = solve_bvp_newton(p, c, grid, rep.profile, bounds=rep.gamma_set.bounds)
-    _, diff = align_profiles(rep.profile, newton)
+    _, diff = align_profiles(rep.profile, newton, grid)
     assert diff < 1e-5
 
 
@@ -94,16 +94,16 @@ def test_fixed_point_profile_advects_at_its_design_speed():
     p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
     c = 2.5
     rep = solve_fixed_point(p, c, Grid.symmetric(60.0, 0.05), tol=1e-8)
-    pg = rep.profile.grid
+    pg = rep.grid
 
     # the solved wave invades leftward (untouched state at the left end), so
     # mirror it to track a standard right-moving front; with the mirrored
     # query the interp 'left' fill continues the untouched side (sim-right)
     sim = Grid(-80.0, 120.0, 2001)
     x = sim.x
-    s0 = np.interp(-x, pg.x, rep.profile.s.values, left=p.s_minus_inf, right=rep.s_inf)
-    i0 = np.interp(-x, pg.x, rep.profile.i.values, left=0.0, right=0.0)
-    r0 = np.interp(-x, pg.x, rep.profile.r.values, left=0.0, right=rep.profile.r.values[-1])
+    s0 = np.interp(-x, pg.x, rep.profile[0], left=p.s_minus_inf, right=rep.s_inf)
+    i0 = np.interp(-x, pg.x, rep.profile[1], left=0.0, right=0.0)
+    r0 = np.interp(-x, pg.x, rep.profile[2], left=0.0, right=rep.profile[2, -1])
 
     # the stepping loop of every simulation, from the solved wave instead of a pulse
     cfg = SimConfig(params=p, grid=sim, t_end=20.0, n_outputs=100)

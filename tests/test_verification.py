@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sirwaves.model
-import sirwaves.verification
+import sirwaves.wave_profile
 from sirwaves import ModelParams, run_suite, report_json, report_table, suite_passed
 from sirwaves.verification import CheckResult, _result
 
@@ -75,13 +75,19 @@ def test_full_report_matches_golden_bytes():
 
 
 def test_fixed_point_check_reuses_the_newton_root(monkeypatch):
-    # the P0 solve finishes by Newton, so the cross-check compares against its root
-    def no_second_solve(*args, **kwargs):
-        raise AssertionError("Newton solved again after a Newton finish")
+    # the P0 solve finishes by Newton, so the cross-check compares against its
+    # root: the solve's own Newton call is the only one
+    calls = []
+    original = sirwaves.wave_profile.solve_bvp_newton
 
-    monkeypatch.setattr(sirwaves.verification, "solve_bvp_newton", no_second_solve)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sirwaves.wave_profile, "solve_bvp_newton", counted)
     golden = Path(__file__).parent / "data" / "verify_report_p0_quick.json"
     assert report_json(run_suite(P0, 2.5, level="quick")).encode() == golden.read_bytes()
+    assert len(calls) == 1
 
 
 def test_report_table_renders(quick_results):
@@ -94,8 +100,8 @@ def test_mutated_incidence_fails_checks(monkeypatch):
     # sign-flipped incidence must surface as failures, not silent passes
     original = sirwaves.model.incidence
 
-    def flipped(s, i, r, beta, eta=sirwaves.model.ETA_DEFAULT):
-        return -original(s, i, r, beta, eta)
+    def flipped(s, i, r, beta):
+        return -original(s, i, r, beta)
 
     monkeypatch.setattr("sirwaves.model.incidence", flipped)
     results = run_suite(P0, 2.5, level="quick")
@@ -103,3 +109,12 @@ def test_mutated_incidence_fails_checks(monkeypatch):
     assert failing & {"gamma_invariance", "fixed_point", "profile_diagnostics"}
     assert "gamma_invariance" in failing  # the integral map reads the same reaction terms
     assert not suite_passed(results)
+
+
+def test_default_window_holds_the_slow_right_tail():
+    # with delta = 0 the infected tail behind the front decays only at the
+    # outflow rate 0.155, so the right edge moves out to 110; on the symmetric
+    # [-60, 60] window "J monotone" failed at -1.47e-6
+    p = ModelParams(1.0, 1.0, 1.0, beta=2.0, gamma=0.5, delta=0.0, s_minus_inf=1.0)
+    results = run_suite(p, 3.0619, level="quick")
+    assert [(r.name, r.status) for r in results if r.status != "pass"] == []

@@ -160,15 +160,14 @@ def test_fixed_point_converges(solved):
 
 
 def test_fixed_point_monotonicity(solved):
-    s = solved.profile.s.values
-    r = solved.profile.r.values
+    s, _, r = solved.profile
     assert np.max(np.diff(s)) <= 1e-10
     assert np.min(np.diff(r)) >= -1e-10
 
 
 def test_fixed_point_profile_in_sandwich(solved):
     gset = solved.gamma_set
-    assert gset.membership_margin(solved.profile.as_array()) >= -1e-9
+    assert gset.membership_margin(solved.profile) >= -1e-9
 
 
 def test_fixed_point_s_inf_strictly_below_left_level(solved):
@@ -189,7 +188,7 @@ def test_discrete_decay_rate_close_to_continuum():
 def test_alpha_floor_scaling_does_not_move_fixed_point(solved):
     rep4 = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-8, alpha_floor_scale=4.0)
     assert rep4.converged
-    diff = np.max(np.abs(rep4.profile.as_array() - solved.profile.as_array()))
+    diff = np.max(np.abs(rep4.profile - solved.profile))
     assert diff < 1e-6
 
 
@@ -222,18 +221,18 @@ def test_wave_residual_matches_componentwise_reference():
 # ---------- Newton cross-check ----------
 
 def test_newton_from_fixed_point_converges_fast(solved):
-    g = solved.profile.grid
+    g = solved.grid
     newton = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
     # residual of the Newton profile under the same discretization
     from sirwaves.wave_profile import _wave_residual
 
-    assert np.max(np.abs(_wave_residual(newton.as_array(), P0, C, g.dx))) <= 1e-9
+    assert np.max(np.abs(_wave_residual(newton, P0, C, g.dx))) <= 1e-9
 
 
 def test_newton_agrees_with_picard(solved):
-    g = solved.profile.grid
+    g = solved.grid
     newton = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
-    shift, diff = align_profiles(solved.profile, newton)
+    shift, diff = align_profiles(solved.profile, newton, g)
     assert abs(shift) < 0.01
     assert diff < 1e-5
 
@@ -246,14 +245,14 @@ def test_translation_representative():
     rep1 = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-9)
     grid2 = Grid(-55.0, 65.0, 2401)  # same spacing, window moved by +5
     rep2 = solve_fixed_point(P0, C, grid2, tol=1e-9)
-    x1 = rep1.profile.grid.x
+    x1 = rep1.grid.x
     common = x1[(x1 >= -40) & (x1 <= 40)]
-    spline = CubicSpline(grid2.x, rep2.profile.i.values)
-    target = rep1.profile.i.values[(x1 >= -40) & (x1 <= 40)]
+    spline = CubicSpline(grid2.x, rep2.profile[1])
+    target = rep1.profile[1][(x1 >= -40) & (x1 <= 40)]
     shift, diff = golden_section(
         lambda s: float(np.max(np.abs(spline(common + s) - target))), -1.0, 1.0, tol=1e-12
     )
-    assert abs(shift) < rep1.profile.grid.dx
+    assert abs(shift) < rep1.grid.dx
     assert diff < 1e-6
 
 
@@ -309,7 +308,7 @@ def test_fallback_is_the_plain_iteration(monkeypatch):
     monkeypatch.setattr(wave_profile, "LOOSE_TOL", 0.0)  # no handover: the plain iteration
     plain = solve_fixed_point(P0, C, grid, tol=1e-6)
     assert plain.finish == "picard" and plain.stage_iterations["confirm"] == 0
-    assert np.array_equal(rep.profile.as_array(), plain.profile.as_array())
+    assert np.array_equal(rep.profile, plain.profile)
     assert (rep.residual, rep.ode_residual, rep.converged) == (plain.residual, plain.ode_residual, plain.converged)
     assert rep.iterations == plain.iterations + wave_profile.CONFIRM_BUDGET
 
@@ -323,7 +322,7 @@ def test_loose_tolerance_skips_newton():
 # ---------- diagnostics ----------
 
 def test_profile_diagnostics(solved):
-    d = profile_diagnostics(solved.profile, P0, C)
+    d = profile_diagnostics(solved.profile, solved.grid, P0, C)
     assert d.s_max_wrong_increment <= 1e-10
     assert d.r_max_wrong_increment <= 1e-10
     assert d.i_min >= -1e-12
