@@ -76,6 +76,7 @@ from .wave_profile import (
     solve_bvp_newton,
     solve_fixed_point,
     verify_sub_inequalities,
+    wave_window,
 )
 from .pde_sim import (
     FalsificationReport,

@@ -34,6 +34,7 @@ from .wave_profile import (
     newton_cross_check,
     profile_diagnostics,
     solve_fixed_point,
+    wave_window,
 )
 from . import pde_sim
 from . import verification
@@ -95,14 +96,15 @@ def params_from_config(cfg: dict) -> ModelParams:
         raise ConfigInvalid(f"params: {exc}") from exc
 
 
-def grid_from_config(cfg: dict, default_half_width: float, default_dx: float) -> Grid:
-    if "grid" in cfg:
-        g = cfg["grid"]
-        try:
-            return Grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigInvalid(f"grid: {exc}") from exc
-    return Grid.symmetric(default_half_width, default_dx)
+def grid_from_config(cfg: dict) -> Grid | None:
+    """The config's grid block as a Grid, or None when it has none."""
+    if "grid" not in cfg:
+        return None
+    g = cfg["grid"]
+    try:
+        return Grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
+    except (KeyError, ValueError) as exc:
+        raise ConfigInvalid(f"grid: {exc}") from exc
 
 
 def _out_dir(args) -> str:
@@ -217,39 +219,23 @@ def cmd_profile(args) -> int:
         raise ConfigInvalid("profile needs a speed: pass --c or put 'c' in the config")
     out = _out_dir(args)
 
-    try:
-        c_star = minimal_speed(p).c_star
-    except SubThreshold:
-        c_star = None
-    if not args.force:
-        if c_star is None:
-            print("refusing: R0 <= 1, no traveling wave exists for any speed "
-                  "(use --force to attempt anyway)", file=sys.stderr)
-            return 2
-        if c < c_star:
-            print(
-                f"refusing: c = {_fmt(c)} is below the minimal speed {_fmt(c_star)}; "
-                "no wave exists there (use --force to attempt anyway)",
-                file=sys.stderr,
-            )
-            return 2
-
-    grid = grid_from_config(cfg, args.L, args.dx)
-    try:
-        report = solve_fixed_point(p, c, grid, tol=args.tol)
-    except (ComplexRoots, SubThreshold, ValueError) as exc:
+    grid = grid_from_config(cfg)
+    try:  # ComplexRoots, SubThreshold and an oversized window are ValueErrors
+        report = solve_fixed_point(p, c, grid or wave_window(p, c, args.dx), tol=args.tol)
+    except ValueError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
+    grid, warnings = report.grid, list(report.warnings)
+    failure = None if report.converged else "profile solve did not converge; outputs are flagged"
 
     chosen, agreement = report.profile, None
     if args.solver in ("newton", "both") and report.converged:
         try:
             root, agreement = newton_cross_check(report, p)
+            chosen = root if args.solver == "newton" else chosen
         except (NotConverged, SingularJacobian) as exc:
-            print(f"newton solve failed: {exc}", file=sys.stderr)
-            return 2
-        if args.solver == "newton":
-            chosen = root
+            failure = f"newton solve failed: {exc}"
+            warnings.append(failure)
 
     _write_csv(os.path.join(out, "profile.csv"), "x,S,I,R", (grid.x, *chosen))
     diag = profile_diagnostics(chosen, grid, p, c)
@@ -269,7 +255,7 @@ def cmd_profile(args) -> int:
         "solver": args.solver,
         "solver_agreement": agreement,
         "solve": solve,
-        "warnings": list(report.warnings),
+        "warnings": warnings,
         "bound_set": {
             "eps": [b.eps1, b.eps2, b.eps3],
             "M": [b.m1, b.m2, b.m3],
@@ -289,13 +275,13 @@ def cmd_profile(args) -> int:
     _write_json(os.path.join(out, "diagnostics.json"), payload)
     write_manifest(
         out, "profile", {**cfg, "c": c},
-        {"c_star": c_star, "lambda0": report.lambda0, "mu": report.mu,
+        {"c_star": minimal_speed(p).c_star, "lambda0": report.lambda0, "mu": report.mu,
          "alphas": [s.alpha for s in report.specs],
          "bound_set": payload["bound_set"], "solve": solve},
     )
     print(json.dumps(payload["diagnostics"], indent=2, sort_keys=True))
-    if not report.converged:
-        print("profile solve did not converge; outputs are flagged", file=sys.stderr)
+    if failure:
+        print(failure, file=sys.stderr)
         return 2
     return 0
 
@@ -303,7 +289,7 @@ def cmd_profile(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     p = params_from_config(cfg)
-    grid = grid_from_config(cfg, args.L, args.dx)
+    grid = grid_from_config(cfg) or Grid.symmetric(args.L, args.dx)
     sim_block = cfg.get("sim", {})
     t_end = args.t_end if args.t_end is not None else float(sim_block.get("t_end", 80.0))
     dt = args.dt if args.dt is not None else sim_block.get("dt")
@@ -378,7 +364,7 @@ def _parse_vary(spec: str):
 
 def _sweep_one(job):
     """One sweep point: derived constants plus a coarse profile solve outcome."""
-    base_params, c, overrides, half_width, dx, tol = job
+    base_params, c, overrides, dx, tol = job
     values = dict(base_params)
     row: dict = {}
     for key, val in overrides.items():
@@ -411,7 +397,7 @@ def _sweep_one(job):
         row.update(outcome="subcritical")
         return row
     try:
-        rep = solve_fixed_point(p, c, Grid.symmetric(half_width, dx), tol=tol)
+        rep = solve_fixed_point(p, c, wave_window(p, c, dx), tol=tol)
         row.update(
             outcome="wave" if rep.converged else "not_converged",
             lambda0=rep.lambda0,
@@ -446,7 +432,7 @@ def cmd_sweep(args) -> int:
 
     base = {k: float(cfg["params"][k]) for k in PARAM_KEYS}
     c = cfg.get("c")
-    jobs = [(base, c, combo, args.L, args.dx, args.tol) for combo in combos]
+    jobs = [(base, c, combo, args.dx, args.tol) for combo in combos]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, jobs))
@@ -505,11 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("profile", help="solve for the traveling-wave profile at a speed")
     pp.add_argument("config")
     pp.add_argument("--c", type=float)
-    pp.add_argument("--L", type=float, default=60.0, help="half-width of the window")
     pp.add_argument("--dx", type=float, default=0.05)
     pp.add_argument("--tol", type=float, default=1e-8)
     pp.add_argument("--solver", choices=("picard", "newton", "both"), default="picard")
-    pp.add_argument("--force", action="store_true", help="attempt even below the minimal speed")
     pp.add_argument("--out", default="profile_out")
     pp.set_defaults(func=cmd_profile)
 
@@ -526,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("config")
     pw.add_argument("--vary", action="append", required=True, help="key=lo:hi:n")
     pw.add_argument("--jobs", type=int, default=1)
-    pw.add_argument("--L", type=float, default=40.0)
     pw.add_argument("--dx", type=float, default=0.1)
     pw.add_argument("--tol", type=float, default=1e-8)
     pw.add_argument("--out", default="sweep_out")

@@ -38,6 +38,8 @@ CLAMP_BUDGET = 0.01
 # the most steps restarted from the Newton root may take to confirm it.
 LOOSE_TOL = 1e-4
 CONFIRM_BUDGET = 20
+# Most points wave_window may size; wider windows are refused before any solve.
+MAX_WINDOW_POINTS = 50_001
 
 
 class SearchExhausted(RuntimeError):
@@ -457,6 +459,8 @@ def solve_fixed_point(
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
         raise ValueError("parameters outside the wave regime (need R0 > 1 and d3 < 2*d2)")
+    if roots.degenerate:
+        raise ValueError(f"c = {c} is the minimal speed; the envelope construction needs c > c*")
     specs = choose_alphas(p, c, alpha_floor_scale)
     mu = choose_mu(specs, roots.lambda0)
     gamma_set = make_gamma_set(p, c, grid)
@@ -703,6 +707,22 @@ def outflow_rate(p: ModelParams, c: float) -> float:
     that I has decayed by x_max.
     """
     return (np.sqrt(c * c + 4.0 * p.d2 * (p.gamma + p.delta)) - c) / (2.0 * p.d2)
+
+
+def wave_window(p: ModelParams, c: float, dx: float = 0.05) -> Grid:
+    """The window every wave solve uses unless it is given a grid, with spacing dx.
+
+    The left half-width max(60, ceil(26/lambda0/10)*10) puts I below exp(-26)
+    at x_min, under the solve's window guard; the right edge max(half,
+    ceil(16.1/kappa/10)*10), kappa = outflow_rate(p, c), lets I fall below
+    exp(-16.1) of its scale by x_max. Raises ValueError above MAX_WINDOW_POINTS.
+    """
+    half = max(60.0, np.ceil(26.0 / lambda0(c, p).lambda0 / 10.0) * 10.0)
+    right = max(half, np.ceil(16.1 / outflow_rate(p, c) / 10.0) * 10.0)
+    n = int(round((half + right) / dx)) + 1
+    if n > MAX_WINDOW_POINTS:
+        raise ValueError(f"window [-{half:g}, {right:g}] at dx = {dx:g} has {n} points, over {MAX_WINDOW_POINTS}")
+    return Grid(-half, right, n)
 
 
 def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid, max_shift: float = 2.0):

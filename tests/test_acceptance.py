@@ -19,7 +19,6 @@ from sirwaves import (
     SimConfig,
     align_profiles,
     apply_F,
-    lambda0,
     make_bound_set,
     make_gamma_set,
     map_inverses,
@@ -32,6 +31,7 @@ from sirwaves import (
     solve_fixed_point,
     subcritical_falsification,
     verify_sub_inequalities,
+    wave_window,
 )
 from sirwaves.resolvent import choose_alphas
 from sirwaves.verification import inversion_errors
@@ -149,10 +149,8 @@ def test_criterion_6_solver_cross_validation(p0_solution):
     agreements = {}
     for c in (2.1, 2.5, 4.0):
         # the window must hold the slow left decay at each speed
-        l0 = lambda0(c, P0).lambda0
-        half = max(60.0, np.ceil(26.0 / l0 / 10.0) * 10.0)
-        grid = Grid.symmetric(half, 0.05)
-        rep = p0_solution if (c == C and half == 60.0) else solve_fixed_point(P0, c, grid, tol=1e-8)
+        grid = wave_window(P0, c)
+        rep = p0_solution if (c == C and grid == WAVE_GRID) else solve_fixed_point(P0, c, grid, tol=1e-8)
         newton = solve_bvp_newton(P0, c, rep.grid, rep.profile, bounds=rep.gamma_set.bounds)
         _, diff = align_profiles(rep.profile, newton, rep.grid)
         agreements[c] = diff
@@ -243,7 +241,7 @@ def test_criterion_10_determinism(tmp_path):
     for jobs in (1, 4):
         out = tmp_path / f"jobs{jobs}"
         rc = cli_main(["sweep", str(path), "--vary", "c=2.2:3.2:3", "--jobs", str(jobs),
-                       "--L", "40", "--dx", "0.1", "--tol", "1e-6", "--out", str(out)])
+                       "--dx", "0.1", "--tol", "1e-6", "--out", str(out)])
         assert rc == 0
         outs[jobs] = (out / "sweep.csv").read_text()
     sweep_ok = outs[1] == outs[4]

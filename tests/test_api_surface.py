@@ -2,12 +2,14 @@
 
 bench/spans.py wraps functions by name on each sirwaves module; a deletion
 there would only show when `bench/run.py --trace 1` runs. This test makes it
-show in the test suite instead.
+show in the test suite instead. bench/workloads.py sizes its profile windows
+itself, and a test here holds those windows to wave_profile.wave_window.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,14 +17,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bench_layers() -> dict:
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up while the class is built
     spec.loader.exec_module(mod)
-    return mod.LAYERS
+    return mod
 
 
-@pytest.mark.parametrize("layer,names", sorted(_bench_layers().items()))
+@pytest.mark.parametrize("layer,names", sorted(_bench_module("spans").LAYERS.items()))
 def test_traced_functions_resolve(layer, names):
     mod = importlib.import_module(f"sirwaves.{layer}")
     for name in names:
@@ -45,3 +48,14 @@ def test_package_imports_resolve():
         mod = importlib.import_module(f"sirwaves.{node.module}")
         for alias in node.names:
             assert hasattr(mod, alias.name), f"sirwaves.{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_bench_ladder_windows_are_wave_window(seed):
+    # bench/workloads.py sizes its profile grids with its own copy of the
+    # window rule; every ladder rung must get the grid wave_window gives
+    from sirwaves import Grid, ModelParams, wave_window
+
+    for case in _bench_module("workloads").cases_for("wave_ladder", seed):
+        grid = Grid(**case.grid)
+        assert wave_window(ModelParams(**case.params), case.c, grid.dx) == grid, case.name

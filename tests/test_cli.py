@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ P0_CONFIG = {
     },
     "c": 2.5,
 }
+# Grid.symmetric(40.0, 0.1)
+GRID_40 = {"x_min": -40.0, "x_max": 40.0, "n": 801}
 
 
 @pytest.fixture
@@ -81,15 +84,31 @@ def test_profile_refuses_subcritical_speed(config_path, tmp_path, capsys):
     rc = main(["profile", config_path, "--c", "1.9", "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "minimal speed" in err and "--force" in err
+    assert "minimal speed" in err
 
 
-def test_profile_runs_and_writes_outputs(config_path, tmp_path):
+def test_profile_at_c_star_exits_2_with_one_line(config_path, tmp_path, capsys):
+    rc = main(["profile", config_path, "--c", "2", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solve failed: ") and "minimal speed" in err[0]
+
+
+def test_profile_sizes_its_window_from_the_decay_rates(config_path, tmp_path):
+    # no grid block: at c = 4 the left tail needs [-100, 100]; a fixed
+    # [-60, 60] left it too short and the solve ran 5000 steps unconverged
+    out = tmp_path / "out"
+    assert main(["profile", config_path, "--c", "4", "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["converged"] and diag["solve"]["finish"] == "newton"
+    lines = (out / "profile.csv").read_text().splitlines()
+    assert len(lines) == 4002 and lines[1].startswith("-100,")
+
+
+def test_profile_runs_and_writes_outputs(tmp_path):
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
     out = str(tmp_path / "out")
-    rc = main([
-        "profile", config_path, "--c", "2.5", "--L", "40", "--dx", "0.1",
-        "--tol", "1e-7", "--solver", "both", "--out", out,
-    ])
+    rc = main(["profile", path, "--c", "2.5", "--tol", "1e-7", "--solver", "both", "--out", out])
     assert rc == 0
     csv_lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
     assert csv_lines[0] == "x,S,I,R"
@@ -102,12 +121,12 @@ def test_profile_runs_and_writes_outputs(config_path, tmp_path):
     assert manifest["derived"]["c_star"] == 2.0
 
 
-def test_profile_csv_roundtrip_precision(config_path, tmp_path):
+def test_profile_csv_roundtrip_precision(tmp_path):
     from sirwaves import Grid, ModelParams, solve_fixed_point
 
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
     out = str(tmp_path / "out")
-    main(["profile", config_path, "--c", "2.5", "--L", "40", "--dx", "0.1",
-          "--tol", "1e-7", "--out", out])
+    main(["profile", path, "--c", "2.5", "--tol", "1e-7", "--out", out])
     lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()[1:]
     vals = np.array([[float(v) for v in ln.split(",")] for ln in lines])
     # 17 significant digits reproduce the doubles exactly: parsing recovers
@@ -213,14 +232,25 @@ def test_verify_newton_failure_is_a_failed_check(tmp_path):
 
 
 def test_profile_newton_failure_exits_2(tmp_path, capsys):
-    # near c* with d1 < d2 the Newton cross-check from the Picard wave stalls
+    # near c* with d1 < d2 the Newton cross-check from the Picard wave stalls;
+    # the Picard profile is still written, flagged, over an earlier run's files
     cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
                       "delta": 0.5, "s_minus_inf": 2.0}}
     path = write_config(tmp_path, cfg)
-    rc = main(["profile", path, "--c", "3.6373", "--solver", "both", "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    assert main(["profile", path, "--c", "3.6373", "--tol", "1e-4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["profile", path, "--c", "3.6373", "--solver", "both", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("newton solve failed: ")
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["solver"] == "both" and diag["solver_agreement"] is None
+    assert diag["converged"] and "not below the Newton handover" not in diag["solve"]["finish_reason"]
+    assert diag["warnings"][-1] == err[-1]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]["diagnostics.json"] == hashlib.sha256((out / "diagnostics.json").read_bytes()).hexdigest()
+    assert manifest["outputs"]["profile.csv"] == hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
 
 
 def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
@@ -288,8 +318,7 @@ def test_sweep_rows_and_outcome_flip(tmp_path):
     path = write_config(tmp_path, P0_CONFIG)
     out = str(tmp_path / "out")
     rc = main([
-        "sweep", path, "--vary", "beta=0.8:2.0:2", "--L", "60", "--dx", "0.1",
-        "--tol", "1e-6", "--out", out,
+        "sweep", path, "--vary", "beta=0.8:2.0:2", "--dx", "0.1", "--tol", "1e-6", "--out", out,
     ])
     assert rc == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
@@ -306,9 +335,9 @@ def test_sweep_parallel_matches_serial(tmp_path):
     path = write_config(tmp_path, P0_CONFIG)
     out1, out4 = str(tmp_path / "j1"), str(tmp_path / "j4")
     main(["sweep", path, "--vary", "c=2.1:3.0:3", "--jobs", "1",
-          "--L", "30", "--dx", "0.2", "--tol", "1e-6", "--out", out1])
+          "--dx", "0.2", "--tol", "1e-6", "--out", out1])
     main(["sweep", path, "--vary", "c=2.1:3.0:3", "--jobs", "4",
-          "--L", "30", "--dx", "0.2", "--tol", "1e-6", "--out", out4])
+          "--dx", "0.2", "--tol", "1e-6", "--out", out4])
     assert (tmp_path / "j1" / "sweep.csv").read_text() == (tmp_path / "j4" / "sweep.csv").read_text()
 
 
@@ -316,7 +345,7 @@ def test_sweep_two_keys(tmp_path):
     path = write_config(tmp_path, P0_CONFIG)
     out = str(tmp_path / "out")
     rc = main(["sweep", path, "--vary", "c=2.5:3.0:2", "--vary", "d3=0.5:1.0:2",
-               "--L", "40", "--dx", "0.1", "--tol", "1e-6", "--out", out])
+               "--dx", "0.1", "--tol", "1e-6", "--out", out])
     assert rc == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -325,6 +354,16 @@ def test_sweep_two_keys(tmp_path):
     keys = [(float(r["c"]), float(r["d3"])) for r in rows]
     assert keys == sorted(keys)  # canonical order
     assert all(r["outcome"] == "wave" for r in rows)
+
+
+def test_sweep_fast_waves_converge_on_their_windows(tmp_path):
+    # the fixed [-40, 40] window left the 5.25 and 8 rows not_converged
+    path = write_config(tmp_path, P0_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--vary", "c=2.5:8:3", "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert [(float(r["c"]), r["outcome"]) for r in rows] == [(2.5, "wave"), (5.25, "wave"), (8.0, "wave")]
 
 
 def test_simulate_front_hit_boundary_flagged(tmp_path):
@@ -345,14 +384,14 @@ def test_sweep_rejects_bad_vary(config_path, tmp_path):
                  "--vary", "gamma=1:2:2", "--out", str(tmp_path / "o")]) == 1
 
 
-def test_rerun_reproduces_output_hashes(config_path, tmp_path):
+def test_rerun_reproduces_output_hashes(tmp_path):
     # the manifest pins content hashes; re-running the same resolved config
     # must reproduce them all
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
     outs = []
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        assert main(["profile", config_path, "--c", "2.5", "--L", "40", "--dx", "0.1",
-                     "--tol", "1e-7", "--out", out]) == 0
+        assert main(["profile", path, "--c", "2.5", "--tol", "1e-7", "--out", out]) == 0
         outs.append(json.loads((tmp_path / name / "manifest.json").read_text()))
     assert outs[0]["outputs"] == outs[1]["outputs"]
     assert outs[0]["config"] == outs[1]["config"]

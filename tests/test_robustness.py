@@ -13,12 +13,12 @@ from sirwaves import (
     ModelParams,
     SimConfig,
     align_profiles,
-    lambda0,
     minimal_speed,
     profile_diagnostics,
     run,
     solve_bvp_newton,
     solve_fixed_point,
+    wave_window,
 )
 
 CASES = [
@@ -29,12 +29,6 @@ CASES = [
     ("slow_removed_diffusion",
      ModelParams(d1=1.0, d2=1.0, d3=0.2, beta=4.0, gamma=1.0, delta=1.0, s_minus_inf=0.5), 3.2),
 ]
-
-
-def wave_window(p, c):
-    l0 = lambda0(c, p).lambda0
-    half = max(60.0, np.ceil(26.0 / l0 / 10.0) * 10.0)
-    return Grid.symmetric(half, 0.05)
 
 
 @pytest.mark.parametrize("name,p,c", CASES, ids=[c[0] for c in CASES])

@@ -118,3 +118,13 @@ def test_default_window_holds_the_slow_right_tail():
     p = ModelParams(1.0, 1.0, 1.0, beta=2.0, gamma=0.5, delta=0.0, s_minus_inf=1.0)
     results = run_suite(p, 3.0619, level="quick")
     assert [(r.name, r.status) for r in results if r.status != "pass"] == []
+
+
+def test_oversized_window_fails_the_wave_checks():
+    # near R0 = 1 the left tail needs [-2580, 2580]; wave_window refuses it,
+    # and every check on that window records the refusal as a failure
+    p = ModelParams(1.0, 1.0, 1.0, beta=1.01, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    results = run_suite(p, 1.0, level="quick")
+    failed = {r.name: r.details for r in results if r.status == "fail"}
+    assert list(failed) == ["sub_solution_inequalities", "gamma_invariance", "fixed_point", "profile_diagnostics"]
+    assert all("103201 points" in d for d in failed.values())

@@ -22,6 +22,7 @@ from sirwaves import (
     solve_bvp_newton,
     solve_fixed_point,
     verify_sub_inequalities,
+    wave_window,
 )
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
@@ -287,6 +288,17 @@ def test_ladder_solves_finish_by_newton(changes, ratio, dx, half):
     assert 1 <= rep.stage_iterations["confirm"] <= CONFIRM_BUDGET
     assert rep.iterations == rep.stage_iterations["picard"] + rep.stage_iterations["confirm"]
     assert rep.newton is not None
+
+
+def test_wave_window_sizes_from_both_decay_rates():
+    from sirwaves.wave_profile import MAX_WINDOW_POINTS
+
+    assert wave_window(P0, C) == Grid.symmetric(60.0, 0.05)
+    assert wave_window(P0, 4.0, 0.1) == Grid.symmetric(100.0, 0.1)  # left tail: lambda0 = 0.27
+    assert wave_window(dataclasses.replace(P0, delta=0.0), 3.0619) == Grid(-60.0, 110.0, 3401)  # slow outflow
+    assert wave_window(dataclasses.replace(P0, beta=1.05), 2.0).n == 41201 <= MAX_WINDOW_POINTS
+    with pytest.raises(ValueError, match="103201 points"):
+        wave_window(dataclasses.replace(P0, beta=1.01), 1.0)  # refused before any solve
 
 
 def test_near_c_star_converges_fast():
