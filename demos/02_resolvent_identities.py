@@ -17,10 +17,8 @@ from sirwaves import (
     apply_delta_inverse,
     choose_alphas,
     delta_inverse_piecewise_g,
-    exp_growth,
     lambda0,
 )
-from sirwaves.model import ZERO
 
 p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 c = 2.5
@@ -32,7 +30,7 @@ for s in specs:
     print(f"  i={s.index}: alpha={s.alpha:.3f}, exponents ({s.lambda_minus:.4f}, {s.lambda_plus:.4f})")
 
 grid = Grid.symmetric(20.0, 0.01)
-gauss = GridFunction(grid, np.exp(-((grid.x / 4.0) ** 2)), ZERO, ZERO)
+gauss = GridFunction(grid, np.exp(-((grid.x / 4.0) ** 2)), np.inf, -np.inf)
 
 print("\nroundtrip inverse(forward(h)) for a gaussian, interior max error:")
 for s in specs:
@@ -51,12 +49,12 @@ for dx in (0.02, 0.01, 0.005):
     xg = g.x
     hg = np.exp(-((xg / 4.0) ** 2))
     img = -specs[1].d * (4 * xg**2 / 256.0 - 2 / 16.0) * hg + specs[1].c * (-2 * xg / 16.0) * hg + specs[1].alpha * hg
-    back = apply_delta_inverse(GridFunction(g, img, ZERO, ZERO), specs[1])
+    back = apply_delta_inverse(GridFunction(g, img, np.inf, -np.inf), specs[1])
     inner = slice(int(5 / dx), -int(5 / dx))
     print(f"  dx={dx:6.3f}: {np.max(np.abs(back.values[inner] - hg[inner])):.2e}")
 
 print("\npure exponential exp(lambda0*x) is an eigenfunction of the inverse:")
-gf = GridFunction(grid, np.exp(l0 * grid.x), exp_growth(l0), exp_growth(l0))
+gf = GridFunction(grid, np.exp(l0 * grid.x), l0, l0)
 out = apply_delta_inverse(gf, specs[1])
 ratio = out.values[len(x) // 2] / np.exp(l0 * 0.0)
 print(f"  value at 0: {ratio:.6f} vs 1/f_2(lambda0) = {1.0 / specs[1].f(l0):.6f}")

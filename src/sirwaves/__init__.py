@@ -11,15 +11,11 @@ suite.
 __version__ = "0.1.0"
 
 from .model import (
-    CONSTANT,
-    ZERO,
     Grid,
     GridFunction,
     ModelParams,
-    Tail,
     centered_difference,
     edge_difference,
-    exp_growth,
     incidence,
     r_naught,
     reaction_terms,

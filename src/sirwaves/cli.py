@@ -223,6 +223,11 @@ def cmd_profile(args) -> int:
     try:  # ComplexRoots, SubThreshold and an oversized window are ValueErrors
         report = solve_fixed_point(p, c, grid or wave_window(p, c, args.dx), tol=args.tol)
     except ValueError as exc:
+        # no profile: clear the previous run's outputs and record why in the manifest
+        for name in ("profile.csv", "diagnostics.json"):
+            if os.path.exists(os.path.join(out, name)):
+                os.remove(os.path.join(out, name))
+        write_manifest(out, "profile", {**cfg, "c": c}, {"solve": {"failed": str(exc)}})
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
     grid, warnings = report.grid, list(report.warnings)

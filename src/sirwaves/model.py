@@ -1,4 +1,4 @@
-"""Model parameters, grids, grid functions, the standard-incidence reaction terms and the stencils.
+"""Model parameters, grids, grid functions with their tail rates, the standard-incidence reaction terms and the stencils.
 
 Everything here is an immutable value object; the other modules build on these
 without mutating them, so instances are safe to share across workers.
@@ -85,40 +85,20 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class Tail:
-    """Extrapolation model beyond the window: 'constant', 'zero' or 'exp' with a rate.
-
-    An 'exp' tail continues the boundary sample as value * exp(rate*(x - x_edge)).
-    These three shapes cover every function the resolvent operators transport:
-    susceptible-like plateaus and pure exponentials of the infected/removed type.
-    """
-
-    kind: str
-    rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "zero", "exp"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.kind != "exp" and self.rate != 0.0:
-            raise ValueError("only 'exp' tails carry a rate")
-
-
-CONSTANT = Tail("constant")
-ZERO = Tail("zero")
-
-
-def exp_growth(rate: float) -> Tail:
-    return Tail("exp", float(rate))
-
-
-@dataclass(frozen=True)
 class GridFunction:
-    """Samples of a real function on a Grid plus tail models for extrapolation."""
+    """Samples of a real function on a Grid plus one exponential tail rate per side.
+
+    Beyond an edge the function is its edge value times exp(rate*(x - edge)):
+    rate 0.0 continues it as a constant, +inf on the left and -inf on the right
+    as zero. These closures cover every function the resolvent operators
+    transport: susceptible-like plateaus and pure exponentials of the
+    infected/removed type.
+    """
 
     grid: Grid
     values: np.ndarray
-    left_tail: Tail = CONSTANT
-    right_tail: Tail = CONSTANT
+    left_rate: float = 0.0
+    right_rate: float = 0.0
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)

@@ -420,7 +420,7 @@ class FrameCheck:
     edge_decay_rel_err: float
 
 
-def traveling_frame_check(result: SimResult, c_ref: float | None = None) -> FrameCheck:
+def traveling_frame_check(result: SimResult) -> FrameCheck:
     """Translate late snapshots back by the measured speed and compare shapes.
 
     Only the right-moving front is compared (the reflecting setup also launches
@@ -431,7 +431,7 @@ def traveling_frame_check(result: SimResult, c_ref: float | None = None) -> Fram
     p = result.config.params
     grid = result.config.grid
     x = grid.x
-    c_hat = result.trace.speed_fit if c_ref is None else c_ref
+    c_hat = result.trace.speed_fit
     late = [(t, st) for t, st in result.snapshots if t >= 0.6 * result.config.t_end]
     if len(late) < 2:
         raise ValueError("need at least two late snapshots")

@@ -14,6 +14,10 @@ cannot depend on the bookkeeping constants a_i.
 The kernel ratios differ from exp(lambda_i^{+-} dx) by O(dx^2); both the
 continuum exponents and the discrete ratios are kept on the spec so either
 view can be checked.
+
+Off the window every integrand is an exponential, one rate per side (0 for a
+constant, +inf on the left or -inf on the right for a vanishing tail), so each
+tail sum against a kernel is one geometric series in q = exp(rate*dx).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import ZERO, Grid, GridFunction, ModelParams, Tail, edge_difference, exp_growth, wave_operator
+from .model import Grid, GridFunction, ModelParams, edge_difference, wave_operator
 from .linear_analysis import lambda0
 
 
@@ -164,9 +168,8 @@ def apply_delta(h: GridFunction, spec: ResolventSpec) -> GridFunction:
     out[0] = -spec.d * d2_left + spec.c * d1_left
     out[-1] = -spec.d * d2_right + spec.c * d1_right
     out += spec.alpha * v
-    # D maps each tail shape to itself (constants to constants, exponentials to
-    # exponentials of the same rate), so the tags carry over.
-    return GridFunction(h.grid, out, h.left_tail, h.right_tail)
+    # D maps an exponential to one of the same rate, so the tail rates carry over
+    return GridFunction(h.grid, out, h.left_rate, h.right_rate)
 
 
 def first_order_recursion(b, ratio: float, x: np.ndarray, initial: float) -> np.ndarray:
@@ -179,36 +182,27 @@ def first_order_recursion(b, ratio: float, x: np.ndarray, initial: float) -> np.
     return lfilter(b, [1.0, -ratio], x, zi=np.array([initial]))[0]
 
 
-def _check_tail(tail: Tail, spec: ResolventSpec, kern: DiscreteKernel, side: str):
-    if tail.kind != "exp":
-        return
-    r = tail.rate
-    q = np.exp(r * kern.dx)
-    if not (spec.lambda_minus < r < spec.lambda_plus) or not (kern.z_minus < q < kern.z_plus):
+def _tail_ratio(rate: float, spec: ResolventSpec, kern: DiscreteKernel, side: str) -> float:
+    """Per-cell ratio q = exp(rate*dx) of one tail, checked against the kernel strip.
+
+    The vanishing closures (+inf on the left, -inf on the right) give q = inf
+    and q = 0, whose tail sums are exactly 0; every other rate, NaN included,
+    must lie inside the strip.
+    """
+    q = np.exp(rate * kern.dx)
+    vanishing = rate == (np.inf if side == "left" else -np.inf)
+    if not (vanishing or (spec.lambda_minus < rate < spec.lambda_plus and kern.z_minus < q < kern.z_plus)):
         raise TailIncompatible(
-            f"{side} tail rate {r} outside the kernel strip "
+            f"{side} tail rate {rate} outside the kernel strip "
             f"({spec.lambda_minus}, {spec.lambda_plus}) of operator {spec.index}"
         )
+    return q
 
 
-def _tail_sums(g: np.ndarray, left: Tail, right: Tail, kern: DiscreteKernel):
-    """Closed-form geometric sums of the off-window tail against each kernel."""
+def _tail_sums(g: np.ndarray, q_left: float, q_right: float, kern: DiscreteKernel):
+    """Closed-form geometric sums of the off-window tails, of ratios q_left and q_right, against each kernel."""
     dx, zm, zp = kern.dx, kern.z_minus, kern.z_plus
-    if left.kind == "zero":
-        t_left = 0.0
-    elif left.kind == "constant":
-        t_left = dx * g[0] / (1.0 - zm)
-    else:
-        q = np.exp(left.rate * dx)
-        t_left = dx * g[0] / (q - zm)
-    if right.kind == "zero":
-        t_right = 0.0
-    elif right.kind == "constant":
-        t_right = dx * g[-1] / (zp - 1.0)
-    else:
-        q = np.exp(right.rate * dx)
-        t_right = dx * g[-1] * q / (zp - q)
-    return t_left, t_right
+    return dx * g[0] / (q_left - zm), dx * g[-1] * q_right / (zp - q_right)
 
 
 def _kernel_sums(g: np.ndarray, kern: DiscreteKernel, t_left: float, t_right: float) -> np.ndarray:
@@ -225,18 +219,18 @@ def _kernel_sums(g: np.ndarray, kern: DiscreteKernel, t_left: float, t_right: fl
     return (left + right) / kern.rho_hat
 
 
-def inverse_operator(spec: ResolventSpec, dx: float, left: Tail, right: Tail):
-    """D^{-1} on samples of spacing dx whose tails follow (left, right), as values -> values.
+def inverse_operator(spec: ResolventSpec, dx: float, left_rate: float, right_rate: float):
+    """D^{-1} on samples of spacing dx whose tails have these rates, as values -> values.
 
-    The kernel and the tail checks are done once here, so a solver can apply
-    the returned map at every iteration on plain arrays.
+    The kernel, the tail checks and the tail ratios are done once here, so a
+    solver can apply the returned map at every iteration on plain arrays.
     """
     kern = discrete_kernel(spec, dx)
-    _check_tail(left, spec, kern, "left")
-    _check_tail(right, spec, kern, "right")
+    q_left = _tail_ratio(left_rate, spec, kern, "left")
+    q_right = _tail_ratio(right_rate, spec, kern, "right")
 
     def invert(g: np.ndarray) -> np.ndarray:
-        return _kernel_sums(g, kern, *_tail_sums(g, left, right, kern))
+        return _kernel_sums(g, kern, *_tail_sums(g, q_left, q_right, kern))
 
     return invert
 
@@ -248,8 +242,8 @@ def apply_delta_inverse(h: GridFunction, spec: ResolventSpec) -> GridFunction:
     apply_delta_inverse(apply_delta(h)) == h hold to roundoff by construction
     of the kernel ratios; accuracy against the continuum operator is O(dx^2).
     """
-    invert = inverse_operator(spec, h.grid.dx, h.left_tail, h.right_tail)
-    return GridFunction(h.grid, invert(h.values), h.left_tail, h.right_tail)
+    invert = inverse_operator(spec, h.grid.dx, h.left_rate, h.right_rate)
+    return GridFunction(h.grid, invert(h.values), h.left_rate, h.right_rate)
 
 
 def delta_inverse_piecewise_g(
@@ -299,5 +293,5 @@ def delta_inverse_piecewise_g(
 
     g_vals = np.maximum(np.exp(lam * x) * (1.0 - big_m * np.exp(eps * x)), 0.0)
     margins = result - g_vals
-    out = GridFunction(grid, result, exp_growth(lam), ZERO)
+    out = GridFunction(grid, result, lam, -np.inf)
     return out, g_vals, margins

@@ -17,17 +17,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .model import (
-    CONSTANT,
-    ETA_DEFAULT,
-    ZERO,
-    Grid,
-    ModelParams,
-    edge_difference,
-    exp_growth,
-    reaction_terms,
-    wave_operator,
-)
+from .model import ETA_DEFAULT, Grid, ModelParams, edge_difference, reaction_terms, wave_operator
 from .linear_analysis import characteristic_f, lambda0
 from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
@@ -38,6 +28,11 @@ CLAMP_BUDGET = 0.01
 # the most steps restarted from the Newton root may take to confirm it.
 LOOSE_TOL = 1e-4
 CONFIRM_BUDGET = 20
+# Most applications of F one fixed-point solve may take, confirmation included.
+MAX_ITER = 5000
+# Residual sup norm the Newton solve must reach, and its most steps.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 30
 # Most points wave_window may size; wider windows are refused before any solve.
 MAX_WINDOW_POINTS = 50_001
 
@@ -352,19 +347,17 @@ def discrete_decay_rate(p: ModelParams, c: float, dx: float) -> float:
     return brentq(fdisc, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def map_inverses(specs, p: ModelParams, dx: float, tail_rate: float | None = None):
+def map_inverses(specs, p: ModelParams, dx: float):
     """The three shifted inverses of the integral map on spacing dx, prepared once per solve.
 
-    Returns one (alpha_i, D_i^{-1}) pair per equation. Integrand tails: S-like
-    constant on both sides, I-like exponential on the left and zero on the right,
-    R-like exponential on the left and constant on the right. The left rate defaults
-    to the mesh decay rate so the closures match what the stencil propagates.
+    Returns one (alpha_i, D_i^{-1}) pair per equation. Integrand tail rates: S-like
+    constant (0) on both sides, I-like exponential on the left and zero (-inf) on the
+    right, R-like exponential on the left and constant on the right. The left rate is
+    the mesh decay rate, so the closures match what the stencil propagates.
     """
-    if tail_rate is None:
-        tail_rate = discrete_decay_rate(p, specs[1].c, dx)
-    lead = exp_growth(tail_rate)
-    tails = ((CONSTANT, CONSTANT), (lead, ZERO), (lead, CONSTANT))
-    return tuple((spec.alpha, inverse_operator(spec, dx, *t)) for spec, t in zip(specs, tails))
+    lead = discrete_decay_rate(p, specs[1].c, dx)
+    rates = ((0.0, 0.0), (lead, -np.inf), (lead, 0.0))
+    return tuple((spec.alpha, inverse_operator(spec, dx, *r)) for spec, r in zip(specs, rates))
 
 
 def apply_F(u: np.ndarray, p: ModelParams, inverses) -> np.ndarray:
@@ -427,14 +420,7 @@ class _Picard:
         return self.res_w <= self.tol and self.res_m <= self.tol and self.clamp_fraction <= CLAMP_BUDGET
 
 
-def solve_fixed_point(
-    p: ModelParams,
-    c: float,
-    grid: Grid,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
-    alpha_floor_scale: float = 1.0,
-) -> FixedPointReport:
+def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -> FixedPointReport:
     """Projected iteration of F from the envelope midpoint, finished by Newton.
 
     Each step projects F(u) back onto the invariant set and re-pins the
@@ -451,7 +437,7 @@ def solve_fixed_point(
     this replaces thousands of slowly contracting steps. If Newton fails or the
     confirmation does not converge (the Newton root can be a translate of the
     map's fixed point), the iteration resumes from the LOOSE_TOL iterate with
-    the rest of max_iter, which is the plain iteration's own trajectory.
+    the rest of MAX_ITER, which is the plain iteration's own trajectory.
     iterations counts every application of F, confirmation included. After a
     Newton finish the report carries the root, so callers that compare the two
     solvers need not solve again.
@@ -461,7 +447,7 @@ def solve_fixed_point(
         raise ValueError("parameters outside the wave regime (need R0 > 1 and d3 < 2*d2)")
     if roots.degenerate:
         raise ValueError(f"c = {c} is the minimal speed; the envelope construction needs c > c*")
-    specs = choose_alphas(p, c, alpha_floor_scale)
+    specs = choose_alphas(p, c)
     mu = choose_mu(specs, roots.lambda0)
     gamma_set = make_gamma_set(p, c, grid)
     inverses = map_inverses(specs, p, grid.dx)
@@ -500,13 +486,13 @@ def solve_fixed_point(
         return _Picard(u, step, ode_residual, tol)
 
     final = picard = start(np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup)))
-    stopped = picard.run(max_iter, handover=LOOSE_TOL if tol < LOOSE_TOL else None)
+    stopped = picard.run(MAX_ITER, handover=LOOSE_TOL if tol < LOOSE_TOL else None)
     stages = {"picard": picard.iterations, "confirm": 0, "resumed": 0}
     newton = None
     if tol >= LOOSE_TOL:
         reason = f"tol {tol:.1e} is not below the Newton handover {LOOSE_TOL:.0e}"
     elif stopped == "budget":
-        reason = "max_iter reached before the Newton handover"
+        reason = "MAX_ITER reached before the Newton handover"
     elif stopped == "tol":
         reason = "converged before the Newton handover"
     else:
@@ -523,7 +509,7 @@ def solve_fixed_point(
             else:
                 reason = f"confirmation did not converge in {CONFIRM_BUDGET} iterations"
         if final is picard:
-            picard.run(max_iter - picard.iterations)
+            picard.run(MAX_ITER - picard.iterations)
             stages["resumed"] = picard.iterations - stages["picard"]
     u, res_w, res_m = final.u, final.res_w, final.res_m
     clamp_fraction, ode_res = final.clamp_fraction, final.ode_res
@@ -567,33 +553,19 @@ def solve_fixed_point(
     )
 
 
-def solve_bvp_newton(
-    p: ModelParams,
-    c: float,
-    grid: Grid,
-    init: np.ndarray,
-    bounds: BoundSet | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 30,
-) -> np.ndarray:
+def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bounds: BoundSet) -> np.ndarray:
     """Damped Newton on the centered-difference discretization of the wave equations.
 
     Starts from a copy of the (3, n) array init and returns the root as a
-    (3, n) array clipped at zero. Left boundary: Dirichlet values taken from
-    the envelope construction, with the infected value pinning the phase.
+    (3, n) array clipped at zero. Left boundary: Dirichlet values S-, I+ and R-
+    of the envelopes in bounds, with the infected value pinning the phase.
     Right boundary: outflow conditions S' = 0 and R' = 0, and I' = -kappa*I
     with kappa = outflow_rate(p, c).
     """
-    b = bounds if bounds is not None else make_bound_set(p, c)
     n = grid.n
     dx = grid.dx
     x0 = grid.x_min
-    l0 = b.lambda0
-    bc_left = np.array([
-        p.s_minus_inf * (1.0 - b.m1 * np.exp(b.eps1 * x0)),
-        np.exp(l0 * x0),
-        b.r_coef * np.exp(l0 * x0) * (1.0 - b.m3 * np.exp(b.eps3 * x0)),
-    ])
+    bc_left = np.array([bounds.s_minus(x0), bounds.i_plus(x0), bounds.r_minus(x0)])
     robin = np.array([0.0, outflow_rate(p, c), 0.0])
     ds = (p.d1, p.d2, p.d3)
 
@@ -662,8 +634,8 @@ def solve_bvp_newton(
     res = residual(vec)
     res_norm = float(np.max(np.abs(res)))
     stalls = 0
-    for _ in range(max_iter):
-        if res_norm <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if res_norm <= NEWTON_TOL:
             break
         step = newton_step(vec, res)
         if not np.all(np.isfinite(step)):
@@ -694,8 +666,8 @@ def solve_bvp_newton(
             res_norm = float(np.max(np.abs(res)))
             if stalls >= 3:
                 raise NotConverged(f"damped Newton stalled at residual {res_norm:.2e}")
-    if res_norm > tol:
-        raise NotConverged(f"Newton residual {res_norm:.2e} above tolerance {tol}")
+    if res_norm > NEWTON_TOL:
+        raise NotConverged(f"Newton residual {res_norm:.2e} above tolerance {NEWTON_TOL}")
     return np.clip(vec.reshape(3, n), 0.0, None)
 
 
@@ -725,16 +697,16 @@ def wave_window(p: ModelParams, c: float, dx: float = 0.05) -> Grid:
     return Grid(-half, right, n)
 
 
-def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid, max_shift: float = 2.0):
+def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid):
     """Best translation of b onto a, two (3, n) arrays on grid; returns (shift, max-norm difference after shifting).
 
-    Rows of b are interpolated with cubic splines and the shift is found
-    by golden-section on the sup-norm mismatch over the common interior.
+    Rows of b are interpolated with cubic splines and the shift, at most 2 either
+    way, is found by golden-section on the sup-norm mismatch over the common interior.
     """
     from .linear_analysis import golden_section
 
     x = grid.x
-    inner = (x >= grid.x_min + max_shift) & (x <= grid.x_max - max_shift)
+    inner = (x >= grid.x_min + 2.0) & (x <= grid.x_max - 2.0)
     xs = x[inner]
     splines = [CubicSpline(x, row) for row in b]
     targets = [row[inner] for row in a]
@@ -744,7 +716,7 @@ def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid, max_shift: float = 
             float(np.max(np.abs(sp(xs + shift) - tv))) for sp, tv in zip(splines, targets)
         )
 
-    shift, diff = golden_section(mismatch, -max_shift, max_shift, tol=1e-14)
+    shift, diff = golden_section(mismatch, -2.0, 2.0, tol=1e-14)
     return shift, diff
 
 
@@ -761,18 +733,18 @@ def newton_cross_check(report: FixedPointReport, p: ModelParams):
     return root, align_profiles(report.profile, root, report.grid)[1]
 
 
-def _exp_decay_convolution(psi: np.ndarray, rate: float, dx: float, tail_rate: float = 0.0) -> np.ndarray:
+def _exp_decay_convolution(psi: np.ndarray, rate: float, dx: float, right_rate: float) -> np.ndarray:
     """E(x_j) = integral_x^inf exp(-rate*(y-x)) psi(y) dy, product-trapezoid rule.
 
     The kernel is integrated exactly against the piecewise-linear interpolant
-    of psi; the beyond-window remainder extends psi exponentially at tail_rate
-    (<= 0), giving psi(x_max)/(rate - tail_rate).
+    of psi; the beyond-window remainder extends psi exponentially at right_rate
+    (<= 0), giving psi(x_max)/(rate - right_rate).
     """
     b = rate * dx
     v0 = (np.exp(-b) - 1.0 + b) / b**2
     v1 = (1.0 - np.exp(-b) * (1.0 + b)) / b**2
     w = np.exp(-b)
-    tail = psi[-1] / (rate - min(tail_rate, 0.0))
+    tail = psi[-1] / (rate - min(right_rate, 0.0))
     return first_order_recursion([dx * v0, dx * v1], w, psi[::-1], tail - dx * v0 * psi[-1])[::-1]
 
 

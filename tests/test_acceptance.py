@@ -6,12 +6,14 @@ susceptible level, giving minimal speed 2 and decay rate 1/2 at c = 2.5.
 """
 
 import dataclasses
+import functools
 import json
 import time
 
 import numpy as np
 import pytest
 
+import sirwaves.wave_profile
 from sirwaves import (
     Grid,
     ModelParams,
@@ -198,7 +200,7 @@ def test_criterion_8_nonexistence_falsification():
            f"decay ratio {ratio:.2e} by t=100; seeded speed {rep.measured_speed:.4f}")
 
 
-def test_criterion_9_alpha_floor_robustness(p0_solution):
+def test_criterion_9_alpha_floor_robustness(p0_solution, monkeypatch):
     t0 = time.time()
     # criteria 3-5 rerun with the shift-constant floors quadrupled
     b = make_bound_set(P0, C)  # envelope constants carry no alpha dependence
@@ -217,7 +219,8 @@ def test_criterion_9_alpha_floor_robustness(p0_solution):
         worst = min(worst, gset.membership_margin(apply_F(u, P0, inverses4)))
     invariance_ok = worst >= -1e-6
 
-    rep4 = solve_fixed_point(P0, C, WAVE_GRID, tol=1e-8, alpha_floor_scale=4.0)
+    monkeypatch.setattr(sirwaves.wave_profile, "choose_alphas", functools.partial(choose_alphas, floor_scale=4.0))
+    rep4 = solve_fixed_point(P0, C, WAVE_GRID, tol=1e-8)
     _, checks4 = _criterion_5_checks(rep4)
     diag_ok = all(checks4.values())
     drift = float(np.max(np.abs(rep4.profile - p0_solution.profile)))

@@ -94,6 +94,19 @@ def test_profile_at_c_star_exits_2_with_one_line(config_path, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("solve failed: ") and "minimal speed" in err[0]
 
 
+def test_refused_solve_clears_the_previous_outputs(config_path, tmp_path, capsys):
+    # a reused --out must not keep an earlier run's profile under the new manifest
+    out = tmp_path / "out"
+    assert main(["profile", config_path, "--c", "2.5", "--tol", "1e-4", "--out", str(out)]) == 0
+    assert main(["profile", config_path, "--c", "1.9", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("solve failed: ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["c"] == 1.9 and manifest["outputs"] == {}
+    assert manifest["derived"]["solve"] == {"failed": err[-1].removeprefix("solve failed: ")}
+
+
 def test_profile_sizes_its_window_from_the_decay_rates(config_path, tmp_path):
     # no grid block: at c = 4 the left tail needs [-100, 100]; a fixed
     # [-60, 60] left it too short and the solve ran 5000 steps unconverged

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from sirwaves import (
-    CONSTANT,
-    ZERO,
     Grid,
     GridFunction,
     ModelParams,
-    Tail,
     centered_difference,
     edge_difference,
-    exp_growth,
     incidence,
     r_naught,
     reaction_terms,
@@ -131,14 +127,11 @@ def test_grid_function_validation():
 
 
 def test_tail_models():
-    with pytest.raises(ValueError):
-        Tail("linear")
-    with pytest.raises(ValueError):
-        Tail("constant", 1.0)  # only exponential tails carry a rate
     g = Grid(-1.0, 1.0, 5)
-    gf = GridFunction(g, np.full(5, 3.0), left_tail=CONSTANT, right_tail=exp_growth(-2.0))
-    assert gf.right_tail == Tail("exp", -2.0)
-    assert GridFunction(g, np.full(5, 3.0)).left_tail == CONSTANT
+    gf = GridFunction(g, np.full(5, 3.0), left_rate=0.0, right_rate=-2.0)
+    assert (gf.left_rate, gf.right_rate) == (0.0, -2.0)
+    assert GridFunction(g, np.full(5, 3.0)).left_rate == 0.0  # constant by default
+    assert GridFunction(g, np.full(5, 3.0)).right_rate == 0.0
 
 
 def test_centered_difference_weights_and_exactness():

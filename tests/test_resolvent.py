@@ -3,8 +3,6 @@ import pytest
 from scipy.optimize import brentq
 
 from sirwaves import (
-    CONSTANT,
-    ZERO,
     Grid,
     GridFunction,
     GridTooSmall,
@@ -18,9 +16,9 @@ from sirwaves import (
     choose_mu,
     delta_inverse_piecewise_g,
     discrete_kernel,
-    exp_growth,
     lambda0,
 )
+from sirwaves.resolvent import _tail_ratio, _tail_sums, inverse_operator
 from sirwaves.verification import ORACLE_FUNCTIONS, inversion_errors
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
@@ -99,7 +97,7 @@ def test_apply_delta_exponential_eigenrelation():
     lam = 0.4
     h = np.exp(lam * g.x)
     for s in SPECS:
-        out = apply_delta(GridFunction(g, h, exp_growth(lam), exp_growth(lam)), s)
+        out = apply_delta(GridFunction(g, h, lam, lam), s)
         expected = s.f(lam) * h
         err = np.max(np.abs(out.values[1:-1] - expected[1:-1]) / expected[1:-1])
         assert err < 5e-6
@@ -116,7 +114,7 @@ def test_apply_delta_needs_five_points():
 def test_inverse_of_constant_is_exact():
     g = grid(10.0, 0.05)
     for s in SPECS:
-        gf = GridFunction(g, np.full(g.n, 3.0), CONSTANT, CONSTANT)
+        gf = GridFunction(g, np.full(g.n, 3.0), 0.0, 0.0)
         out = apply_delta_inverse(gf, s)
         assert np.allclose(out.values, 3.0 / s.alpha, rtol=1e-13)
 
@@ -127,7 +125,7 @@ def test_inverse_exponential_eigenrelation():
     g = grid(20.0, 0.01)
     s = SPECS[1]
     h = np.exp(L0 * g.x)
-    gf = GridFunction(g, h, exp_growth(L0), exp_growth(L0))
+    gf = GridFunction(g, h, L0, L0)
     out = apply_delta_inverse(gf, s).values
     continuum = h / s.f(L0)
     assert np.max(np.abs(out / continuum - 1.0)) < 1e-5
@@ -148,7 +146,7 @@ def test_inverse_exponential_eigenrelation_random_rates():
         for _ in range(5):
             lam = rng.uniform(0.8 * s.lambda_minus, 0.8 * s.lambda_plus)
             h = np.exp(lam * g.x)
-            out = apply_delta_inverse(GridFunction(g, h, exp_growth(lam), exp_growth(lam)), s).values
+            out = apply_delta_inverse(GridFunction(g, h, lam, lam), s).values
             assert np.max(np.abs(out / (h / s.f(lam)) - 1.0)) < 2e-4
 
 
@@ -157,7 +155,7 @@ def test_roundtrip_after_forward_operator_is_exact_interior():
     # residue is the tail-model mismatch decaying in from the edges
     g = grid(20.0, 0.02)
     h = 1.0 / np.cosh(g.x / 3.0)
-    gf = GridFunction(g, h, exp_growth(1.0 / 3.0), exp_growth(-1.0 / 3.0))
+    gf = GridFunction(g, h, 1.0 / 3.0, -1.0 / 3.0)
     margin = int(5.0 / g.dx)
     for s in SPECS:
         back = apply_delta_inverse(apply_delta(gf, s), s).values
@@ -184,12 +182,12 @@ def test_inverse_positivity_monotonicity_linearity():
     s = SPECS[1]
     h1 = rng.uniform(0.0, 1.0, g.n)
     h2 = h1 + rng.uniform(0.0, 1.0, g.n)
-    out1 = apply_delta_inverse(GridFunction(g, h1, ZERO, ZERO), s).values
-    out2 = apply_delta_inverse(GridFunction(g, h2, ZERO, ZERO), s).values
+    out1 = apply_delta_inverse(GridFunction(g, h1, np.inf, -np.inf), s).values
+    out2 = apply_delta_inverse(GridFunction(g, h2, np.inf, -np.inf), s).values
     assert np.all(out1 >= 0)  # positive kernel
     assert np.all(out2 >= out1 - 1e-15)  # monotone
     a, b = 2.5, -1.25
-    combo = apply_delta_inverse(GridFunction(g, a * h1 + b * h2, ZERO, ZERO), s).values
+    combo = apply_delta_inverse(GridFunction(g, a * h1 + b * h2, np.inf, -np.inf), s).values
     assert np.allclose(combo, a * out1 + b * out2, atol=1e-12)
 
 
@@ -199,7 +197,7 @@ def test_recursive_accumulation_matches_direct_sum():
     s = SPECS[1]
     rng = np.random.default_rng(12)
     h = rng.uniform(-1, 1, g.n)
-    out = apply_delta_inverse(GridFunction(g, h, ZERO, ZERO), s).values
+    out = apply_delta_inverse(GridFunction(g, h, np.inf, -np.inf), s).values
     kern = discrete_kernel(s, g.dx)
     direct = np.empty(g.n)
     for j in range(g.n):
@@ -239,9 +237,27 @@ def test_tail_incompatible_raises():
     g = grid(10.0, 0.05)
     s = SPECS[1]
     bad_rate = s.lambda_plus + 0.5  # grows faster than the right kernel decays
-    gf = GridFunction(g, np.exp(0.1 * g.x), exp_growth(0.1), exp_growth(bad_rate))
+    gf = GridFunction(g, np.exp(0.1 * g.x), 0.1, bad_rate)
     with pytest.raises(TailIncompatible):
         apply_delta_inverse(gf, s)
+    with pytest.raises(TailIncompatible):  # decays faster than the left kernel grows
+        inverse_operator(s, g.dx, s.lambda_minus - 0.5, 0.0)
+
+
+def test_vanishing_closures_give_zero_tail_sums():
+    # +inf on the left and -inf on the right close a tail that is zero off the window
+    s = SPECS[1]
+    kern = discrete_kernel(s, 0.05)
+    q_left = _tail_ratio(np.inf, s, kern, "left")
+    q_right = _tail_ratio(-np.inf, s, kern, "right")
+    assert _tail_sums(np.array([2.0, 1.0, 3.0]), q_left, q_right, kern) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("left,right", [(np.nan, 0.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf)])
+def test_undefined_tail_rates_are_rejected(left, right):
+    # NaN, and infinities that would make the tail grow without bound off the window
+    with pytest.raises(TailIncompatible):
+        inverse_operator(SPECS[1], 0.05, left, right)
 
 
 # ---------- forward of the inverse ----------
@@ -250,7 +266,7 @@ def test_plugging_derivatives_back_recovers_input():
     # -d u'' + c u' + alpha u = h: exact at interior points via the stencil
     g = grid(20.0, 0.02)
     s = SPECS[2]
-    h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), ZERO, ZERO)
+    h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), np.inf, -np.inf)
     u = apply_delta_inverse(h, s)
     back = apply_delta(u, s).values
     inner = slice(2, -2)
@@ -297,7 +313,7 @@ def test_alpha_doubling_leaves_identities_intact():
     # rerunning with 4x floors must not change what the operators compute
     specs4 = choose_alphas(P0, C, floor_scale=4.0)
     g = grid(20.0, 0.02)
-    h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), ZERO, ZERO)
+    h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), np.inf, -np.inf)
     for s1, s4 in zip(SPECS, specs4):
         assert s4.alpha >= s1.alpha
         u1 = apply_delta_inverse(apply_delta(h, s1), s1).values

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+import sirwaves.wave_profile
 from sirwaves import (
     Grid,
     ModelParams,
@@ -186,8 +188,9 @@ def test_discrete_decay_rate_close_to_continuum():
     assert d2 < 0.3 * d1
 
 
-def test_alpha_floor_scaling_does_not_move_fixed_point(solved):
-    rep4 = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-8, alpha_floor_scale=4.0)
+def test_alpha_floor_scaling_does_not_move_fixed_point(solved, monkeypatch):
+    monkeypatch.setattr(sirwaves.wave_profile, "choose_alphas", functools.partial(choose_alphas, floor_scale=4.0))
+    rep4 = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-8)
     assert rep4.converged
     diff = np.max(np.abs(rep4.profile - solved.profile))
     assert diff < 1e-6
