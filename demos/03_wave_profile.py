@@ -1,8 +1,9 @@
 """Solving for the traveling wave: envelopes, fixed point, cross-check.
 
-The wave at speed c > c* is found by iterating the integral map inside the
-region between explicit lower and upper envelopes, and a tight solve is
-finished by Newton. The converged profile is cross-validated by a damped-Newton
+The wave at speed c > c* is a fixed point of the integral map inside the
+region between explicit lower and upper envelopes; a tight solve finds it by
+Newton (pseudo-transient continuation) and confirms it with a few steps of the
+map. The converged profile is cross-validated by a damped-Newton
 solve of the discretized wave equations and against every identity the wave
 provably satisfies: monotone S and R, the sandwich 0 <= I <= S(-inf) - S(inf),
 the leading-edge decay rate, the conserved integrals, and the removed-field
@@ -23,6 +24,8 @@ print(f"envelope constants: eps = ({b.eps1}, {b.eps2}, {b.eps3})")
 print(f"                    M   = ({b.m1:.4f}, {b.m2:.4f}, {b.m3:.4f})")
 print(f"converged in {rep.iterations} iterations {rep.stage_iterations}, finished by {rep.finish}, "
       f"residual {rep.residual:.2e}")
+print(f"Newton took {rep.newton_steps} steps, residual sup norm "
+      + " -> ".join(f"{r:.1e}" for r in rep.newton_residuals))
 print(f"wave-equation residual {rep.ode_residual:.2e}, S(inf) = {rep.s_inf:.6f}")
 
 _, diff = newton_cross_check(rep, p)

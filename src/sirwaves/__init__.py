@@ -52,6 +52,7 @@ from .resolvent import (
 )
 from .wave_profile import (
     BoundSet,
+    EnvelopeConditionFailed,
     FixedPointReport,
     GammaSet,
     NotConverged,

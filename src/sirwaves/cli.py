@@ -148,11 +148,13 @@ def _write_json(path: str, payload: dict):
 
 
 def _write_csv(path: str, header: str, columns):
+    """Columns side by side under header, each value with 17 significant digits as _fmt writes it."""
     rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        for row in rows.tolist():
+            fh.write(line % tuple(row))
 
 
 def cmd_analyze(args) -> int:
@@ -246,7 +248,8 @@ def cmd_profile(args) -> int:
     diag = profile_diagnostics(chosen, grid, p, c)
     b = report.gamma_set.bounds
     solve = {"finish": report.finish, "finish_reason": report.finish_reason,
-             "stage_iterations": report.stage_iterations}
+             "stage_iterations": report.stage_iterations, "newton_steps": report.newton_steps,
+             "newton_residuals": list(report.newton_residuals)}
     payload = {
         "c": c,
         "converged": report.converged,

@@ -1,10 +1,11 @@
 """Front profiles: envelope construction, the integral fixed-point map, and checks.
 
-The wave is found as a fixed point of u -> D^{-1}[shifted reaction], iterated
-inside the convex set sandwiched between explicit super- and sub-solution
-envelopes. A damped-Newton solve of the discretized wave equations finishes
-tight solves and cross-checks the profile, and the diagnostics verify the
-integral identities and asymptotics that the converged wave must satisfy.
+The wave is a fixed point of u -> D^{-1}[shifted reaction] inside the convex
+set sandwiched between explicit super- and sub-solution envelopes. A Newton
+solve of the discretized wave equations, globalized by pseudo-transient
+continuation, finds it for tight tolerances and a few steps of the map
+confirm it; the plain iteration of the map is the fallback. The diagnostics
+verify the integral identities and asymptotics the converged wave must satisfy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+# splu no longer factors anything here; it stays bound by name because the
+# benchmark tracer (bench/spans.py) hooks wave_profile.splu and
+# tests/test_api_surface.py checks that the name resolves.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .model import ETA_DEFAULT, Grid, ModelParams, edge_difference, reaction_terms, wave_operator
 from .linear_analysis import characteristic_f, lambda0
@@ -24,21 +28,32 @@ from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_
 # Largest share of grid points the final projection onto the envelope set may
 # move in a solve that counts as converged.
 CLAMP_BUDGET = 0.01
-# Step residual at which the fixed-point iteration hands over to Newton, and
-# the most steps restarted from the Newton root may take to confirm it.
+# Tolerances below LOOSE_TOL are solved by Newton first; CONFIRM_BUDGET is the
+# most steps of the map restarted from the Newton root may take to confirm it.
 LOOSE_TOL = 1e-4
 CONFIRM_BUDGET = 20
-# Most applications of F one fixed-point solve may take, confirmation included.
+# Most applications of F the plain iteration may take, after any confirmation.
 MAX_ITER = 5000
-# Residual sup norm the Newton solve must reach, and its most steps.
+# Residual sup norm the Newton solve must reach. Its pseudo-transient
+# continuation starts at pseudo-time step PTC_TAU0, drops the shift past
+# PTC_TAU_MAX and may take PTC_MAX_ITER steps.
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 30
+PTC_TAU0 = 1.0
+PTC_TAU_MAX = 1e8
+PTC_MAX_ITER = 100
+# Sub- and super-diagonals of the point-ordered Newton Jacobian: the right
+# outflow row reaches back to point n-3, six unknowns before its own.
+BAND_KL, BAND_KU = 6, 3
 # Most points wave_window may size; wider windows are refused before any solve.
 MAX_WINDOW_POINTS = 50_001
 
 
 class SearchExhausted(RuntimeError):
     """No envelope amplitude below 1e12 satisfies its inequality."""
+
+
+class EnvelopeConditionFailed(ValueError):
+    """An inequality of the envelope construction fails at these parameters and speed."""
 
 
 class NotConverged(RuntimeError):
@@ -142,8 +157,14 @@ class FixedPointReport:
     c: float
     warnings: tuple
     finish_reason: str  # why a "picard" finish did not go through Newton; empty otherwise
-    stage_iterations: dict  # applications of F: "picard" to the handover, "confirm", "resumed"
+    stage_iterations: dict  # applications of F: "confirm" from the Newton root, "picard" from the midpoint
     newton: np.ndarray | None  # the Newton root, when the confirmation accepted it
+    newton_residuals: tuple  # residual sup norms of a converged Newton solve, at its start and after each step
+
+    @property
+    def newton_steps(self) -> int:
+        """Steps of the Newton solve (pseudo-transient continuation); 0 when none converged."""
+        return max(len(self.newton_residuals) - 1, 0)
 
     @property
     def finish(self) -> str:
@@ -159,11 +180,11 @@ def select_epsilons(p: ModelParams, c: float):
     e2 = 0.5 * min(e1, l0p - l0)
     e3 = 0.5 * min(e2, c / p.d3 - l0)
     if not (0 < e3 < e2 < e1 < l0 and e1 < c / p.d1):
-        raise AssertionError("epsilon ordering failed")
+        raise EnvelopeConditionFailed("epsilon ordering failed")
     if not characteristic_f(l0 + e2, c, p) > 0:
-        raise AssertionError("f(lambda0 + eps2) > 0 failed")
+        raise EnvelopeConditionFailed("f(lambda0 + eps2) > 0 failed")
     if not c - p.d3 * (l0 + e3) > 0:
-        raise AssertionError("c - d3*(lambda0 + eps3) > 0 failed")
+        raise EnvelopeConditionFailed("c - d3*(lambda0 + eps3) > 0 failed")
     return e1, e2, e3
 
 
@@ -202,7 +223,7 @@ def select_Ms(p: ModelParams, c: float, eps):
     sm = p.s_minus_inf
     denom = c * l0 - p.d3 * l0 * l0
     if denom <= 0:
-        raise AssertionError("c*lambda0 - d3*lambda0^2 must be positive (d3 < 2*d2 regime)")
+        raise EnvelopeConditionFailed("c*lambda0 - d3*lambda0^2 must be positive (d3 < 2*d2 regime)")
 
     def ineq1(m):
         return m * e1 * (c - p.d1 * e1) - p.beta * m ** (-(l0 - e1) / e1)
@@ -225,9 +246,9 @@ def select_Ms(p: ModelParams, c: float, eps):
     # re-verify everything at the returned values
     checks = (ineq1(m1), ineq2(m2), ineq3(m3))
     if min(checks) < 0:
-        raise AssertionError(f"amplitude inequalities failed on re-check: {checks}")
+        raise EnvelopeConditionFailed(f"amplitude inequalities failed on re-check: {checks}")
     if not (-np.log(m2) / e2 < -np.log(m1) / e1):
-        raise AssertionError("x2 < x1 failed")
+        raise EnvelopeConditionFailed("x2 < x1 failed")
     return m1, m2, m3
 
 
@@ -385,7 +406,7 @@ def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.nda
 
 
 class _Picard:
-    """The projected iteration u -> P(F(u)) from one start, resumable across budgets.
+    """The projected iteration u -> P(F(u)) from one start.
 
     The wave-equation residual is the step difference amplified by the map's
     Lipschitz constant, so once both step residuals reach the target it is
@@ -399,21 +420,18 @@ class _Picard:
         self.res_w = self.res_m = self.ode_res = np.inf
         self.clamp_fraction = 1.0
 
-    def run(self, budget: int, handover: float | None = None) -> str:
-        """Take up to budget steps; returns "tol", "handover" or "budget" for why it stopped."""
+    def run(self, budget: int) -> bool:
+        """Take up to budget steps; True when the target was reached, False when the budget ran out."""
         for _ in range(budget):
             self.iterations += 1
             self.u, self.res_w, self.res_m, self.clamp_fraction = self.step(self.u, self.iterations)
-            res = max(self.res_w, self.res_m)
-            if res <= self.target:
+            if max(self.res_w, self.res_m) <= self.target:
                 self.ode_res = self.ode_residual(self.u)
                 if self.ode_res <= 10.0 * self.tol or self.tightenings >= 4 or self.target <= 1e-14:
-                    return "tol"
+                    return True
                 self.target *= 0.25
                 self.tightenings += 1
-            if handover is not None and res <= handover:
-                return "handover"
-        return "budget"
+        return False
 
     @property
     def converged(self) -> bool:
@@ -421,23 +439,26 @@ class _Picard:
 
 
 def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -> FixedPointReport:
-    """Projected iteration of F from the envelope midpoint, finished by Newton.
+    """Fixed point of the integral map F inside the invariant set, found by Newton and confirmed by F.
 
-    Each step projects F(u) back onto the invariant set and re-pins the
-    infected value at the left edge to the upper envelope (the translation
-    family's canonical representative; the value there is below 1e-10 by the
-    window guard, so the pin is a phase convention, not a constraint on the
-    shape). Convergence requires the weighted residual and the plain sup
-    residual to both reach tol, so the reported wave-equation residual
-    inherits the tolerance rather than the discretization error.
+    The start is the envelope midpoint with the infected value at the left
+    edge pinned to the upper envelope (the translation family's canonical
+    representative; the value there is below 1e-10 by the window guard, so
+    the pin is a phase convention, not a constraint on the shape).
 
-    For tol below LOOSE_TOL the iteration stops at LOOSE_TOL, solve_bvp_newton
-    solves from that iterate, and at most CONFIRM_BUDGET steps restarted from
-    the Newton root confirm it as a fixed point of the map to tol; near c*
-    this replaces thousands of slowly contracting steps. If Newton fails or the
-    confirmation does not converge (the Newton root can be a translate of the
-    map's fixed point), the iteration resumes from the LOOSE_TOL iterate with
-    the rest of MAX_ITER, which is the plain iteration's own trajectory.
+    For tol below LOOSE_TOL, solve_bvp_newton (pseudo-transient continuation
+    on the banded Jacobian) solves the discretized wave equations from that
+    start, and at most CONFIRM_BUDGET projected steps of F restarted from the
+    root certify it as a fixed point of the map inside the invariant set.
+    If Newton fails or the confirmation does not converge (the root can be a
+    translate of the map's fixed point), the projected iteration runs from
+    the start, which is the plain iteration's own trajectory. At tol >=
+    LOOSE_TOL only the plain iteration runs. Each projected step projects
+    F(u) onto the invariant set and re-pins the left infected value;
+    convergence requires the weighted and the plain sup residual of the step
+    to both reach tol, so the reported wave-equation residual inherits the
+    tolerance rather than the discretization error.
+
     iterations counts every application of F, confirmation included. After a
     Newton finish the report carries the root, so callers that compare the two
     solvers need not solve again.
@@ -485,32 +506,29 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
         u[1, 0] = pin_value
         return _Picard(u, step, ode_residual, tol)
 
-    final = picard = start(np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup)))
-    stopped = picard.run(MAX_ITER, handover=LOOSE_TOL if tol < LOOSE_TOL else None)
-    stages = {"picard": picard.iterations, "confirm": 0, "resumed": 0}
-    newton = None
+    midpoint = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
+    midpoint[1, 0] = pin_value
+    stages = {"confirm": 0, "picard": 0}
+    newton, residuals = None, ()
     if tol >= LOOSE_TOL:
-        reason = f"tol {tol:.1e} is not below the Newton handover {LOOSE_TOL:.0e}"
-    elif stopped == "budget":
-        reason = "MAX_ITER reached before the Newton handover"
-    elif stopped == "tol":
-        reason = "converged before the Newton handover"
+        reason = f"tol {tol:.1e} is not below the Newton threshold {LOOSE_TOL:.0e}"
     else:
         try:
-            root = solve_bvp_newton(p, c, grid, picard.u, bounds=gamma_set.bounds)
+            root, residuals = solve_bvp_newton(p, c, grid, midpoint, bounds=gamma_set.bounds)
         except (NotConverged, SingularJacobian) as exc:
             reason = f"newton failed: {type(exc).__name__}: {exc}"
         else:
-            confirm = start(root)
-            stopped = confirm.run(CONFIRM_BUDGET)
-            stages["confirm"] = confirm.iterations
-            if stopped == "tol" and confirm.converged and confirm.ode_res <= 10.0 * tol:
-                reason, final, newton = "", confirm, root
+            final = start(root)
+            reached = final.run(CONFIRM_BUDGET)
+            stages["confirm"] = final.iterations
+            if reached and final.converged and final.ode_res <= 10.0 * tol:
+                reason, newton = "", root
             else:
                 reason = f"confirmation did not converge in {CONFIRM_BUDGET} iterations"
-        if final is picard:
-            picard.run(MAX_ITER - picard.iterations)
-            stages["resumed"] = picard.iterations - stages["picard"]
+    if newton is None:
+        final = start(midpoint)
+        final.run(MAX_ITER)
+        stages["picard"] = final.iterations
     u, res_w, res_m = final.u, final.res_w, final.res_m
     clamp_fraction, ode_res = final.clamp_fraction, final.ode_res
 
@@ -550,125 +568,107 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
         finish_reason=reason,
         stage_iterations=stages,
         newton=newton,
+        newton_residuals=residuals,
     )
 
 
-def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bounds: BoundSet) -> np.ndarray:
-    """Damped Newton on the centered-difference discretization of the wave equations.
+def _bvp_residual(u: np.ndarray, p: ModelParams, c: float, dx: float, bc_left, robin) -> np.ndarray:
+    """Residual of the boundary-value problem solve_bvp_newton solves, as a (3, n) array.
 
-    Starts from a copy of the (3, n) array init and returns the root as a
-    (3, n) array clipped at zero. Left boundary: Dirichlet values S-, I+ and R-
-    of the envelopes in bounds, with the infected value pinning the phase.
-    Right boundary: outflow conditions S' = 0 and R' = 0, and I' = -kappa*I
-    with kappa = outflow_rate(p, c).
+    Interior points carry the wave equations, the left edge the Dirichlet
+    values bc_left, the right edge the outflow rows u' + robin*u = 0.
     """
-    n = grid.n
-    dx = grid.dx
-    x0 = grid.x_min
+    out = np.empty_like(u)
+    out[:, 1:-1] = _wave_residual(u, p, c, dx)
+    out[:, 0] = u[:, 0] - bc_left
+    out[:, -1] = edge_difference(u, dx)[1] + robin * u[:, -1]
+    return out
+
+
+def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, robin, shift: float) -> np.ndarray:
+    """Jacobian of _bvp_residual at u, less shift on the interior diagonal, in LAPACK band storage.
+
+    Unknowns and equations are ordered point by point (3*j + k for species k at
+    point j), so entry (row, col) sits at ab[BAND_KL + BAND_KU + row - col, col];
+    the top BAND_KL rows are room for the fill-in of dgbtrf.
+    """
+    n = u.shape[1]
+    ab = np.zeros((2 * BAND_KL + BAND_KU + 1, 3 * n))
+    mid = BAND_KL + BAND_KU
+
+    def add(k: int, offset: int, vals):
+        # equation k at the interior points, unknown offset columns to the right
+        ab[mid - offset, 3 + k + offset:3 * (n - 1) + k + offset:3] += vals
+
+    s, i, r = u[:, 1:-1]
+    ntot = s + i + r
+    ok = ntot > ETA_DEFAULT
+    safe = np.where(ok, ntot, 1.0)
+    # derivatives of the incidence in S, I and R
+    dinc = [np.where(ok, g / safe**2, 0.0) for g in (p.beta * i * (i + r), p.beta * s * (s + r), -p.beta * s * i)]
+    for k, d in enumerate((p.d1, p.d2, p.d3)):
+        for offset, weight in zip((-3, 0, 3), wave_operator(np.eye(3), d, c, dx)[:, 0]):
+            add(k, offset, weight - (shift if offset == 0 else 0.0))
+    for m in range(3):
+        add(0, m, -dinc[m])
+        add(1, m - 1, dinc[m] - (p.gamma + p.delta if m == 1 else 0.0))
+    add(2, -1, p.gamma)
+    # Dirichlet rows on the left, the one-sided outflow closure on the right
+    ab[mid, :3] = 1.0
+    last = 3 * (n - 1) + np.arange(3)
+    edge_w = edge_difference(np.eye(3), dx)[1]  # weights of (y[n-3], y[n-2], y[n-1])
+    ab[mid, last] = edge_w[2] + robin
+    ab[mid + 3, last - 3] = edge_w[1]
+    ab[mid + 6, last - 6] = edge_w[0]
+    return ab
+
+
+def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bounds: BoundSet):
+    """Newton on the centered-difference wave equations, globalized by pseudo-transient continuation.
+
+    Starts from a copy of the (3, n) array init. Left boundary: Dirichlet
+    values S-, I+ and R- of the envelopes in bounds, with the infected value
+    pinning the phase. Right boundary: outflow conditions S' = 0 and R' = 0,
+    and I' = -kappa*I with kappa = outflow_rate(p, c). Each step solves
+    (J - M/tau) step = -G, with M the identity on the interior rows and zero on
+    the boundary rows, on the banded Jacobian (dgbtrf/dgbtrs), and clips the
+    iterate at zero. The pseudo-time step tau starts at PTC_TAU0 and grows by
+    the ratio of successive residual sup norms; past PTC_TAU_MAX the shift is
+    dropped, so the same loop ends as plain Newton at NEWTON_TOL. tau never
+    shrinks: started from converged fixed points, a tau that also shrank by
+    the ratio collapsed after one overshooting step and the residual stalled
+    at 1e-8 to 1e-5.
+
+    Returns (root, residuals): the root as a (3, n) array and the residual
+    sup norm at the start and after each step. Raises NotConverged after
+    PTC_MAX_ITER steps or on a non-finite residual, SingularJacobian on a
+    zero pivot or a non-finite step.
+    """
+    dx, x0 = grid.dx, grid.x_min
     bc_left = np.array([bounds.s_minus(x0), bounds.i_plus(x0), bounds.r_minus(x0)])
     robin = np.array([0.0, outflow_rate(p, c), 0.0])
-    ds = (p.d1, p.d2, p.d3)
-
-    def residual(vec: np.ndarray) -> np.ndarray:
-        u = vec.reshape(3, n)
-        out = np.empty((3, n))
-        out[:, 1:-1] = _wave_residual(u, p, c, dx)
-        out[:, 0] = u[:, 0] - bc_left
-        out[:, -1] = edge_difference(u, dx)[1] + robin * u[:, -1]
-        return out.ravel()
-
-    interior = np.arange(1, n - 1)
-    # weights of (y[n-3], y[n-2], y[n-1]) in the outflow closure's one-sided difference
-    edge_w = edge_difference(np.eye(3), dx)[1]
-
-    def jacobian(vec: np.ndarray) -> csc_matrix:
-        s, i, r = vec.reshape(3, n)
-        ntot = s + i + r
-        ok = ntot > ETA_DEFAULT
-        safe = np.where(ok, ntot, 1.0)
-        # derivatives of the incidence in S, I and R at the interior points
-        dinc = [
-            np.where(ok, g / safe**2, 0.0)[interior]
-            for g in (p.beta * i * (i + r), p.beta * s * (s + r), -p.beta * s * i)
-        ]
-        e = np.ones(n - 2)
-        # interior entries as (equation, unknown, column offset, values)
-        entries = [
-            (comp, comp, offset, weight * e)
-            for comp, d in enumerate(ds)
-            for offset, weight in zip((-1, 0, 1), wave_operator(np.eye(3), d, c, dx)[:, 0])
-        ]
-        entries += [(0, k, 0, -dinc[k]) for k in range(3)]
-        entries += [(1, 0, 0, dinc[0]), (1, 1, 0, dinc[1] - (p.gamma + p.delta) * e), (1, 2, 0, dinc[2])]
-        entries += [(2, 1, 0, p.gamma * e)]
-        # boundary rows: Dirichlet on the left, the one-sided outflow closure on the right
-        edge = []
-        for comp in range(3):
-            first, last = comp * n, comp * n + n - 1
-            edge += [(first, first, 1.0), (last, last, edge_w[2] + robin[comp]),
-                     (last, last - 1, edge_w[1]), (last, last - 2, edge_w[0])]
-        edge_rows, edge_cols, edge_vals = zip(*edge)
-        rows = np.concatenate([a * n + interior for a, _, _, _ in entries] + [edge_rows])
-        cols = np.concatenate([b * n + interior + offset for _, b, offset, _ in entries] + [edge_cols])
-        vals = np.concatenate([v for _, _, _, v in entries] + [edge_vals])
-        del entries, dinc  # free the per-block arrays before the matrix is built
-        # compressed columns straight away, as splu takes them: a CSR copy per
-        # step left the heap's high-water mark several MB higher
-        return csc_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n))
-
-    def newton_step(vec: np.ndarray, res: np.ndarray) -> np.ndarray:
-        # the matrix and its factors go out of scope on return, before the
-        # line search and the next factorization
-        try:
-            jac = jacobian(vec)
-            lu = splu(jac)
-            step = lu.solve(-res)
-            # one round of iterative refinement: the raw solve's floor scales
-            # with the d/dx^2 entries and can sit above the Newton tolerance
-            step += lu.solve(-(res + jac @ step))
-        except Exception as exc:  # umfpack/superlu signal singularities differently
-            raise SingularJacobian(str(exc)) from exc
-        return step
-
-    vec = np.array(init, dtype=float).reshape(3 * n)
-    res = residual(vec)
-    res_norm = float(np.max(np.abs(res)))
-    stalls = 0
-    for _ in range(NEWTON_MAX_ITER):
-        if res_norm <= NEWTON_TOL:
-            break
-        step = newton_step(vec, res)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("Newton step is not finite")
-        step_norm = float(np.max(np.abs(step)))
-        if step_norm <= 1e-3 * (1.0 + float(np.max(np.abs(vec)))):
-            # inside the quadratic basin: take the full step even if the
-            # residual norm transiently rises (the translation mode is nearly
-            # neutral, so small boundary mismatches need long, harmless steps)
-            vec = vec + step
-            res = residual(vec)
-            res_norm = float(np.max(np.abs(res)))
-            continue
-        lam, accepted = 1.0, False
-        for _ in range(9):
-            trial = vec + lam * step
-            trial_res = residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < res_norm:
-                vec, res, res_norm = trial, trial_res, trial_norm
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            stalls += 1
-            vec = vec + lam * step
-            res = residual(vec)
-            res_norm = float(np.max(np.abs(res)))
-            if stalls >= 3:
-                raise NotConverged(f"damped Newton stalled at residual {res_norm:.2e}")
-    if res_norm > NEWTON_TOL:
-        raise NotConverged(f"Newton residual {res_norm:.2e} above tolerance {NEWTON_TOL}")
-    return np.clip(vec.reshape(3, n), 0.0, None)
+    u = np.array(init, dtype=float)
+    res = _bvp_residual(u, p, c, dx, bc_left, robin)
+    norms = [float(np.max(np.abs(res)))]
+    tau = PTC_TAU0
+    while norms[-1] > NEWTON_TOL:
+        if len(norms) > PTC_MAX_ITER:
+            raise NotConverged(f"{PTC_MAX_ITER} steps ended at residual {norms[-1]:.2e}, above {NEWTON_TOL}")
+        if len(norms) > 1:
+            tau *= max(norms[-2] / norms[-1], 1.0)
+        ab = _band_jacobian(u, p, c, dx, robin, 0.0 if tau > PTC_TAU_MAX else 1.0 / tau)
+        lu, piv, info = dgbtrf(ab, BAND_KL, BAND_KU, overwrite_ab=1)
+        if info != 0:
+            raise SingularJacobian(f"dgbtrf info {info} at step {len(norms)}")
+        step, info = dgbtrs(lu, BAND_KL, BAND_KU, -res.T.ravel(), piv)
+        if info != 0 or not np.all(np.isfinite(step)):
+            raise SingularJacobian(f"step {len(norms)} is not finite")
+        u = np.maximum(u + step.reshape(-1, 3).T, 0.0)
+        res = _bvp_residual(u, p, c, dx, bc_left, robin)
+        norms.append(float(np.max(np.abs(res))))
+        if not np.isfinite(norms[-1]):
+            raise NotConverged(f"residual is not finite at step {len(norms) - 1}")
+    return u, tuple(norms)
 
 
 def outflow_rate(p: ModelParams, c: float) -> float:
@@ -700,21 +700,20 @@ def wave_window(p: ModelParams, c: float, dx: float = 0.05) -> Grid:
 def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid):
     """Best translation of b onto a, two (3, n) arrays on grid; returns (shift, max-norm difference after shifting).
 
-    Rows of b are interpolated with cubic splines and the shift, at most 2 either
-    way, is found by golden-section on the sup-norm mismatch over the common interior.
+    The rows of b are interpolated by one cubic spline along the grid, and the
+    shift, at most 2 either way, is found by golden-section on the sup-norm
+    mismatch over the common interior.
     """
     from .linear_analysis import golden_section
 
     x = grid.x
     inner = (x >= grid.x_min + 2.0) & (x <= grid.x_max - 2.0)
     xs = x[inner]
-    splines = [CubicSpline(x, row) for row in b]
-    targets = [row[inner] for row in a]
+    spline = CubicSpline(x, b, axis=1)
+    target = a[:, inner]
 
     def mismatch(shift):
-        return max(
-            float(np.max(np.abs(sp(xs + shift) - tv))) for sp, tv in zip(splines, targets)
-        )
+        return float(np.max(np.abs(spline(xs + shift) - target)))
 
     shift, diff = golden_section(mismatch, -2.0, 2.0, tol=1e-14)
     return shift, diff
@@ -729,7 +728,7 @@ def newton_cross_check(report: FixedPointReport, p: ModelParams):
     """
     root = report.newton
     if root is None:
-        root = solve_bvp_newton(p, report.c, report.grid, report.profile, bounds=report.gamma_set.bounds)
+        root, _ = solve_bvp_newton(p, report.c, report.grid, report.profile, bounds=report.gamma_set.bounds)
     return root, align_profiles(report.profile, root, report.grid)[1]
 
 

@@ -153,7 +153,7 @@ def test_criterion_6_solver_cross_validation(p0_solution):
         # the window must hold the slow left decay at each speed
         grid = wave_window(P0, c)
         rep = p0_solution if (c == C and grid == WAVE_GRID) else solve_fixed_point(P0, c, grid, tol=1e-8)
-        newton = solve_bvp_newton(P0, c, rep.grid, rep.profile, bounds=rep.gamma_set.bounds)
+        newton, _ = solve_bvp_newton(P0, c, rep.grid, rep.profile, bounds=rep.gamma_set.bounds)
         _, diff = align_profiles(rep.profile, newton, rep.grid)
         agreements[c] = diff
     elapsed = time.time() - t0

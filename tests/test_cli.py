@@ -152,6 +152,19 @@ def test_profile_csv_roundtrip_precision(tmp_path):
     assert np.array_equal(vals[:, 3], rep.profile[2])
 
 
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one format string per row writes the bytes of f"{v:.17g}" per value,
+    # special values included
+    from sirwaves.cli import _write_csv
+
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0]
+    cols = (np.array(specials), np.array(specials[::-1]), np.arange(len(specials), dtype=float))
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), "a,b,c", cols)
+    expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_explicit_grid_block_in_config(tmp_path):
     cfg = {**P0_CONFIG, "grid": {"x_min": -30.0, "x_max": 30.0, "n": 601}}
     path = write_config(tmp_path, cfg)
@@ -230,9 +243,10 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     assert checks["gamma_invariance"]["status"] == "fail"  # the integral map reads it too
 
 
-def test_verify_newton_failure_is_a_failed_check(tmp_path):
-    # near c* with d1 < d2 the Newton cross-check stalls; the suite records
+def test_verify_newton_failure_is_a_failed_check(tmp_path, monkeypatch):
+    # with a two-step budget every Newton solve fails; the suite records
     # fixed_point as failed and still reports the diagnostics of the Picard wave
+    monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
     cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
                       "delta": 0.5, "s_minus_inf": 2.0}}
     path = write_config(tmp_path, cfg)
@@ -244,9 +258,11 @@ def test_verify_newton_failure_is_a_failed_check(tmp_path):
     assert checks["profile_diagnostics"]["status"] != "skipped"
 
 
-def test_profile_newton_failure_exits_2(tmp_path, capsys):
-    # near c* with d1 < d2 the Newton cross-check from the Picard wave stalls;
-    # the Picard profile is still written, flagged, over an earlier run's files
+def test_profile_newton_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # with a two-step budget every Newton solve fails, the cross-check from the
+    # Picard wave included; the Picard profile is still written, flagged, over
+    # an earlier run's files
+    monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
     cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
                       "delta": 0.5, "s_minus_inf": 2.0}}
     path = write_config(tmp_path, cfg)
@@ -259,7 +275,7 @@ def test_profile_newton_failure_exits_2(tmp_path, capsys):
     assert err[-1].startswith("newton solve failed: ")
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["solver"] == "both" and diag["solver_agreement"] is None
-    assert diag["converged"] and "not below the Newton handover" not in diag["solve"]["finish_reason"]
+    assert diag["converged"] and "not below the Newton threshold" not in diag["solve"]["finish_reason"]
     assert diag["warnings"][-1] == err[-1]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"]["diagnostics.json"] == hashlib.sha256((out / "diagnostics.json").read_bytes()).hexdigest()
@@ -274,8 +290,10 @@ def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["converged"] and diag["solver_agreement"] <= 1e-5
     solve = diag["solve"]
-    assert solve["finish"] == "newton" and solve["stage_iterations"]["resumed"] == 0
+    assert solve["finish"] == "newton" and solve["stage_iterations"]["picard"] == 0
     assert sum(solve["stage_iterations"].values()) == diag["iterations"]
+    assert solve["newton_steps"] == len(solve["newton_residuals"]) - 1 >= 1
+    assert solve["newton_residuals"][-1] <= 1e-12
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["derived"]["solve"] == solve
 
@@ -309,6 +327,7 @@ def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monk
     assert len(calls) == 1
 
     calls.clear()
+    monkeypatch.setattr(sirwaves.wave_profile, "PTC_MAX_ITER", 2)
     cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
                       "delta": 0.5, "s_minus_inf": 2.0}}
     path = write_config(tmp_path, cfg)

@@ -1,9 +1,9 @@
 """Golden digests of computed profiles: a refactor that claims bitwise-equal profiles is held to it.
 
 Each digest is the sha256 of the float64 bytes of the arrays, in order. The
-tight solve (tol = 1e-8) finishes by Newton, so it covers the Picard profile
-and the confirmed root; the loose solve (tol = 1e-4) stops before the
-handover, so newton_cross_check solves afresh from it.
+tight solve (tol = 1e-8) finishes by Newton, so it covers the Newton root and
+the profile that confirms it; the loose solve (tol = 1e-4) is the plain
+iteration alone, so newton_cross_check solves afresh from it.
 """
 
 import dataclasses
@@ -20,13 +20,13 @@ C = 2.5
 CASES = {
     "p0": (
         P0,
-        "616a127b49e02b44edb0cc12fc78cbc07b9edca2978b9bc16075ea4d53b196c4",
-        "d6ae3020528bc4951b5ae5cc3c0100c989eb135546e92cae25bec475176c9cbd",
+        "b47a878e9cee83778d1ac651fbeda393f2533947ccdb075d500122b321992c14",
+        "f4f1d54e3ffcbbba548db3b43435e897a0163c8af578f310b12cd3965a128be6",
     ),
     "d=(0.7,1,1.3)": (
         dataclasses.replace(P0, d1=0.7, d3=1.3),
-        "6e3af2e5b1489b9bd7903b0727a5a45ce17d8976c9b1921e5d20ec0731f4dc33",
-        "d34a4941d9ee0c39f70012ecf14d442b4d47015e2d06ba1ef4162c362950bb2b",
+        "0e9c8473a007de227668d49d7929a159c4c15aab1ea58e9d84c9faf00b102fd9",
+        "b1d6ff74ac402919f28e694011cd3aa3050652f0ecb2352b51e076be5b1e8954",
     ),
 }
 

@@ -69,6 +69,16 @@ def test_select_ms_against_scalar_oracle():
     assert m1 / 1.1 == pytest.approx(scan, abs=1e-5)
 
 
+def test_select_ms_raises_a_typed_error_for_d3_at_or_above_2_d2():
+    # beyond d3 < 2*d2 the removed envelope has no positive scale near c*
+    from sirwaves import EnvelopeConditionFailed
+
+    for d3 in (2.5, 4.0):
+        with pytest.raises(EnvelopeConditionFailed, match="d3 < 2\\*d2") as info:
+            select_Ms(dataclasses.replace(P0, d3=d3), 2.0001, (0.25, 0.125, 0.0625))
+        assert isinstance(info.value, ValueError)
+
+
 def test_bound_set_inequalities_reverified(solved):
     b = solved.gamma_set.bounds
     assert 0 < b.eps3 < b.eps2 < b.eps1 < b.lambda0
@@ -226,7 +236,8 @@ def test_wave_residual_matches_componentwise_reference():
 
 def test_newton_from_fixed_point_converges_fast(solved):
     g = solved.grid
-    newton = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
+    newton, residuals = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
+    assert residuals[-1] <= 1e-12 and len(residuals) <= 10
     # residual of the Newton profile under the same discretization
     from sirwaves.wave_profile import _wave_residual
 
@@ -235,10 +246,33 @@ def test_newton_from_fixed_point_converges_fast(solved):
 
 def test_newton_agrees_with_picard(solved):
     g = solved.grid
-    newton = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
+    newton, _ = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
     shift, diff = align_profiles(solved.profile, newton, g)
     assert abs(shift) < 0.01
     assert diff < 1e-5
+
+
+def test_alignment_spline_is_bitwise_the_per_row_splines(solved):
+    # one spline over the three rows gives the shift and mismatch of three
+    # separate splines, bit for bit
+    from scipy.interpolate import CubicSpline
+    from sirwaves.linear_analysis import golden_section
+
+    g = solved.grid
+    newton, _ = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
+    newton = np.roll(newton, 3, axis=1)  # a visible shift to find
+    x = g.x
+    inner = (x >= g.x_min + 2.0) & (x <= g.x_max - 2.0)
+    splines = [CubicSpline(x, row) for row in newton]
+    joint = CubicSpline(x, newton, axis=1)
+    assert all(np.array_equal(joint.c[:, :, k], sp.c) for k, sp in enumerate(splines))
+
+    def mismatch(shift):
+        return max(float(np.max(np.abs(sp(x[inner] + shift) - row[inner]))) for sp, row in zip(splines, solved.profile))
+
+    shift, diff = align_profiles(solved.profile, newton, g)
+    assert (shift, diff) == golden_section(mismatch, -2.0, 2.0, tol=1e-14)
+    assert shift == pytest.approx(3 * g.dx, abs=1e-3)
 
 
 def test_translation_representative():
@@ -287,10 +321,79 @@ def test_ladder_solves_finish_by_newton(changes, ratio, dx, half):
     rep = solve_fixed_point(p, c, Grid.symmetric(half, dx), tol=1e-8)
     assert rep.converged
     assert (rep.finish, rep.finish_reason) == ("newton", "")
-    assert rep.stage_iterations["resumed"] == 0
+    assert rep.stage_iterations["picard"] == 0
     assert 1 <= rep.stage_iterations["confirm"] <= CONFIRM_BUDGET
-    assert rep.iterations == rep.stage_iterations["picard"] + rep.stage_iterations["confirm"]
+    assert rep.iterations == rep.stage_iterations["confirm"]
     assert rep.newton is not None
+    assert rep.newton_steps == len(rep.newton_residuals) - 1 >= 1
+    assert rep.newton_residuals[-1] <= 1e-12
+
+
+# The rows of the regime table: P0 near c*, far above it, a slow R0, no
+# removal by death and asymmetric diffusion, each on wave_window's grid.
+REGIME_ROWS = [
+    ({}, 2.001),
+    ({}, 4.0),
+    ({}, 8.0),
+    ({"beta": 1.05}, 1.25 * 2.0 * np.sqrt(0.05)),
+    ({"delta": 0.0}, 3.0619),
+    ({"d1": 0.7, "d3": 1.3}, 2.5),
+]
+
+
+@pytest.mark.parametrize("changes,c", REGIME_ROWS)
+def test_regime_rows_finish_by_newton(changes, c):
+    p = dataclasses.replace(P0, **changes)
+    rep = solve_fixed_point(p, c, wave_window(p, c), tol=1e-8)
+    assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
+    assert rep.stage_iterations["picard"] == 0 and 1 <= rep.stage_iterations["confirm"] <= 2
+    assert rep.newton_residuals[-1] <= 1e-12
+
+
+def test_closure_fallback_config_cross_checks():
+    # at dx = 0.05 the Newton root of this config is a translate of the map's
+    # fixed point, so the confirmation fails and the plain iteration runs;
+    # the cross-check from that fixed point still reaches the root and agrees
+    # once the two are aligned
+    from sirwaves import newton_cross_check
+
+    p = ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0)
+    rep = solve_fixed_point(p, 3.6373, wave_window(p, 3.6373), tol=1e-8)
+    assert rep.converged and rep.finish == "picard" and "confirmation" in rep.finish_reason
+    assert rep.newton_steps >= 1  # the Newton solve itself converged
+    _, agreement = newton_cross_check(rep, p)
+    assert agreement <= 1e-5
+
+
+def _band_to_dense(ab, kl, ku):
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for col in range(n):
+        for row in range(max(0, col - ku), min(n, col + kl + 1)):
+            dense[row, col] = ab[kl + ku + row - col, col]
+    return dense
+
+
+def test_band_jacobian_matches_directional_differences():
+    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _bvp_residual, outflow_rate
+
+    p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.3, s_minus_inf=1.0)
+    c, dx, n = 2.5, 0.1, 25
+    rng = np.random.default_rng(12)
+    u = rng.uniform(0.1, 1.0, size=(3, n))
+    v = rng.uniform(-1.0, 1.0, size=(3, n))
+    bc_left = np.array([0.9, 1e-3, 1e-4])
+    robin = np.array([0.0, outflow_rate(p, c), 0.0])
+    h = 1e-6
+    fd = (_bvp_residual(u + h * v, p, c, dx, bc_left, robin) - _bvp_residual(u - h * v, p, c, dx, bc_left, robin)) / (2 * h)
+    jac = _band_jacobian(u, p, c, dx, robin, 0.0)
+    jv = (_band_to_dense(jac, BAND_KL, BAND_KU) @ v.T.ravel()).reshape(n, 3).T  # unknowns point by point
+    assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
+    # the pseudo-time shift sits on the interior diagonal only
+    shifted = _band_to_dense(_band_jacobian(u, p, c, dx, robin, 0.25), BAND_KL, BAND_KU)
+    interior = np.zeros(3 * n)
+    interior[3:-3] = 1.0
+    assert np.allclose(_band_to_dense(jac, BAND_KL, BAND_KU) - shifted, np.diag(0.25 * interior), rtol=0.0, atol=1e-12)
 
 
 def test_wave_window_sizes_from_both_decay_rates():
@@ -307,20 +410,20 @@ def test_wave_window_sizes_from_both_decay_rates():
 def test_near_c_star_converges_fast():
     rep = solve_fixed_point(P0, 2.001, Grid.symmetric(60.0, 0.05), tol=1e-8)
     assert rep.converged and rep.finish == "newton"
-    assert rep.stage_iterations["resumed"] == 0
+    assert rep.stage_iterations["picard"] == 0
     assert rep.iterations < 1000  # the plain iteration stops unconverged at 5000
 
 
 def test_fallback_is_the_plain_iteration(monkeypatch):
     # on the short window the Newton root is a translate of the map's fixed
-    # point, the confirmation drifts, and the iteration resumes where it handed over
+    # point, the confirmation drifts, and the iteration runs from the midpoint
     from sirwaves import wave_profile
 
     grid = Grid.symmetric(30.0, 0.1)
     rep = solve_fixed_point(P0, C, grid, tol=1e-6)
     assert rep.finish == "picard" and "confirmation" in rep.finish_reason
     assert rep.stage_iterations["confirm"] == wave_profile.CONFIRM_BUDGET and rep.newton is None
-    monkeypatch.setattr(wave_profile, "LOOSE_TOL", 0.0)  # no handover: the plain iteration
+    monkeypatch.setattr(wave_profile, "LOOSE_TOL", 0.0)  # no Newton stage: the plain iteration
     plain = solve_fixed_point(P0, C, grid, tol=1e-6)
     assert plain.finish == "picard" and plain.stage_iterations["confirm"] == 0
     assert np.array_equal(rep.profile, plain.profile)
@@ -330,8 +433,9 @@ def test_fallback_is_the_plain_iteration(monkeypatch):
 
 def test_loose_tolerance_skips_newton():
     rep = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-4)
-    assert rep.finish == "picard" and "not below the Newton handover" in rep.finish_reason
-    assert rep.stage_iterations == {"picard": 128, "confirm": 0, "resumed": 0}  # the plain iteration's count
+    assert rep.finish == "picard" and "not below the Newton threshold" in rep.finish_reason
+    assert rep.stage_iterations == {"confirm": 0, "picard": 128}  # the plain iteration's count
+    assert rep.newton_steps == 0 and rep.newton_residuals == ()
 
 
 # ---------- diagnostics ----------
