@@ -3,8 +3,8 @@
 The wave at speed c > c* is a fixed point of the integral map inside the
 region between explicit lower and upper envelopes; a tight solve finds it by
 Newton (pseudo-transient continuation) and confirms it with a few steps of the
-map. The converged profile is cross-validated by a damped-Newton
-solve of the discretized wave equations and against every identity the wave
+map. The converged profile is cross-validated by that Newton solve of the
+discretized wave equations and against every identity the wave
 provably satisfies: monotone S and R, the sandwich 0 <= I <= S(-inf) - S(inf),
 the leading-edge decay rate, the conserved integrals, and the removed-field
 reconstruction from I alone.
