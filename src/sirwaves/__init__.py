@@ -24,6 +24,7 @@ from .model import (
 from .linear_analysis import (
     CharRoots,
     ComplexRoots,
+    CrossCheckFailed,
     D3Report,
     NonPositiveLambda,
     SpeedAnalysis,
@@ -42,6 +43,7 @@ from .resolvent import (
     ExponentOrdering,
     GridTooSmall,
     ResolventSpec,
+    ShiftFloorLost,
     TailIncompatible,
     apply_delta,
     apply_delta_inverse,

@@ -10,6 +10,7 @@ can be reproduced bit for bit from its manifest. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -122,7 +123,8 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: str, command: str, resolved: dict, derived: dict):
+def write_manifest(out_dir: str, command: str, resolved: dict, derived: dict, timings: dict | None = None):
+    """Write manifest.json; timings (seconds per phase) is telemetry and goes in no other output."""
     files = {}
     for name in sorted(os.listdir(out_dir)):
         path = os.path.join(out_dir, name)
@@ -137,9 +139,21 @@ def write_manifest(out_dir: str, command: str, resolved: dict, derived: dict):
         "derived": derived,
         "outputs": files,
     }
+    if timings is not None:
+        manifest["timings"] = timings
     path = os.path.join(out_dir, "manifest.json")
     _write_json(path, manifest)
     return path
+
+
+@contextlib.contextmanager
+def _timed(timings: dict, phase: str):
+    """Add the seconds the block takes, even if it raises, to timings[phase]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - start
 
 
 def _write_json(path: str, payload: dict):
@@ -222,30 +236,35 @@ def cmd_profile(args) -> int:
     out = _out_dir(args)
 
     grid = grid_from_config(cfg)
+    timings = {}
     try:  # ComplexRoots, SubThreshold and an oversized window are ValueErrors
-        report = solve_fixed_point(p, c, grid or wave_window(p, c, args.dx), tol=args.tol)
+        with _timed(timings, "solve"):
+            report = solve_fixed_point(p, c, grid or wave_window(p, c, args.dx), tol=args.tol)
     except ValueError as exc:
         # no profile: clear the previous run's outputs and record why in the manifest
         for name in ("profile.csv", "diagnostics.json"):
             if os.path.exists(os.path.join(out, name)):
                 os.remove(os.path.join(out, name))
-        write_manifest(out, "profile", {**cfg, "c": c}, {"solve": {"failed": str(exc)}})
+        write_manifest(out, "profile", {**cfg, "c": c}, {"solve": {"failed": str(exc)}}, timings)
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
     grid, warnings = report.grid, list(report.warnings)
     failure = None if report.converged else "profile solve did not converge; outputs are flagged"
 
     chosen, agreement = report.profile, None
-    if args.solver in ("newton", "both") and report.converged:
-        try:
-            root, agreement = newton_cross_check(report, p)
-            chosen = root if args.solver == "newton" else chosen
-        except (NotConverged, SingularJacobian) as exc:
-            failure = f"newton solve failed: {exc}"
-            warnings.append(failure)
+    with _timed(timings, "cross_check"):
+        if args.solver in ("newton", "both") and report.converged:
+            try:
+                root, agreement = newton_cross_check(report, p)
+                chosen = root if args.solver == "newton" else chosen
+            except (NotConverged, SingularJacobian) as exc:
+                failure = f"newton solve failed: {exc}"
+                warnings.append(failure)
 
-    _write_csv(os.path.join(out, "profile.csv"), "x,S,I,R", (grid.x, *chosen))
-    diag = profile_diagnostics(chosen, grid, p, c)
+    with _timed(timings, "writes"):
+        _write_csv(os.path.join(out, "profile.csv"), "x,S,I,R", (grid.x, *chosen))
+    with _timed(timings, "diagnostics"):
+        diag = profile_diagnostics(chosen, grid, p, c)
     b = report.gamma_set.bounds
     solve = {"finish": report.finish, "finish_reason": report.finish_reason,
              "stage_iterations": report.stage_iterations, "newton_steps": report.newton_steps,
@@ -280,12 +299,14 @@ def cmd_profile(args) -> int:
             "i_max": diag.i_max,
         },
     }
-    _write_json(os.path.join(out, "diagnostics.json"), payload)
+    with _timed(timings, "writes"):
+        _write_json(os.path.join(out, "diagnostics.json"), payload)
     write_manifest(
         out, "profile", {**cfg, "c": c},
         {"c_star": minimal_speed(p).c_star, "lambda0": report.lambda0, "mu": report.mu,
          "alphas": [s.alpha for s in report.specs],
          "bound_set": payload["bound_set"], "solve": solve},
+        timings,
     )
     print(json.dumps(payload["diagnostics"], indent=2, sort_keys=True))
     if failure:

@@ -28,6 +28,10 @@ class NonPositiveLambda(ValueError):
     """The speed quotient is only defined for decay rates lambda > 0."""
 
 
+class CrossCheckFailed(ValueError):
+    """Two independent computations of one quantity disagree beyond their tolerance."""
+
+
 @dataclass(frozen=True)
 class CharRoots:
     """Positive roots of the characteristic function at a given speed."""
@@ -172,7 +176,7 @@ def minimal_speed(p: ModelParams, n_samples: int = 0) -> SpeedAnalysis:
     i_branch = lambda lam: (p.d2 * lam * lam + q) / lam
     _, gs_min = golden_section(i_branch, 1e-6, lam_hi)
     if abs(gs_min - c_star) > 1e-8 * c_star:
-        raise AssertionError(
+        raise CrossCheckFailed(
             f"golden-section minimum {gs_min} disagrees with closed form {c_star}"
         )
 

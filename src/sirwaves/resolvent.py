@@ -28,7 +28,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .model import Grid, GridFunction, ModelParams, edge_difference, wave_operator
-from .linear_analysis import lambda0
+from .linear_analysis import CrossCheckFailed, lambda0
 
 
 class GridTooSmall(ValueError):
@@ -40,7 +40,15 @@ class TailIncompatible(ValueError):
 
 
 class ExponentOrdering(ValueError):
-    """The sandwich lambda^- < lambda < lambda + eps < lambda^+ fails."""
+    """An ordering of kernel exponents fails.
+
+    One of lambda^- < lambda < lambda + eps < lambda^+, lambda^- < 0 < -lambda^-
+    < lambda^+, |lambda_i^-| > lambda0, or lambda_i^- < -mu < mu < lambda_i^+.
+    """
+
+
+class ShiftFloorLost(ValueError):
+    """A shift constant is not above its floor (alpha_1 > beta, alpha_2 > gamma + delta)."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +75,9 @@ class ResolventSpec:
         lam_plus = (c + s) / (2.0 * d)
         rho_diff = d * (lam_plus - lam_minus)
         if abs(rho_diff - s) > 1e-12 * s:
-            raise AssertionError("the two closed forms of rho disagree")
+            raise CrossCheckFailed("the two closed forms of rho disagree")
         if not (lam_minus < 0 < -lam_minus < lam_plus):
-            raise AssertionError("kernel exponents lost their ordering")
+            raise ExponentOrdering("kernel exponents lost their ordering")
         return cls(
             index=index, d=d, c=c, alpha=alpha,
             lambda_minus=lam_minus, lambda_plus=lam_plus, rho=s,
@@ -113,10 +121,10 @@ def choose_alphas(p: ModelParams, c: float, floor_scale: float = 1.0):
         alpha = 2.0 * max(floor, d * l0 * l0 + c * l0)
         spec = ResolventSpec.build(idx, d, c, alpha)
         if not (-spec.lambda_minus > l0):
-            raise AssertionError(f"|lambda_{idx}^-| > lambda0 failed after doubling")
+            raise ExponentOrdering(f"|lambda_{idx}^-| > lambda0 failed after doubling")
         specs.append(spec)
     if not (specs[0].alpha > p.beta and specs[1].alpha > p.gamma + p.delta):
-        raise AssertionError("alpha floors lost")
+        raise ShiftFloorLost("alpha floors lost")
     return tuple(specs)
 
 
@@ -124,11 +132,11 @@ def choose_mu(specs, lam0: float) -> float:
     """Midpoint exponent of the weight exp(-mu|x|): lambda0 < mu < min_i |lambda_i^-|."""
     bound = min(-s.lambda_minus for s in specs)
     if not bound > lam0:
-        raise AssertionError("specs violate |lambda_i^-| > lambda0")
+        raise ExponentOrdering("specs violate |lambda_i^-| > lambda0")
     mu = 0.5 * (lam0 + bound)
     for s in specs:
         if not (s.lambda_minus < -mu < mu < s.lambda_plus):
-            raise AssertionError("mu sandwich failed")
+            raise ExponentOrdering("mu sandwich failed")
     return mu
 
 

@@ -35,8 +35,9 @@ CONFIRM_BUDGET = 20
 # Most applications of F the plain iteration may take, after any confirmation.
 MAX_ITER = 5000
 # Residual sup norm the Newton solve must reach. Its pseudo-transient
-# continuation starts at pseudo-time step PTC_TAU0, drops the shift past
-# PTC_TAU_MAX and may take PTC_MAX_ITER steps.
+# continuation starts at pseudo-time step max(PTC_TAU0, PTC_TAU0/r0), with r0
+# the start's residual sup norm, so a start near a root begins close to plain
+# Newton; it drops the shift past PTC_TAU_MAX and may take PTC_MAX_ITER steps.
 NEWTON_TOL = 1e-12
 PTC_TAU0 = 1.0
 PTC_TAU_MAX = 1e8
@@ -448,11 +449,15 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
 
     For tol below LOOSE_TOL, solve_bvp_newton (pseudo-transient continuation
     on the banded Jacobian) solves the discretized wave equations from that
-    start, and at most CONFIRM_BUDGET projected steps of F restarted from the
-    root certify it as a fixed point of the map inside the invariant set.
+    start with rows I and R capped at S(-inf), the a priori bound of every
+    front, and never below the lower envelopes; uncapped, the upper envelopes
+    grow like exp(lambda0*x) right of the crossovers and PTC spends its first
+    steps undoing them. At most CONFIRM_BUDGET projected steps of F restarted
+    from the root certify it as a fixed point of the map inside the invariant
+    set.
     If Newton fails or the confirmation does not converge (the root can be a
     translate of the map's fixed point), the projected iteration runs from
-    the start, which is the plain iteration's own trajectory. At tol >=
+    the uncapped start, which is the plain iteration's own trajectory. At tol >=
     LOOSE_TOL only the plain iteration runs. Each projected step projects
     F(u) onto the invariant set and re-pins the left infected value;
     convergence requires the weighted and the plain sup residual of the step
@@ -513,8 +518,10 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     if tol >= LOOSE_TOL:
         reason = f"tol {tol:.1e} is not below the Newton threshold {LOOSE_TOL:.0e}"
     else:
+        bounded = midpoint.copy()
+        bounded[1:] = np.maximum(np.minimum(midpoint[1:], p.s_minus_inf), sub[1:])
         try:
-            root, residuals = solve_bvp_newton(p, c, grid, midpoint, bounds=gamma_set.bounds)
+            root, residuals = solve_bvp_newton(p, c, grid, bounded, bounds=gamma_set.bounds)
         except (NotConverged, SingularJacobian) as exc:
             reason = f"newton failed: {type(exc).__name__}: {exc}"
         else:
@@ -593,7 +600,9 @@ def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, robin, sh
     the top BAND_KL rows are room for the fill-in of dgbtrf.
     """
     n = u.shape[1]
-    ab = np.zeros((2 * BAND_KL + BAND_KU + 1, 3 * n))
+    # Fortran order is the layout dgbtrf factors in place; a C-ordered array is
+    # copied and transposed on every call
+    ab = np.zeros((2 * BAND_KL + BAND_KU + 1, 3 * n), order="F")
     mid = BAND_KL + BAND_KU
 
     def add(k: int, offset: int, vals):
@@ -632,12 +641,19 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     and I' = -kappa*I with kappa = outflow_rate(p, c). Each step solves
     (J - M/tau) step = -G, with M the identity on the interior rows and zero on
     the boundary rows, on the banded Jacobian (dgbtrf/dgbtrs), and clips the
-    iterate at zero. The pseudo-time step tau starts at PTC_TAU0 and grows by
-    the ratio of successive residual sup norms; past PTC_TAU_MAX the shift is
-    dropped, so the same loop ends as plain Newton at NEWTON_TOL. tau never
-    shrinks: started from converged fixed points, a tau that also shrank by
-    the ratio collapsed after one overshooting step and the residual stalled
-    at 1e-8 to 1e-5.
+    iterate at zero. The pseudo-time step tau starts at max(PTC_TAU0,
+    PTC_TAU0/r0), r0 the residual sup norm of init, and grows by the ratio of
+    successive residual sup norms; past PTC_TAU_MAX the shift is dropped, so
+    the same loop ends as plain Newton. tau never shrinks: started from
+    converged fixed points, a tau that also shrank by the ratio collapsed
+    after one overshooting step and the residual stalled at 1e-8 to 1e-5.
+    The loop stops once a step starts and ends at a residual of at most
+    NEWTON_TOL. The residual barely sees the near-translation direction of
+    the wave (the phase is pinned only by a left edge value below 1e-10), so
+    stopping at the first residual under NEWTON_TOL left roots up to 3e-11
+    apart from different starts; one more step takes them to roundoff.
+    solve_fixed_point gives a start inside the a priori bounds; a start far
+    outside them (1e19 in I) costs about twice the steps.
 
     Returns (root, residuals): the root as a (3, n) array and the residual
     sup norm at the start and after each step. Raises NotConverged after
@@ -650,10 +666,10 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     u = np.array(init, dtype=float)
     res = _bvp_residual(u, p, c, dx, bc_left, robin)
     norms = [float(np.max(np.abs(res)))]
-    tau = PTC_TAU0
-    while norms[-1] > NEWTON_TOL:
+    tau = max(PTC_TAU0, PTC_TAU0 / norms[0])
+    while len(norms) < 2 or max(norms[-2:]) > NEWTON_TOL:
         if len(norms) > PTC_MAX_ITER:
-            raise NotConverged(f"{PTC_MAX_ITER} steps ended at residual {norms[-1]:.2e}, above {NEWTON_TOL}")
+            raise NotConverged(f"{PTC_MAX_ITER} steps ended at residual {norms[-1]:.2e}, not settled at {NEWTON_TOL}")
         if len(norms) > 1:
             tau *= max(norms[-2] / norms[-1], 1.0)
         ab = _band_jacobian(u, p, c, dx, robin, 0.0 if tau > PTC_TAU_MAX else 1.0 / tau)

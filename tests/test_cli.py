@@ -107,6 +107,29 @@ def test_refused_solve_clears_the_previous_outputs(config_path, tmp_path, capsys
     assert manifest["derived"]["solve"] == {"failed": err[-1].removeprefix("solve failed: ")}
 
 
+def test_profile_manifest_records_phase_timings(tmp_path):
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
+    out = tmp_path / "out"
+    assert main(["profile", path, "--c", "2.5", "--tol", "1e-7", "--solver", "both", "--out", str(out)]) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert sorted(timings) == ["cross_check", "diagnostics", "solve", "writes"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    assert timings["solve"] > 0.0
+    # telemetry stays out of the deterministic outputs
+    assert "timings" not in (out / "diagnostics.json").read_text()
+    assert main(["profile", path, "--c", "1.9", "--out", str(out)]) == 2
+    assert sorted(json.loads((out / "manifest.json").read_text())["timings"]) == ["solve"]
+
+
+def test_profile_exits_2_on_an_exponent_ordering_failure(config_path, tmp_path, capsys, monkeypatch):
+    from sirwaves import wave_profile
+    from sirwaves.resolvent import choose_mu
+
+    monkeypatch.setattr(wave_profile, "choose_mu", lambda specs, lam0: choose_mu(specs, 10.0))
+    assert main(["profile", config_path, "--c", "2.5", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == "solve failed: specs violate |lambda_i^-| > lambda0"
+
+
 def test_profile_sizes_its_window_from_the_decay_rates(config_path, tmp_path):
     # no grid block: at c = 4 the left tail needs [-100, 100]; a fixed
     # [-60, 60] left it too short and the solve ran 5000 steps unconverged

@@ -20,13 +20,13 @@ C = 2.5
 CASES = {
     "p0": (
         P0,
-        "b47a878e9cee83778d1ac651fbeda393f2533947ccdb075d500122b321992c14",
-        "f4f1d54e3ffcbbba548db3b43435e897a0163c8af578f310b12cd3965a128be6",
+        "cd055a82e1c0622b4d72840fc6dad919a860e2bb768fb9274bf2b06420c31cfc",
+        "6a4b286b60df673ef42f2a306428a23bf11880ea651cd7b79dda151651062eae",
     ),
     "d=(0.7,1,1.3)": (
         dataclasses.replace(P0, d1=0.7, d3=1.3),
-        "0e9c8473a007de227668d49d7929a159c4c15aab1ea58e9d84c9faf00b102fd9",
-        "b1d6ff74ac402919f28e694011cd3aa3050652f0ecb2352b51e076be5b1e8954",
+        "f5955c1eee1b3c11557cd2ccc08ac6979cfee7f776a800139159268bae1bd05b",
+        "3dd1bd104036cf882664573e8dc9d5899e89efcd93986ae0135ed56ade0ca9c3",
     ),
 }
 

@@ -75,6 +75,15 @@ def test_choose_mu_near_degenerate():
     assert lam0_tight < mu < -spec.lambda_minus
 
 
+def test_exponent_orderings_raise_typed_value_errors():
+    bound = min(-s.lambda_minus for s in SPECS)
+    with pytest.raises(ExponentOrdering, match="specs violate"):
+        choose_mu(SPECS, 1.01 * bound)  # lam0 above min |lambda_i^-|
+    with pytest.raises(ExponentOrdering, match="lost their ordering"):
+        ResolventSpec.build(1, 1.0, 2.5, -0.5)  # alpha < 0 puts both exponents above 0
+    assert issubclass(ExponentOrdering, ValueError)  # so profile exits 2
+
+
 # ---------- forward operator ----------
 
 def test_apply_delta_constant():

@@ -348,6 +348,38 @@ def test_regime_rows_finish_by_newton(changes, c):
     assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
     assert rep.stage_iterations["picard"] == 0 and 1 <= rep.stage_iterations["confirm"] <= 2
     assert rep.newton_residuals[-1] <= 1e-12
+    assert rep.newton_steps <= 12  # 10-23 from the uncapped envelope midpoint
+
+
+def test_bounded_start_skips_the_residual_plateau():
+    # the uncapped midpoint has I near 1e19 at the right edge and took 46
+    # steps here; capped at S(-inf) the start residual is in the hundreds
+    rep = solve_fixed_point(P0, 2.1, wave_window(P0, 2.1), tol=1e-8)
+    assert rep.finish == "newton"
+    assert rep.newton_residuals[0] < 1e3
+    assert rep.newton_steps <= 16
+
+
+def test_newton_root_is_settled_beyond_its_residual():
+    # the residual hardly sees the wave's translation: a root whose residual
+    # first fell under 1e-12 could still move by 3e-11 on the next step
+    p = dataclasses.replace(P0, beta=1.05)
+    c = 1.25 * 2.0 * np.sqrt(0.05)
+    rep = solve_fixed_point(p, c, wave_window(p, c), tol=1e-8)
+    again, residuals = solve_bvp_newton(p, c, rep.grid, rep.newton, bounds=rep.gamma_set.bounds)
+    assert len(residuals) == 2  # one step, started and ended under NEWTON_TOL
+    assert np.max(np.abs(again - rep.newton)) <= 1e-12
+
+
+def test_cross_check_from_a_loose_fixed_point_starts_near_newton():
+    # newton_cross_check solves from the fixed point after a Picard finish;
+    # tau starts at 1/r0, so that start takes near-Newton steps at once,
+    # where tau = 1 took 12 steps
+    grid = wave_window(P0, 2.1)
+    rep = solve_fixed_point(P0, 2.1, grid, tol=1e-4)
+    assert rep.finish == "picard"
+    _, residuals = solve_bvp_newton(P0, 2.1, grid, rep.profile, bounds=rep.gamma_set.bounds)
+    assert len(residuals) - 1 <= 5 and residuals[-1] <= 1e-12
 
 
 def test_closure_fallback_config_cross_checks():
@@ -394,6 +426,23 @@ def test_band_jacobian_matches_directional_differences():
     interior = np.zeros(3 * n)
     interior[3:-3] = 1.0
     assert np.allclose(_band_to_dense(jac, BAND_KL, BAND_KU) - shifted, np.diag(0.25 * interior), rtol=0.0, atol=1e-12)
+
+
+def test_band_jacobian_is_factored_in_place():
+    # Fortran order is dgbtrf's own layout, so no copy is made, and the
+    # factors are bit for bit those of a C-ordered copy
+    from scipy.linalg.lapack import dgbtrf
+    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, outflow_rate
+
+    grid = wave_window(P0, C)
+    rep = solve_fixed_point(P0, C, grid, tol=1e-4)
+    ab = _band_jacobian(rep.profile, P0, C, grid.dx, np.array([0.0, outflow_rate(P0, C), 0.0]), 0.5)
+    assert ab.flags.f_contiguous
+    c_lu, c_piv, c_info = dgbtrf(np.ascontiguousarray(ab), BAND_KL, BAND_KU)
+    lu, piv, info = dgbtrf(ab, BAND_KL, BAND_KU, overwrite_ab=1)
+    assert np.shares_memory(lu, ab)  # factored where it was assembled
+    assert info == c_info == 0
+    assert np.array_equal(lu, c_lu) and np.array_equal(piv, c_piv)
 
 
 def test_wave_window_sizes_from_both_decay_rates():
