@@ -31,7 +31,6 @@ from .linear_analysis import (
 )
 from .wave_profile import (
     NotConverged,
-    SingularJacobian,
     newton_cross_check,
     profile_diagnostics,
     solve_fixed_point,
@@ -255,9 +254,9 @@ def cmd_profile(args) -> int:
     with _timed(timings, "cross_check"):
         if args.solver in ("newton", "both") and report.converged:
             try:
-                root, agreement = newton_cross_check(report, p)
+                root, agreement = newton_cross_check(report)
                 chosen = root if args.solver == "newton" else chosen
-            except (NotConverged, SingularJacobian) as exc:
+            except NotConverged as exc:
                 failure = f"newton solve failed: {exc}"
                 warnings.append(failure)
 

@@ -103,18 +103,17 @@ class DiscreteKernel:
     dx: float
 
 
-def choose_alphas(p: ModelParams, c: float, floor_scale: float = 1.0):
+def choose_alphas(p: ModelParams, c: float):
     """Pick the shift constants and build the three operator specs.
 
     a_i = 2*max(floor_i, d_i lambda0^2 + c lambda0) with floors (beta,
     gamma+delta, 1); doubling guarantees |lambda_i^-| > lambda0 strictly, and
     the floors keep the integrands of the fixed-point map monotone in each
-    component. floor_scale inflates the floors for robustness experiments;
-    results must not depend on it.
+    component.
     """
     roots = lambda0(c, p)
     l0 = roots.lambda0
-    floors = (p.beta * floor_scale, (p.gamma + p.delta) * floor_scale, 1.0 * floor_scale)
+    floors = (p.beta, p.gamma + p.delta, 1.0)
     ds = (p.d1, p.d2, p.d3)
     specs = []
     for idx, (floor, d) in enumerate(zip(floors, ds), start=1):
@@ -228,10 +227,14 @@ def _kernel_sums(g: np.ndarray, kern: DiscreteKernel, t_left: float, t_right: fl
 
 
 def inverse_operator(spec: ResolventSpec, dx: float, left_rate: float, right_rate: float):
-    """D^{-1} on samples of spacing dx whose tails have these rates, as values -> values.
+    """D^{-1} on samples of spacing dx whose tails have these rates: (values -> values, right closure).
 
     The kernel, the tail checks and the tail ratios are done once here, so a
     solver can apply the returned map at every iteration on plain arrays.
+
+    The right closure (z, w) continues h = D^{-1} g one cell past the window,
+    h_n = z*h_{n-1} + w*g_{n-1}: h_n = (z_- L_{n-1} + z_+ R_{n-1})/rho_hat with
+    R_{n-1} the right tail sum, so z = z_- and w = (z_+ - z_-)/rho_hat per unit g_{n-1}.
     """
     kern = discrete_kernel(spec, dx)
     q_left = _tail_ratio(left_rate, spec, kern, "left")
@@ -240,7 +243,8 @@ def inverse_operator(spec: ResolventSpec, dx: float, left_rate: float, right_rat
     def invert(g: np.ndarray) -> np.ndarray:
         return _kernel_sums(g, kern, *_tail_sums(g, q_left, q_right, kern))
 
-    return invert
+    unit_tail = _tail_sums(np.ones(1), q_left, q_right, kern)[1]
+    return invert, (kern.z_minus, (kern.z_plus - kern.z_minus) * unit_tail / kern.rho_hat)
 
 
 def apply_delta_inverse(h: GridFunction, spec: ResolventSpec) -> GridFunction:
@@ -250,7 +254,7 @@ def apply_delta_inverse(h: GridFunction, spec: ResolventSpec) -> GridFunction:
     apply_delta_inverse(apply_delta(h)) == h hold to roundoff by construction
     of the kernel ratios; accuracy against the continuum operator is O(dx^2).
     """
-    invert = inverse_operator(spec, h.grid.dx, h.left_rate, h.right_rate)
+    invert, _ = inverse_operator(spec, h.grid.dx, h.left_rate, h.right_rate)
     return GridFunction(h.grid, invert(h.values), h.left_rate, h.right_rate)
 
 

@@ -1,11 +1,11 @@
 """Front profiles: envelope construction, the integral fixed-point map, and checks.
 
 The wave is a fixed point of u -> D^{-1}[shifted reaction] inside the convex
-set sandwiched between explicit super- and sub-solution envelopes. A Newton
-solve of the discretized wave equations, globalized by pseudo-transient
-continuation, finds it for tight tolerances and a few steps of the map
-confirm it; the plain iteration of the map is the fallback. The diagnostics
-verify the integral identities and asymptotics the converged wave must satisfy.
+set sandwiched between explicit super- and sub-solution envelopes. Newton on
+the map's own discrete problem, globalized by pseudo-transient continuation,
+finds it and one step of the map certifies it; the plain iteration of the map
+is the fallback. The diagnostics verify the integral identities and asymptotics
+the converged wave must satisfy.
 """
 
 from __future__ import annotations
@@ -28,23 +28,18 @@ from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_
 # Largest share of grid points the final projection onto the envelope set may
 # move in a solve that counts as converged.
 CLAMP_BUDGET = 0.01
-# Tolerances below LOOSE_TOL are solved by Newton first; CONFIRM_BUDGET is the
-# most steps of the map restarted from the Newton root may take to confirm it.
-LOOSE_TOL = 1e-4
-CONFIRM_BUDGET = 20
-# Most applications of F the plain iteration may take, after any confirmation.
+# Most applications of F the plain iteration may take, after the certificate.
 MAX_ITER = 5000
 # Residual sup norm the Newton solve must reach. Its pseudo-transient
-# continuation starts at pseudo-time step max(PTC_TAU0, PTC_TAU0/r0), with r0
-# the start's residual sup norm, so a start near a root begins close to plain
-# Newton; it drops the shift past PTC_TAU_MAX and may take PTC_MAX_ITER steps.
+# continuation starts at pseudo-time step PTC_TAU0, drops the shift past
+# PTC_TAU_MAX and may take PTC_MAX_ITER steps.
 NEWTON_TOL = 1e-12
 PTC_TAU0 = 1.0
 PTC_TAU_MAX = 1e8
 PTC_MAX_ITER = 100
-# Sub- and super-diagonals of the point-ordered Newton Jacobian: the right
-# outflow row reaches back to point n-3, six unknowns before its own.
-BAND_KL, BAND_KU = 6, 3
+# Sub- and super-diagonals of the point-ordered Newton Jacobian: each wave row
+# reaches the same species one point either way, three unknowns off.
+BAND_KL, BAND_KU = 3, 3
 # Most points wave_window may size; wider windows are refused before any solve.
 MAX_WINDOW_POINTS = 50_001
 
@@ -157,9 +152,9 @@ class FixedPointReport:
     lambda0: float
     c: float
     warnings: tuple
-    finish_reason: str  # why a "picard" finish did not go through Newton; empty otherwise
+    finish_reason: str  # why the Newton root was not certified; empty after a Newton finish
     stage_iterations: dict  # applications of F: "confirm" from the Newton root, "picard" from the midpoint
-    newton: np.ndarray | None  # the Newton root, when the confirmation accepted it
+    newton: np.ndarray | None  # the Newton root whenever the Newton solve converged, certified or not
     newton_residuals: tuple  # residual sup norms of a converged Newton solve, at its start and after each step
 
     @property
@@ -169,8 +164,8 @@ class FixedPointReport:
 
     @property
     def finish(self) -> str:
-        """"newton" when the Newton root was confirmed, else "picard"."""
-        return "picard" if self.newton is None else "newton"
+        """"newton" when one step of F certified the Newton root, else "picard"."""
+        return "picard" if self.finish_reason else "newton"
 
 
 def select_epsilons(p: ModelParams, c: float):
@@ -372,14 +367,18 @@ def discrete_decay_rate(p: ModelParams, c: float, dx: float) -> float:
 def map_inverses(specs, p: ModelParams, dx: float):
     """The three shifted inverses of the integral map on spacing dx, prepared once per solve.
 
-    Returns one (alpha_i, D_i^{-1}) pair per equation. Integrand tail rates: S-like
-    constant (0) on both sides, I-like exponential on the left and zero (-inf) on the
-    right, R-like exponential on the left and constant on the right. The left rate is
-    the mesh decay rate, so the closures match what the stencil propagates.
+    Returns one (alpha_i, D_i^{-1}, (gain_i, weight_i)) triple per equation: F's value
+    one cell past the right edge is gain*u[-1] + weight*f(u[-1]), the right closure
+    (z, w) of resolvent.inverse_operator applied to the integrand alpha*u + f(u).
+    Integrand tail rates: S-like constant (0) on both sides, I-like exponential on the
+    left and zero (-inf) on the right, R-like exponential on the left and constant on
+    the right. The left rate is the mesh decay rate, so the closures match what the
+    stencil propagates.
     """
     lead = discrete_decay_rate(p, specs[1].c, dx)
     rates = ((0.0, 0.0), (lead, -np.inf), (lead, 0.0))
-    return tuple((spec.alpha, inverse_operator(spec, dx, *r)) for spec, r in zip(specs, rates))
+    ops = [(spec.alpha, *inverse_operator(spec, dx, *r)) for spec, r in zip(specs, rates)]
+    return tuple((alpha, invert, (z + w * alpha, w)) for alpha, invert, (z, w) in ops)
 
 
 def apply_F(u: np.ndarray, p: ModelParams, inverses) -> np.ndarray:
@@ -389,7 +388,7 @@ def apply_F(u: np.ndarray, p: ModelParams, inverses) -> np.ndarray:
     """
     s, i, r = u
     f_s, _, f_r = reaction_terms(s, i, r, p)
-    (a1, inv1), (a2, inv2), (a3, inv3) = inverses
+    (a1, inv1, _), (a2, inv2, _), (a3, inv3, _) = inverses
     return np.array([
         inv1(a1 * s + f_s),
         inv2(a2 * i - f_s - (p.gamma + p.delta) * i),
@@ -440,33 +439,33 @@ class _Picard:
 
 
 def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -> FixedPointReport:
-    """Fixed point of the integral map F inside the invariant set, found by Newton and confirmed by F.
+    """Fixed point of the integral map F inside the invariant set, found by Newton and certified by F.
 
     The start is the envelope midpoint with the infected value at the left
     edge pinned to the upper envelope (the translation family's canonical
     representative; the value there is below 1e-10 by the window guard, so
     the pin is a phase convention, not a constraint on the shape).
 
-    For tol below LOOSE_TOL, solve_bvp_newton (pseudo-transient continuation
-    on the banded Jacobian) solves the discretized wave equations from that
-    start with rows I and R capped at S(-inf), the a priori bound of every
-    front, and never below the lower envelopes; uncapped, the upper envelopes
-    grow like exp(lambda0*x) right of the crossovers and PTC spends its first
-    steps undoing them. At most CONFIRM_BUDGET projected steps of F restarted
-    from the root certify it as a fixed point of the map inside the invariant
-    set.
-    If Newton fails or the confirmation does not converge (the root can be a
-    translate of the map's fixed point), the projected iteration runs from
-    the uncapped start, which is the plain iteration's own trajectory. At tol >=
-    LOOSE_TOL only the plain iteration runs. Each projected step projects
-    F(u) onto the invariant set and re-pins the left infected value;
-    convergence requires the weighted and the plain sup residual of the step
-    to both reach tol, so the reported wave-equation residual inherits the
-    tolerance rather than the discretization error.
+    solve_bvp_newton (pseudo-transient continuation on the banded Jacobian)
+    solves F's own discrete problem from that start with rows I and R capped
+    at S(-inf), the a priori bound of every front, and never below the lower
+    envelopes; uncapped, the upper envelopes grow like exp(lambda0*x) right of
+    the crossovers and PTC spends its first steps undoing them. Its right-edge
+    rows are F's tail closures, so its root is a fixed point of F, and one
+    projected step of F from the root certifies it under the convergence
+    tests below, at tolerance tol.
+    If Newton fails or the certificate does not hold (the envelope projection
+    can be active at a root that dips below a lower envelope), the projected
+    iteration runs from the uncapped start, which is the plain iteration's own
+    trajectory. Each projected step projects F(u) onto the invariant set and
+    re-pins the left infected value; convergence requires the weighted and
+    the plain sup residual of the step to both reach tol, so the reported
+    wave-equation residual inherits the tolerance rather than the
+    discretization error.
 
-    iterations counts every application of F, confirmation included. After a
-    Newton finish the report carries the root, so callers that compare the two
-    solvers need not solve again.
+    iterations counts every application of F, the certificate included. The
+    report carries the root whenever Newton converged, so callers that compare
+    the two solvers need not solve again.
     """
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
@@ -514,25 +513,18 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     midpoint = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
     midpoint[1, 0] = pin_value
     stages = {"confirm": 0, "picard": 0}
-    newton, residuals = None, ()
-    if tol >= LOOSE_TOL:
-        reason = f"tol {tol:.1e} is not below the Newton threshold {LOOSE_TOL:.0e}"
+    bounded = midpoint.copy()
+    bounded[1:] = np.maximum(np.minimum(midpoint[1:], p.s_minus_inf), sub[1:])
+    try:
+        newton, residuals = solve_bvp_newton(p, c, grid, bounded, gamma_set.bounds, inverses)
+    except (NotConverged, SingularJacobian) as exc:
+        newton, residuals, reason = None, (), f"{type(exc).__name__}: {exc}"
     else:
-        bounded = midpoint.copy()
-        bounded[1:] = np.maximum(np.minimum(midpoint[1:], p.s_minus_inf), sub[1:])
-        try:
-            root, residuals = solve_bvp_newton(p, c, grid, bounded, bounds=gamma_set.bounds)
-        except (NotConverged, SingularJacobian) as exc:
-            reason = f"newton failed: {type(exc).__name__}: {exc}"
-        else:
-            final = start(root)
-            reached = final.run(CONFIRM_BUDGET)
-            stages["confirm"] = final.iterations
-            if reached and final.converged and final.ode_res <= 10.0 * tol:
-                reason, newton = "", root
-            else:
-                reason = f"confirmation did not converge in {CONFIRM_BUDGET} iterations"
-    if newton is None:
+        final, stages["confirm"] = start(newton), 1
+        certified = final.run(1) and final.converged and final.ode_res <= 10.0 * tol
+        reason = "" if certified else (f"the projected step of F from the Newton root moved it by {final.res_m:.2e} "
+                                       f"and clamped {final.clamp_fraction:.1%} of the points")
+    if reason:
         final = start(midpoint)
         final.run(MAX_ITER)
         stages["picard"] = final.iterations
@@ -579,21 +571,24 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     )
 
 
-def _bvp_residual(u: np.ndarray, p: ModelParams, c: float, dx: float, bc_left, robin) -> np.ndarray:
+def _bvp_residual(u: np.ndarray, p: ModelParams, c: float, dx: float, bc_left, edge) -> np.ndarray:
     """Residual of the boundary-value problem solve_bvp_newton solves, as a (3, n) array.
 
-    Interior points carry the wave equations, the left edge the Dirichlet
-    values bc_left, the right edge the outflow rows u' + robin*u = 0.
+    The left edge carries the Dirichlet values bc_left and every other point
+    the wave equations; at the last point the value one cell past the window
+    is F's tail closure gain*u[:, -1] + weight*f(u[:, -1]), edge = (gain, weight)
+    over S, I, R from map_inverses.
     """
+    gain, weight = edge
+    beyond = gain[:, None] * u[:, -1:] + weight[:, None] * np.array(reaction_terms(*u[:, -1:], p))
     out = np.empty_like(u)
-    out[:, 1:-1] = _wave_residual(u, p, c, dx)
+    out[:, 1:] = _wave_residual(np.hstack([u, beyond]), p, c, dx)
     out[:, 0] = u[:, 0] - bc_left
-    out[:, -1] = edge_difference(u, dx)[1] + robin * u[:, -1]
     return out
 
 
-def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, robin, shift: float) -> np.ndarray:
-    """Jacobian of _bvp_residual at u, less shift on the interior diagonal, in LAPACK band storage.
+def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, edge, shift: float) -> np.ndarray:
+    """Jacobian of _bvp_residual at u, less shift on the diagonal of the wave rows, in LAPACK band storage.
 
     Unknowns and equations are ordered point by point (3*j + k for species k at
     point j), so entry (row, col) sits at ab[BAND_KL + BAND_KU + row - col, col];
@@ -606,46 +601,49 @@ def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, robin, sh
     mid = BAND_KL + BAND_KU
 
     def add(k: int, offset: int, vals):
-        # equation k at the interior points, unknown offset columns to the right
-        ab[mid - offset, 3 + k + offset:3 * (n - 1) + k + offset:3] += vals
+        # equation k at points 1..n-1, unknown offset columns to the right
+        ab[mid - offset, 3 + k + offset:3 * n + k + offset:3] += vals
 
-    s, i, r = u[:, 1:-1]
+    s, i, r = u[:, 1:]
     ntot = s + i + r
     ok = ntot > ETA_DEFAULT
     safe = np.where(ok, ntot, 1.0)
-    # derivatives of the incidence in S, I and R
+    # derivatives of the incidence in S, I and R, then df[k, m] = d f_k / d u_m
     dinc = [np.where(ok, g / safe**2, 0.0) for g in (p.beta * i * (i + r), p.beta * s * (s + r), -p.beta * s * i)]
+    df = np.zeros((3, 3, n - 1))
+    df[0], df[1] = np.negative(dinc), dinc
+    df[1, 1] -= p.gamma + p.delta
+    df[2, 1] = p.gamma
+    gain, weight = edge
+    beyond = np.diag(gain) + weight[:, None] * df[:, :, -1]  # d u_n / d u_{n-1} through F's closure
     for k, d in enumerate((p.d1, p.d2, p.d3)):
-        for offset, weight in zip((-3, 0, 3), wave_operator(np.eye(3), d, c, dx)[:, 0]):
-            add(k, offset, weight - (shift if offset == 0 else 0.0))
-    for m in range(3):
-        add(0, m, -dinc[m])
-        add(1, m - 1, dinc[m] - (p.gamma + p.delta if m == 1 else 0.0))
-    add(2, -1, p.gamma)
-    # Dirichlet rows on the left, the one-sided outflow closure on the right
-    ab[mid, :3] = 1.0
-    last = 3 * (n - 1) + np.arange(3)
-    edge_w = edge_difference(np.eye(3), dx)[1]  # weights of (y[n-3], y[n-2], y[n-1])
-    ab[mid, last] = edge_w[2] + robin
-    ab[mid + 3, last - 3] = edge_w[1]
-    ab[mid + 6, last - 6] = edge_w[0]
+        w_lo, w_mid, w_hi = wave_operator(np.eye(3), d, c, dx)[:, 0]
+        add(k, -3, w_lo)
+        add(k, 0, w_mid - shift)
+        add(k, 3, w_hi)  # stops short of the last point, whose right neighbour is u_n
+        for m in range(3):
+            add(k, m - k, df[k, m])
+            ab[mid + k - m, 3 * (n - 1) + m] += w_hi * beyond[k, m]
+    ab[mid, :3] = 1.0  # Dirichlet rows on the left
     return ab
 
 
-def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bounds: BoundSet):
-    """Newton on the centered-difference wave equations, globalized by pseudo-transient continuation.
+def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bounds: BoundSet, inverses):
+    """Newton on the integral map's own discrete problem, globalized by pseudo-transient continuation.
 
-    Starts from a copy of the (3, n) array init. Left boundary: Dirichlet
-    values S-, I+ and R- of the envelopes in bounds, with the infected value
-    pinning the phase. Right boundary: outflow conditions S' = 0 and R' = 0,
-    and I' = -kappa*I with kappa = outflow_rate(p, c). Each step solves
-    (J - M/tau) step = -G, with M the identity on the interior rows and zero on
-    the boundary rows, on the banded Jacobian (dgbtrf/dgbtrs), and clips the
-    iterate at zero. The pseudo-time step tau starts at max(PTC_TAU0,
-    PTC_TAU0/r0), r0 the residual sup norm of init, and grows by the ratio of
-    successive residual sup norms; past PTC_TAU_MAX the shift is dropped, so
-    the same loop ends as plain Newton. tau never shrinks: started from
-    converged fixed points, a tau that also shrank by the ratio collapsed
+    Starts from a copy of the (3, n) array init. Every point but the first
+    carries the centred-difference wave equations, which are F = u at interior
+    points. Left boundary: Dirichlet values S-, I+ and R- of the envelopes in
+    bounds, with the infected value pinning the phase and the other two fixing
+    the scale of the degree-one homogeneous system. Right boundary: the value
+    one cell past the window is F's tail closure, taken from inverses (built by
+    map_inverses on grid.dx), so a root is a fixed point of F. Each step solves
+    (J - M/tau) step = -G, with M the identity on the wave rows and zero on the
+    Dirichlet rows, on the banded Jacobian (dgbtrf/dgbtrs), and clips the
+    iterate at zero. The pseudo-time step tau starts at PTC_TAU0 and grows by
+    the ratio of successive residual sup norms; past PTC_TAU_MAX the shift is
+    dropped, so the same loop ends as plain Newton. tau never shrinks: started
+    from converged fixed points, a tau that also shrank by the ratio collapsed
     after one overshooting step and the residual stalled at 1e-8 to 1e-5.
     The loop stops once a step starts and ends at a residual of at most
     NEWTON_TOL. The residual barely sees the near-translation direction of
@@ -662,17 +660,17 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     """
     dx, x0 = grid.dx, grid.x_min
     bc_left = np.array([bounds.s_minus(x0), bounds.i_plus(x0), bounds.r_minus(x0)])
-    robin = np.array([0.0, outflow_rate(p, c), 0.0])
+    edge = np.array([closure for _, _, closure in inverses]).T
     u = np.array(init, dtype=float)
-    res = _bvp_residual(u, p, c, dx, bc_left, robin)
+    res = _bvp_residual(u, p, c, dx, bc_left, edge)
     norms = [float(np.max(np.abs(res)))]
-    tau = max(PTC_TAU0, PTC_TAU0 / norms[0])
+    tau = PTC_TAU0
     while len(norms) < 2 or max(norms[-2:]) > NEWTON_TOL:
         if len(norms) > PTC_MAX_ITER:
             raise NotConverged(f"{PTC_MAX_ITER} steps ended at residual {norms[-1]:.2e}, not settled at {NEWTON_TOL}")
         if len(norms) > 1:
             tau *= max(norms[-2] / norms[-1], 1.0)
-        ab = _band_jacobian(u, p, c, dx, robin, 0.0 if tau > PTC_TAU_MAX else 1.0 / tau)
+        ab = _band_jacobian(u, p, c, dx, edge, 0.0 if tau > PTC_TAU_MAX else 1.0 / tau)
         lu, piv, info = dgbtrf(ab, BAND_KL, BAND_KU, overwrite_ab=1)
         if info != 0:
             raise SingularJacobian(f"dgbtrf info {info} at step {len(norms)}")
@@ -680,7 +678,7 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
         if info != 0 or not np.all(np.isfinite(step)):
             raise SingularJacobian(f"step {len(norms)} is not finite")
         u = np.maximum(u + step.reshape(-1, 3).T, 0.0)
-        res = _bvp_residual(u, p, c, dx, bc_left, robin)
+        res = _bvp_residual(u, p, c, dx, bc_left, edge)
         norms.append(float(np.max(np.abs(res))))
         if not np.isfinite(norms[-1]):
             raise NotConverged(f"residual is not finite at step {len(norms) - 1}")
@@ -688,11 +686,10 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
 
 
 def outflow_rate(p: ModelParams, c: float) -> float:
-    """Outflow rate kappa of Newton's right boundary row I' = -kappa*I.
+    """Decay rate kappa of small infected perturbations at the right edge, which sizes the wave window.
 
-    The positive root of d2*k^2 + c*k = gamma + delta: the decay rate of small
-    infected perturbations at the right edge. Windows are sized from it so
-    that I has decayed by x_max.
+    The positive root of d2*k^2 + c*k = gamma + delta. wave_window puts the
+    right edge where I has decayed by exp(-16.1) at this rate.
     """
     return (np.sqrt(c * c + 4.0 * p.d2 * (p.gamma + p.delta)) - c) / (2.0 * p.d2)
 
@@ -700,12 +697,13 @@ def outflow_rate(p: ModelParams, c: float) -> float:
 def wave_window(p: ModelParams, c: float, dx: float = 0.05) -> Grid:
     """The window every wave solve uses unless it is given a grid, with spacing dx.
 
-    The left half-width max(60, ceil(26/lambda0/10)*10) puts I below exp(-26)
-    at x_min, under the solve's window guard; the right edge max(half,
-    ceil(16.1/kappa/10)*10), kappa = outflow_rate(p, c), lets I fall below
-    exp(-16.1) of its scale by x_max. Raises ValueError above MAX_WINDOW_POINTS.
+    The left half-width max(60, ceil(26/rate/10)*10), rate = min(lambda0, c/d1),
+    puts I below exp(-26) at x_min, under the solve's window guard, and lets S,
+    which settles at the slower rate, meet the map's constant tail there. The
+    right edge max(half, ceil(16.1/kappa/10)*10), kappa = outflow_rate(p, c),
+    lets I fall below exp(-16.1) of its scale by x_max. Raises ValueError above MAX_WINDOW_POINTS.
     """
-    half = max(60.0, np.ceil(26.0 / lambda0(c, p).lambda0 / 10.0) * 10.0)
+    half = max(60.0, np.ceil(26.0 / min(lambda0(c, p).lambda0, c / p.d1) / 10.0) * 10.0)
     right = max(half, np.ceil(16.1 / outflow_rate(p, c) / 10.0) * 10.0)
     n = int(round((half + right) / dx)) + 1
     if n > MAX_WINDOW_POINTS:
@@ -735,17 +733,15 @@ def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid):
     return shift, diff
 
 
-def newton_cross_check(report: FixedPointReport, p: ModelParams):
-    """The Newton root of the report's wave and its aligned sup-norm distance from the fixed point.
+def newton_cross_check(report: FixedPointReport):
+    """The Newton root the report carries and its aligned sup-norm distance from the fixed point.
 
-    After a Newton finish the root is the one the report carries; otherwise
-    solve_bvp_newton solves from the fixed point on report.grid. Returns
-    (root, agreement); raises NotConverged or SingularJacobian.
+    Returns (root, agreement). Raises NotConverged, with the solve's
+    finish_reason, when the Newton solve of the report did not converge.
     """
-    root = report.newton
-    if root is None:
-        root, _ = solve_bvp_newton(p, report.c, report.grid, report.profile, bounds=report.gamma_set.bounds)
-    return root, align_profiles(report.profile, root, report.grid)[1]
+    if report.newton is None:
+        raise NotConverged(report.finish_reason)
+    return report.newton, align_profiles(report.profile, report.newton, report.grid)[1]
 
 
 def _exp_decay_convolution(psi: np.ndarray, rate: float, dx: float, right_rate: float) -> np.ndarray:

@@ -6,7 +6,6 @@ susceptible level, giving minimal speed 2 and decay rate 1/2 at c = 2.5.
 """
 
 import dataclasses
-import functools
 import json
 import time
 
@@ -35,7 +34,7 @@ from sirwaves import (
     verify_sub_inequalities,
     wave_window,
 )
-from sirwaves.resolvent import choose_alphas
+from sirwaves.resolvent import ResolventSpec, choose_alphas
 from sirwaves.verification import inversion_errors
 from sirwaves.cli import main as cli_main
 
@@ -153,7 +152,8 @@ def test_criterion_6_solver_cross_validation(p0_solution):
         # the window must hold the slow left decay at each speed
         grid = wave_window(P0, c)
         rep = p0_solution if (c == C and grid == WAVE_GRID) else solve_fixed_point(P0, c, grid, tol=1e-8)
-        newton, _ = solve_bvp_newton(P0, c, rep.grid, rep.profile, bounds=rep.gamma_set.bounds)
+        inverses = map_inverses(rep.specs, P0, rep.grid.dx)
+        newton, _ = solve_bvp_newton(P0, c, rep.grid, rep.profile, rep.gamma_set.bounds, inverses)
         _, diff = align_profiles(rep.profile, newton, rep.grid)
         agreements[c] = diff
     elapsed = time.time() - t0
@@ -202,12 +202,12 @@ def test_criterion_8_nonexistence_falsification():
 
 def test_criterion_9_alpha_floor_robustness(p0_solution, monkeypatch):
     t0 = time.time()
-    # criteria 3-5 rerun with the shift-constant floors quadrupled
+    # criteria 3-5 rerun with every shift constant quadrupled
     b = make_bound_set(P0, C)  # envelope constants carry no alpha dependence
     rep_ineq = verify_sub_inequalities(b, P0, C, WAVE_GRID)
     ineq_ok = min(rep_ineq.s_margin, rep_ineq.i_margin, rep_ineq.r_margin) >= -1e-10
 
-    specs4 = choose_alphas(P0, C, floor_scale=4.0)
+    specs4 = tuple(ResolventSpec.build(s.index, s.d, s.c, 4.0 * s.alpha) for s in choose_alphas(P0, C))
     inverses4 = map_inverses(specs4, P0, WAVE_GRID.dx)
     gset = make_gamma_set(P0, C, WAVE_GRID, b)
     rng = np.random.default_rng(0x5EED)
@@ -219,7 +219,7 @@ def test_criterion_9_alpha_floor_robustness(p0_solution, monkeypatch):
         worst = min(worst, gset.membership_margin(apply_F(u, P0, inverses4)))
     invariance_ok = worst >= -1e-6
 
-    monkeypatch.setattr(sirwaves.wave_profile, "choose_alphas", functools.partial(choose_alphas, floor_scale=4.0))
+    monkeypatch.setattr(sirwaves.wave_profile, "choose_alphas", lambda p, c: specs4)
     rep4 = solve_fixed_point(P0, C, WAVE_GRID, tol=1e-8)
     _, checks4 = _criterion_5_checks(rep4)
     diag_ok = all(checks4.values())
@@ -227,7 +227,7 @@ def test_criterion_9_alpha_floor_robustness(p0_solution, monkeypatch):
     elapsed = time.time() - t0
     ok = ineq_ok and invariance_ok and diag_ok and drift < 1e-6 and elapsed < 300.0
     report(9, ok, elapsed,
-           f"profile drift under 4x floors: {drift:.2e}; invariance margin {worst:.2e}")
+           f"profile drift under 4x shift constants: {drift:.2e}; invariance margin {worst:.2e}")
 
 
 def test_criterion_10_determinism(tmp_path):

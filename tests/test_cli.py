@@ -282,9 +282,9 @@ def test_verify_newton_failure_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_profile_newton_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # with a two-step budget every Newton solve fails, the cross-check from the
-    # Picard wave included; the Picard profile is still written, flagged, over
-    # an earlier run's files
+    # with a two-step budget the Newton solve fails at every tol, and the
+    # cross-check raises with the solve's reason; the Picard profile is still
+    # written, flagged, over an earlier run's files
     monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
     cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
                       "delta": 0.5, "s_minus_inf": 2.0}}
@@ -298,7 +298,8 @@ def test_profile_newton_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert err[-1].startswith("newton solve failed: ")
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["solver"] == "both" and diag["solver_agreement"] is None
-    assert diag["converged"] and "not below the Newton threshold" not in diag["solve"]["finish_reason"]
+    assert diag["converged"] and diag["solve"]["finish_reason"].startswith("NotConverged: 2 steps")
+    assert err[-1] == "newton solve failed: " + diag["solve"]["finish_reason"]
     assert diag["warnings"][-1] == err[-1]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"]["diagnostics.json"] == hashlib.sha256((out / "diagnostics.json").read_bytes()).hexdigest()
@@ -322,10 +323,8 @@ def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
 
 
 def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monkeypatch):
-    # the cross-check solves Newton only when the solve did not finish by it:
-    # once after a Newton finish (inside the solve), once after a Picard finish
-    # at a loose tolerance (the cross-check's own), and twice after a failed
-    # Newton finish (the solve's, then the cross-check's)
+    # every tol starts with Newton and the cross-check reuses its root, so the
+    # solve's Newton call is the only one, after a failed Newton solve too
     import sirwaves.wave_profile
 
     calls = []
@@ -336,18 +335,14 @@ def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monk
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sirwaves.wave_profile, "solve_bvp_newton", counted)
-    out = tmp_path / "out"
-    assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--out", str(out)]) == 0
-    diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["solve"]["finish"] == "newton" and diag["solver_agreement"] <= 1e-8
-    assert len(calls) == 1
-
-    calls.clear()
-    assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--tol", "1e-4",
-                 "--out", str(tmp_path / "loose")]) == 0
-    diag = json.loads((tmp_path / "loose" / "diagnostics.json").read_text())
-    assert diag["solve"]["finish"] == "picard" and diag["solver_agreement"] < 1e-2
-    assert len(calls) == 1
+    for tol in ("1e-10", "1e-8", "1e-6", "1e-4", "1e-2"):
+        calls.clear()
+        out = tmp_path / tol
+        assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--tol", tol, "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["solve"]["finish"] == "newton" and diag["solve"]["stage_iterations"] == {"confirm": 1, "picard": 0}
+        assert diag["solver_agreement"] <= 1e-10
+        assert len(calls) == 1
 
     calls.clear()
     monkeypatch.setattr(sirwaves.wave_profile, "PTC_MAX_ITER", 2)
@@ -355,7 +350,7 @@ def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monk
                       "delta": 0.5, "s_minus_inf": 2.0}}
     path = write_config(tmp_path, cfg)
     assert main(["profile", path, "--c", "3.6373", "--solver", "both", "--out", str(tmp_path / "fb")]) == 2
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_verify_far_above_c_star_passes(tmp_path):

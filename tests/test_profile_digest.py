@@ -2,8 +2,9 @@
 
 Each digest is the sha256 of the float64 bytes of the arrays, in order. The
 tight solve (tol = 1e-8) finishes by Newton, so it covers the Newton root and
-the profile that confirms it; the loose solve (tol = 1e-4) is the plain
-iteration alone, so newton_cross_check solves afresh from it.
+the one projected step of F that certifies it; the loose solve (tol = 1e-4)
+certifies the same root at its own tolerance, and its cross-check returns the
+carried root and the aligned agreement.
 """
 
 import dataclasses
@@ -20,13 +21,13 @@ C = 2.5
 CASES = {
     "p0": (
         P0,
-        "cd055a82e1c0622b4d72840fc6dad919a860e2bb768fb9274bf2b06420c31cfc",
-        "6a4b286b60df673ef42f2a306428a23bf11880ea651cd7b79dda151651062eae",
+        "ebf0185347a3918b050b59bd24ce9209858cda89f272c376fde5eda9934fd1ba",
+        "d4925f22908438ffd1d09b6b0960d92c0b542124b25ec38ea4666e95a24b9c64",
     ),
     "d=(0.7,1,1.3)": (
         dataclasses.replace(P0, d1=0.7, d3=1.3),
-        "f5955c1eee1b3c11557cd2ccc08ac6979cfee7f776a800139159268bae1bd05b",
-        "3dd1bd104036cf882664573e8dc9d5899e89efcd93986ae0135ed56ade0ca9c3",
+        "442bba8fa3dca7b54e33cd7e0a4a5de50c5cdab0690290bea635a192c371c500",
+        "b97a0198a6e036443f5787faee73c96e8ec95efa3ed74086ff4c81ddf69b9653",
     ),
 }
 
@@ -45,5 +46,5 @@ def test_profile_digests(name):
     tight = solve_fixed_point(p, C, grid, tol=1e-8)
     assert tight.finish == "newton"
     assert _sha256(tight.profile, tight.newton) == tight_digest
-    root, agreement = newton_cross_check(solve_fixed_point(p, C, grid, tol=1e-4), p)
+    root, agreement = newton_cross_check(solve_fixed_point(p, C, grid, tol=1e-4))
     assert _sha256(root, [agreement]) == loose_digest

@@ -262,6 +262,21 @@ def test_vanishing_closures_give_zero_tail_sums():
     assert _tail_sums(np.array([2.0, 1.0, 3.0]), q_left, q_right, kern) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("right_rate,q", [(0.0, 1.0), (-np.inf, 0.0), (-0.3, np.exp(-0.3 * 0.05))])
+def test_right_closure_is_the_inverse_one_cell_on(right_rate, q):
+    # the closure continues D^{-1} g one cell past the window: on a window one
+    # cell longer, with g continued by its own tail ratio, the inverse agrees
+    # with the short one and takes the closure's value at the new point
+    dx = 0.05
+    g = np.exp(-((np.arange(-200, 201) * dx / 3.0) ** 2)) + 0.5
+    for s in SPECS:
+        invert, (z, w) = inverse_operator(s, dx, L0, right_rate)
+        h = invert(g)
+        h_long = invert(np.append(g, q * g[-1]))
+        assert np.max(np.abs(h_long[:-1] - h)) <= 1e-13
+        assert h_long[-1] == pytest.approx(z * h[-1] + w * g[-1], rel=1e-13, abs=1e-15)
+
+
 @pytest.mark.parametrize("left,right", [(np.nan, 0.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf)])
 def test_undefined_tail_rates_are_rejected(left, right):
     # NaN, and infinities that would make the tail grow without bound off the window
@@ -319,8 +334,8 @@ def test_piecewise_g_exponent_ordering():
 # ---------- robustness of the constant choice ----------
 
 def test_alpha_doubling_leaves_identities_intact():
-    # rerunning with 4x floors must not change what the operators compute
-    specs4 = choose_alphas(P0, C, floor_scale=4.0)
+    # rerunning with 4x shift constants must not change what the operators compute
+    specs4 = [ResolventSpec.build(s.index, s.d, s.c, 4.0 * s.alpha) for s in SPECS]
     g = grid(20.0, 0.02)
     h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), np.inf, -np.inf)
     for s1, s4 in zip(SPECS, specs4):

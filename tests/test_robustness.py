@@ -13,6 +13,7 @@ from sirwaves import (
     ModelParams,
     SimConfig,
     align_profiles,
+    map_inverses,
     minimal_speed,
     profile_diagnostics,
     run,
@@ -57,7 +58,7 @@ def test_fixed_point_and_diagnostics_across_regimes(name, p, c):
 def test_solver_agreement_across_regimes(name, p, c):
     grid = wave_window(p, c)
     rep = solve_fixed_point(p, c, grid, tol=1e-9)
-    newton, _ = solve_bvp_newton(p, c, grid, rep.profile, bounds=rep.gamma_set.bounds)
+    newton, _ = solve_bvp_newton(p, c, grid, rep.profile, rep.gamma_set.bounds, map_inverses(rep.specs, p, grid.dx))
     _, diff = align_profiles(rep.profile, newton, grid)
     assert diff < 1e-5
 

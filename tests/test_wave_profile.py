@@ -1,5 +1,5 @@
 import dataclasses
-import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from sirwaves import (
     make_bound_set,
     make_gamma_set,
     map_inverses,
+    newton_cross_check,
     profile_diagnostics,
     select_Ms,
     select_epsilons,
@@ -26,6 +27,7 @@ from sirwaves import (
     verify_sub_inequalities,
     wave_window,
 )
+from sirwaves.resolvent import ResolventSpec
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 C = 2.5
@@ -35,6 +37,16 @@ C = 2.5
 def solved():
     """One converged P0 solve shared by the slower checks (L=60, dx=0.05)."""
     return solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-8)
+
+
+def newton_from(rep, p, init):
+    """solve_bvp_newton on the discrete problem of a solved report, started from init."""
+    return solve_bvp_newton(p, rep.c, rep.grid, init, rep.gamma_set.bounds, map_inverses(rep.specs, p, rep.grid.dx))
+
+
+def four_alpha_specs(p, c):
+    """The operator specs with every shift constant quadrupled; the fixed point must not move."""
+    return tuple(ResolventSpec.build(s.index, s.d, s.c, 4.0 * s.alpha) for s in choose_alphas(p, c))
 
 
 # ---------- envelope constants ----------
@@ -199,7 +211,7 @@ def test_discrete_decay_rate_close_to_continuum():
 
 
 def test_alpha_floor_scaling_does_not_move_fixed_point(solved, monkeypatch):
-    monkeypatch.setattr(sirwaves.wave_profile, "choose_alphas", functools.partial(choose_alphas, floor_scale=4.0))
+    monkeypatch.setattr(sirwaves.wave_profile, "choose_alphas", four_alpha_specs)
     rep4 = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-8)
     assert rep4.converged
     diff = np.max(np.abs(rep4.profile - solved.profile))
@@ -236,7 +248,7 @@ def test_wave_residual_matches_componentwise_reference():
 
 def test_newton_from_fixed_point_converges_fast(solved):
     g = solved.grid
-    newton, residuals = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
+    newton, residuals = newton_from(solved, P0, solved.profile)
     assert residuals[-1] <= 1e-12 and len(residuals) <= 10
     # residual of the Newton profile under the same discretization
     from sirwaves.wave_profile import _wave_residual
@@ -246,7 +258,7 @@ def test_newton_from_fixed_point_converges_fast(solved):
 
 def test_newton_agrees_with_picard(solved):
     g = solved.grid
-    newton, _ = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
+    newton, _ = newton_from(solved, P0, solved.profile)
     shift, diff = align_profiles(solved.profile, newton, g)
     assert abs(shift) < 0.01
     assert diff < 1e-5
@@ -259,7 +271,7 @@ def test_alignment_spline_is_bitwise_the_per_row_splines(solved):
     from sirwaves.linear_analysis import golden_section
 
     g = solved.grid
-    newton, _ = solve_bvp_newton(P0, C, g, solved.profile, bounds=solved.gamma_set.bounds)
+    newton, _ = newton_from(solved, P0, solved.profile)
     newton = np.roll(newton, 3, axis=1)  # a visible shift to find
     x = g.x
     inner = (x >= g.x_min + 2.0) & (x <= g.x_max - 2.0)
@@ -312,18 +324,19 @@ LADDER = [
 ]
 
 
-@pytest.mark.parametrize("changes,ratio,dx,half", LADDER)
-def test_ladder_solves_finish_by_newton(changes, ratio, dx, half):
-    from sirwaves.wave_profile import CONFIRM_BUDGET
-
+def _ladder_case(changes, ratio, dx, half):
     p = dataclasses.replace(P0, **changes)
     c = ratio * 2.0 * np.sqrt(p.d2 * (p.beta - p.gamma - p.delta))
-    rep = solve_fixed_point(p, c, Grid.symmetric(half, dx), tol=1e-8)
+    return p, c, Grid.symmetric(half, dx)
+
+
+@pytest.mark.parametrize("changes,ratio,dx,half", LADDER)
+def test_ladder_solves_finish_by_newton(changes, ratio, dx, half):
+    p, c, grid = _ladder_case(changes, ratio, dx, half)
+    rep = solve_fixed_point(p, c, grid, tol=1e-8)
     assert rep.converged
     assert (rep.finish, rep.finish_reason) == ("newton", "")
-    assert rep.stage_iterations["picard"] == 0
-    assert 1 <= rep.stage_iterations["confirm"] <= CONFIRM_BUDGET
-    assert rep.iterations == rep.stage_iterations["confirm"]
+    assert rep.stage_iterations == {"confirm": 1, "picard": 0} and rep.iterations == 1
     assert rep.newton is not None
     assert rep.newton_steps == len(rep.newton_residuals) - 1 >= 1
     assert rep.newton_residuals[-1] <= 1e-12
@@ -346,7 +359,7 @@ def test_regime_rows_finish_by_newton(changes, c):
     p = dataclasses.replace(P0, **changes)
     rep = solve_fixed_point(p, c, wave_window(p, c), tol=1e-8)
     assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
-    assert rep.stage_iterations["picard"] == 0 and 1 <= rep.stage_iterations["confirm"] <= 2
+    assert rep.stage_iterations == {"confirm": 1, "picard": 0} and rep.iterations == 1
     assert rep.newton_residuals[-1] <= 1e-12
     assert rep.newton_steps <= 12  # 10-23 from the uncapped envelope midpoint
 
@@ -366,34 +379,41 @@ def test_newton_root_is_settled_beyond_its_residual():
     p = dataclasses.replace(P0, beta=1.05)
     c = 1.25 * 2.0 * np.sqrt(0.05)
     rep = solve_fixed_point(p, c, wave_window(p, c), tol=1e-8)
-    again, residuals = solve_bvp_newton(p, c, rep.grid, rep.newton, bounds=rep.gamma_set.bounds)
+    again, residuals = newton_from(rep, p, rep.newton)
     assert len(residuals) == 2  # one step, started and ended under NEWTON_TOL
     assert np.max(np.abs(again - rep.newton)) <= 1e-12
 
 
-def test_cross_check_from_a_loose_fixed_point_starts_near_newton():
-    # newton_cross_check solves from the fixed point after a Picard finish;
-    # tau starts at 1/r0, so that start takes near-Newton steps at once,
-    # where tau = 1 took 12 steps
-    grid = wave_window(P0, 2.1)
-    rep = solve_fixed_point(P0, 2.1, grid, tol=1e-4)
-    assert rep.finish == "picard"
-    _, residuals = solve_bvp_newton(P0, 2.1, grid, rep.profile, bounds=rep.gamma_set.bounds)
-    assert len(residuals) - 1 <= 5 and residuals[-1] <= 1e-12
+@pytest.mark.parametrize("table,row", [("ladder", row) for row in LADDER] + [("regime", row) for row in REGIME_ROWS])
+def test_newton_root_is_a_fixed_point_of_the_map(table, row):
+    # Newton's right rows are F's tail closures, so one projected step of F
+    # from the root, as solve_fixed_point takes it, barely moves it
+    if table == "ladder":
+        p, c, grid = _ladder_case(*row)
+    else:
+        p, c = dataclasses.replace(P0, **row[0]), row[1]
+        grid = wave_window(p, c)
+    rep = solve_fixed_point(p, c, grid, tol=1e-8)
+    sub, sup = rep.gamma_set.sub_array, rep.gamma_set.super_array
+    step = np.clip(apply_F(rep.newton, p, map_inverses(rep.specs, p, grid.dx)), sub, sup)
+    step[1, 0] = sup[1, 0]
+    assert np.max(np.abs(step - rep.newton)) <= 1e-10
 
 
 def test_closure_fallback_config_cross_checks():
-    # at dx = 0.05 the Newton root of this config is a translate of the map's
-    # fixed point, so the confirmation fails and the plain iteration runs;
-    # the cross-check from that fixed point still reaches the root and agrees
-    # once the two are aligned
-    from sirwaves import newton_cross_check
-
+    # at dx = 0.05 the root of this config dips below the infected lower
+    # envelope on [-19.85, -9.50] by 5e-8, so the projected step of F moves
+    # it and the plain iteration runs from the midpoint; its profile is pinned
+    # bitwise, and the cross-check compares it with the carried root
     p = ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0)
     rep = solve_fixed_point(p, 3.6373, wave_window(p, 3.6373), tol=1e-8)
-    assert rep.converged and rep.finish == "picard" and "confirmation" in rep.finish_reason
-    assert rep.newton_steps >= 1  # the Newton solve itself converged
-    _, agreement = newton_cross_check(rep, p)
+    assert rep.converged and rep.finish == "picard" and "projected step" in rep.finish_reason
+    assert rep.stage_iterations == {"confirm": 1, "picard": 641}
+    assert hashlib.sha256(rep.profile.tobytes()).hexdigest() == (
+        "a30cffd61a5d011ddde5ff4c1388413efb82bb0803757eaa29c05f9d41f0e371"
+    )
+    root, agreement = newton_cross_check(rep)
+    assert root is rep.newton and rep.newton_steps >= 1  # the Newton solve itself converged
     assert agreement <= 1e-5
 
 
@@ -407,36 +427,40 @@ def _band_to_dense(ab, kl, ku):
 
 
 def test_band_jacobian_matches_directional_differences():
-    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _bvp_residual, outflow_rate
+    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _bvp_residual
 
+    assert BAND_KL == BAND_KU == 3
     p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.3, s_minus_inf=1.0)
     c, dx, n = 2.5, 0.1, 25
     rng = np.random.default_rng(12)
     u = rng.uniform(0.1, 1.0, size=(3, n))
     v = rng.uniform(-1.0, 1.0, size=(3, n))
     bc_left = np.array([0.9, 1e-3, 1e-4])
-    robin = np.array([0.0, outflow_rate(p, c), 0.0])
+    edge = np.array([closure for _, _, closure in map_inverses(choose_alphas(p, c), p, dx)]).T
     h = 1e-6
-    fd = (_bvp_residual(u + h * v, p, c, dx, bc_left, robin) - _bvp_residual(u - h * v, p, c, dx, bc_left, robin)) / (2 * h)
-    jac = _band_jacobian(u, p, c, dx, robin, 0.0)
-    jv = (_band_to_dense(jac, BAND_KL, BAND_KU) @ v.T.ravel()).reshape(n, 3).T  # unknowns point by point
+    fd = (_bvp_residual(u + h * v, p, c, dx, bc_left, edge) - _bvp_residual(u - h * v, p, c, dx, bc_left, edge)) / (2 * h)
+    jac = _band_to_dense(_band_jacobian(u, p, c, dx, edge, 0.0), BAND_KL, BAND_KU)
+    jv = (jac @ v.T.ravel()).reshape(n, 3).T  # unknowns point by point
     assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
-    # the pseudo-time shift sits on the interior diagonal only
-    shifted = _band_to_dense(_band_jacobian(u, p, c, dx, robin, 0.25), BAND_KL, BAND_KU)
-    interior = np.zeros(3 * n)
-    interior[3:-3] = 1.0
-    assert np.allclose(_band_to_dense(jac, BAND_KL, BAND_KU) - shifted, np.diag(0.25 * interior), rtol=0.0, atol=1e-12)
+    # the last point's rows on their own, where F's closure stands in for u_n
+    assert np.max(np.abs(jv[:, -1] - fd[:, -1])) <= 1e-6 * np.max(np.abs(fd[:, -1]))
+    # the pseudo-time shift sits on the diagonal of the wave rows, the last point's included
+    shifted = _band_to_dense(_band_jacobian(u, p, c, dx, edge, 0.25), BAND_KL, BAND_KU)
+    wave_rows = np.zeros(3 * n)
+    wave_rows[3:] = 1.0
+    assert np.allclose(jac - shifted, np.diag(0.25 * wave_rows), rtol=0.0, atol=1e-12)
 
 
 def test_band_jacobian_is_factored_in_place():
     # Fortran order is dgbtrf's own layout, so no copy is made, and the
     # factors are bit for bit those of a C-ordered copy
     from scipy.linalg.lapack import dgbtrf
-    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, outflow_rate
+    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian
 
     grid = wave_window(P0, C)
     rep = solve_fixed_point(P0, C, grid, tol=1e-4)
-    ab = _band_jacobian(rep.profile, P0, C, grid.dx, np.array([0.0, outflow_rate(P0, C), 0.0]), 0.5)
+    edge = np.array([closure for _, _, closure in map_inverses(rep.specs, P0, grid.dx)]).T
+    ab = _band_jacobian(rep.profile, P0, C, grid.dx, edge, 0.5)
     assert ab.flags.f_contiguous
     c_lu, c_piv, c_info = dgbtrf(np.ascontiguousarray(ab), BAND_KL, BAND_KU)
     lu, piv, info = dgbtrf(ab, BAND_KL, BAND_KU, overwrite_ab=1)
@@ -464,27 +488,40 @@ def test_near_c_star_converges_fast():
 
 
 def test_fallback_is_the_plain_iteration(monkeypatch):
-    # on the short window the Newton root is a translate of the map's fixed
-    # point, the confirmation drifts, and the iteration runs from the midpoint
-    from sirwaves import wave_profile
+    # whether the certificate fails or Newton raises, the plain iteration runs
+    # from the uncapped midpoint, so both fallbacks give one profile
+    from sirwaves import NotConverged, wave_profile
 
-    grid = Grid.symmetric(30.0, 0.1)
-    rep = solve_fixed_point(P0, C, grid, tol=1e-6)
-    assert rep.finish == "picard" and "confirmation" in rep.finish_reason
-    assert rep.stage_iterations["confirm"] == wave_profile.CONFIRM_BUDGET and rep.newton is None
-    monkeypatch.setattr(wave_profile, "LOOSE_TOL", 0.0)  # no Newton stage: the plain iteration
-    plain = solve_fixed_point(P0, C, grid, tol=1e-6)
-    assert plain.finish == "picard" and plain.stage_iterations["confirm"] == 0
+    p = ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0)
+    grid = wave_window(p, 3.6373)
+    rep = solve_fixed_point(p, 3.6373, grid, tol=1e-8)
+    assert rep.finish == "picard" and rep.stage_iterations["confirm"] == 1 and rep.newton is not None
+
+    def refuse(*args):
+        raise NotConverged("refused")
+
+    monkeypatch.setattr(wave_profile, "solve_bvp_newton", refuse)
+    plain = solve_fixed_point(p, 3.6373, grid, tol=1e-8)
+    assert (plain.finish, plain.finish_reason) == ("picard", "NotConverged: refused")
+    assert plain.stage_iterations["confirm"] == 0 and plain.newton is None and plain.newton_residuals == ()
     assert np.array_equal(rep.profile, plain.profile)
     assert (rep.residual, rep.ode_residual, rep.converged) == (plain.residual, plain.ode_residual, plain.converged)
-    assert rep.iterations == plain.iterations + wave_profile.CONFIRM_BUDGET
+    assert rep.iterations == plain.iterations + 1
+    with pytest.raises(NotConverged, match="NotConverged: refused"):
+        newton_cross_check(plain)
 
 
-def test_loose_tolerance_skips_newton():
-    rep = solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=1e-4)
-    assert rep.finish == "picard" and "not below the Newton threshold" in rep.finish_reason
-    assert rep.stage_iterations == {"confirm": 0, "picard": 128}  # the plain iteration's count
-    assert rep.newton_steps == 0 and rep.newton_residuals == ()
+def test_loose_tolerance_certifies_the_newton_root():
+    # every tol starts with Newton, and tol is the certificate's tolerance:
+    # the loose solve takes the same root, and its cross-check reuses it
+    grid = Grid.symmetric(60.0, 0.05)
+    tight = solve_fixed_point(P0, C, grid, tol=1e-8)
+    rep = solve_fixed_point(P0, C, grid, tol=1e-4)
+    assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
+    assert rep.stage_iterations == {"confirm": 1, "picard": 0}
+    assert np.array_equal(rep.newton, tight.newton) and np.array_equal(rep.profile, tight.profile)
+    root, agreement = newton_cross_check(rep)
+    assert root is rep.newton and agreement <= 1e-10
 
 
 # ---------- diagnostics ----------
