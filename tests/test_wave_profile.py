@@ -524,6 +524,17 @@ def test_loose_tolerance_certifies_the_newton_root():
     assert root is rep.newton and agreement <= 1e-10
 
 
+def test_loose_cross_check_returns_the_carried_root():
+    # a loose solve certifies the Newton root, so its cross-check solves
+    # nothing again: it returns the carried root, which settled at 1e-12
+    grid = wave_window(P0, 2.1)
+    rep = solve_fixed_point(P0, 2.1, grid, tol=1e-4)
+    assert rep.converged and rep.finish == "newton"
+    assert rep.newton_residuals[-1] <= 1e-12
+    root, agreement = newton_cross_check(rep)
+    assert root is rep.newton and agreement <= 1e-10
+
+
 # ---------- diagnostics ----------
 
 def test_profile_diagnostics(solved):
