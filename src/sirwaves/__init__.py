@@ -2,7 +2,7 @@
 
 Computes the minimal front speed from the linearization at the invaded
 disease-free state, solves for wave profiles through an exponential-kernel
-integral fixed point cross-checked by a Newton boundary-value solve, simulates
+integral fixed point found by Newton on its own discrete problem, simulates
 the full reaction-diffusion system to measure spreading fronts, and bundles
 every provable statement about the waves into an executable verification
 suite.
@@ -68,7 +68,6 @@ from .wave_profile import (
     make_bound_set,
     make_gamma_set,
     map_inverses,
-    newton_cross_check,
     profile_diagnostics,
     select_Ms,
     select_epsilons,

@@ -29,13 +29,7 @@ from .linear_analysis import (
     lambda0,
     minimal_speed,
 )
-from .wave_profile import (
-    NotConverged,
-    newton_cross_check,
-    profile_diagnostics,
-    solve_fixed_point,
-    wave_window,
-)
+from .wave_profile import profile_diagnostics, solve_fixed_point, wave_window
 from . import pde_sim
 from . import verification
 
@@ -251,14 +245,13 @@ def cmd_profile(args) -> int:
     failure = None if report.converged else "profile solve did not converge; outputs are flagged"
 
     chosen, agreement = report.profile, None
-    with _timed(timings, "cross_check"):
-        if args.solver in ("newton", "both") and report.converged:
-            try:
-                root, agreement = newton_cross_check(report)
-                chosen = root if args.solver == "newton" else chosen
-            except NotConverged as exc:
-                failure = f"newton solve failed: {exc}"
-                warnings.append(failure)
+    if args.solver != "picard" and report.converged:
+        agreement = report.agreement
+        if agreement is None:
+            failure = f"newton solve failed: {report.finish_reason}"
+            warnings.append(failure)
+        elif args.solver == "newton":
+            chosen = report.newton
 
     with _timed(timings, "writes"):
         _write_csv(os.path.join(out, "profile.csv"), "x,S,I,R", (grid.x, *chosen))

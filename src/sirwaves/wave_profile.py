@@ -30,7 +30,8 @@ from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_
 CLAMP_BUDGET = 0.01
 # Most applications of F the plain iteration may take, after the certificate.
 MAX_ITER = 5000
-# Residual sup norm the Newton solve must reach. Its pseudo-transient
+# Residual sup norm the Newton solve must reach where its roundoff floor is
+# lower (see solve_bvp_newton). Its pseudo-transient
 # continuation starts at pseudo-time step PTC_TAU0, drops the shift past
 # PTC_TAU_MAX and may take PTC_MAX_ITER steps.
 NEWTON_TOL = 1e-12
@@ -156,6 +157,7 @@ class FixedPointReport:
     stage_iterations: dict  # applications of F: "confirm" from the Newton root, "picard" from the midpoint
     newton: np.ndarray | None  # the Newton root whenever the Newton solve converged, certified or not
     newton_residuals: tuple  # residual sup norms of a converged Newton solve, at its start and after each step
+    agreement: float | None  # sup distance of profile from newton, aligned after a fallback; None without a root
 
     @property
     def newton_steps(self) -> int:
@@ -464,8 +466,11 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     discretization error.
 
     iterations counts every application of F, the certificate included. The
-    report carries the root whenever Newton converged, so callers that compare
-    the two solvers need not solve again.
+    report carries the root whenever Newton converged, and its agreement with
+    the profile: after a Newton finish the profile is one step of F from the
+    root, so the agreement is their plain sup distance; the plain iteration's
+    fixed point is a translate of the root, so after a fallback it is the
+    distance align_profiles finds. It is None when Newton raised.
     """
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
@@ -548,9 +553,17 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
         if x999 >= grid.x_max:
             warnings.append("right window too short: 99.9% of the infected mass is not inside")
 
+    profile = np.clip(u, 0.0, None)
+    if newton is None:
+        agreement = None
+    elif reason:
+        agreement = align_profiles(profile, newton, grid)[1]
+    else:
+        agreement = float(np.max(np.abs(profile - newton)))
+
     return FixedPointReport(
         grid=grid,
-        profile=np.clip(u, 0.0, None),
+        profile=profile,
         iterations=sum(stages.values()),
         residual=res_w,
         residual_max=res_m,
@@ -568,6 +581,7 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
         stage_iterations=stages,
         newton=newton,
         newton_residuals=residuals,
+        agreement=agreement,
     )
 
 
@@ -646,10 +660,14 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     from converged fixed points, a tau that also shrank by the ratio collapsed
     after one overshooting step and the residual stalled at 1e-8 to 1e-5.
     The loop stops once a step starts and ends at a residual of at most
-    NEWTON_TOL. The residual barely sees the near-translation direction of
-    the wave (the phase is pinned only by a left edge value below 1e-10), so
-    stopping at the first residual under NEWTON_TOL left roots up to 3e-11
-    apart from different starts; one more step takes them to roundoff.
+    the settle tolerance max(NEWTON_TOL, 4*eps*max(d1, d2, d3)/dx^2*S(-inf)):
+    the second term is the residual's roundoff floor, the second difference
+    of values of scale S(-inf), which stalled PTC just above NEWTON_TOL at
+    d3 = 3.6, S(-inf) = 2.6 and dx = 0.05. The residual barely sees the near-translation
+    direction of the wave (the phase is pinned only by a left edge value
+    below 1e-10), so stopping at the first residual under the tolerance left
+    roots up to 3e-11 apart from different starts; one more step takes them
+    to roundoff.
     solve_fixed_point gives a start inside the a priori bounds; a start far
     outside them (1e19 in I) costs about twice the steps.
 
@@ -661,13 +679,14 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     dx, x0 = grid.dx, grid.x_min
     bc_left = np.array([bounds.s_minus(x0), bounds.i_plus(x0), bounds.r_minus(x0)])
     edge = np.array([closure for _, _, closure in inverses]).T
+    settle = max(NEWTON_TOL, 4.0 * np.finfo(float).eps * max(p.d1, p.d2, p.d3) / dx**2 * p.s_minus_inf)
     u = np.array(init, dtype=float)
     res = _bvp_residual(u, p, c, dx, bc_left, edge)
     norms = [float(np.max(np.abs(res)))]
     tau = PTC_TAU0
-    while len(norms) < 2 or max(norms[-2:]) > NEWTON_TOL:
+    while len(norms) < 2 or max(norms[-2:]) > settle:
         if len(norms) > PTC_MAX_ITER:
-            raise NotConverged(f"{PTC_MAX_ITER} steps ended at residual {norms[-1]:.2e}, not settled at {NEWTON_TOL}")
+            raise NotConverged(f"{PTC_MAX_ITER} steps ended at residual {norms[-1]:.2e}, not settled at {settle:.2e}")
         if len(norms) > 1:
             tau *= max(norms[-2] / norms[-1], 1.0)
         ab = _band_jacobian(u, p, c, dx, edge, 0.0 if tau > PTC_TAU_MAX else 1.0 / tau)
@@ -731,17 +750,6 @@ def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid):
 
     shift, diff = golden_section(mismatch, -2.0, 2.0, tol=1e-14)
     return shift, diff
-
-
-def newton_cross_check(report: FixedPointReport):
-    """The Newton root the report carries and its aligned sup-norm distance from the fixed point.
-
-    Returns (root, agreement). Raises NotConverged, with the solve's
-    finish_reason, when the Newton solve of the report did not converge.
-    """
-    if report.newton is None:
-        raise NotConverged(report.finish_reason)
-    return report.newton, align_profiles(report.profile, report.newton, report.grid)[1]
 
 
 def _exp_decay_convolution(psi: np.ndarray, rate: float, dx: float, right_rate: float) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 bench/spans.py wraps functions by name on each sirwaves module; a deletion
 there would only show when `bench/run.py --trace 1` runs. This test makes it
-show in the test suite instead. bench/workloads.py sizes its profile windows
-itself, and a test here holds those windows to wave_profile.wave_window.
+show in the test suite instead. So does the import probe of the traced run,
+which reads the import times of sirwaves and scipy.signal without a guard.
+bench/workloads.py sizes its profile windows itself, and a test here holds
+those windows to wave_profile.wave_window.
 """
 
 import ast
@@ -59,3 +61,15 @@ def test_bench_ladder_windows_are_wave_window(seed):
     for case in _bench_module("workloads").cases_for("wave_ladder", seed):
         grid = Grid(**case.grid)
         assert wave_window(ModelParams(**case.params), case.c, grid.dx) == grid, case.name
+
+
+def test_traced_import_probe_finds_both_modules(monkeypatch):
+    # bench/run.py imports its siblings as top-level modules and sets the
+    # thread-count variables on import; the path and the variables are
+    # restored after the test
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    found = _bench_module("run").probe_imports()
+    assert sorted(found) == ["scipy.signal", "sirwaves"]
+    assert all(v > 0.0 for v in found.values())

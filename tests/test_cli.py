@@ -112,7 +112,7 @@ def test_profile_manifest_records_phase_timings(tmp_path):
     out = tmp_path / "out"
     assert main(["profile", path, "--c", "2.5", "--tol", "1e-7", "--solver", "both", "--out", str(out)]) == 0
     timings = json.loads((out / "manifest.json").read_text())["timings"]
-    assert sorted(timings) == ["cross_check", "diagnostics", "solve", "writes"]
+    assert sorted(timings) == ["diagnostics", "solve", "writes"]  # the agreement is computed inside the solve
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     assert timings["solve"] > 0.0
     # telemetry stays out of the deterministic outputs
@@ -282,9 +282,9 @@ def test_verify_newton_failure_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_profile_newton_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # with a two-step budget the Newton solve fails at every tol, and the
-    # cross-check raises with the solve's reason; the Picard profile is still
-    # written, flagged, over an earlier run's files
+    # with a two-step budget the Newton solve fails at every tol, so the
+    # report carries no agreement and profile fails with the solve's reason;
+    # the Picard profile is still written, flagged, over an earlier run's files
     monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
     cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
                       "delta": 0.5, "s_minus_inf": 2.0}}
@@ -323,8 +323,8 @@ def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
 
 
 def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monkeypatch):
-    # every tol starts with Newton and the cross-check reuses its root, so the
-    # solve's Newton call is the only one, after a failed Newton solve too
+    # every tol starts with Newton and the report carries its agreement, so
+    # the solve's Newton call is the only one, after a failed Newton solve too
     import sirwaves.wave_profile
 
     calls = []

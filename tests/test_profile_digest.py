@@ -3,8 +3,8 @@
 Each digest is the sha256 of the float64 bytes of the arrays, in order. The
 tight solve (tol = 1e-8) finishes by Newton, so it covers the Newton root and
 the one projected step of F that certifies it; the loose solve (tol = 1e-4)
-certifies the same root at its own tolerance, and its cross-check returns the
-carried root and the aligned agreement.
+certifies the same root at its own tolerance, and its digest covers that root
+and the agreement the report carries.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sirwaves import ModelParams, newton_cross_check, solve_fixed_point, wave_window
+from sirwaves import ModelParams, solve_fixed_point, wave_window
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 C = 2.5
@@ -22,12 +22,12 @@ CASES = {
     "p0": (
         P0,
         "ebf0185347a3918b050b59bd24ce9209858cda89f272c376fde5eda9934fd1ba",
-        "d4925f22908438ffd1d09b6b0960d92c0b542124b25ec38ea4666e95a24b9c64",
+        "fc399aaec9a85c72cc49d53de52aba187c00e134046a9dbe884e2663ec26d916",
     ),
     "d=(0.7,1,1.3)": (
         dataclasses.replace(P0, d1=0.7, d3=1.3),
         "442bba8fa3dca7b54e33cd7e0a4a5de50c5cdab0690290bea635a192c371c500",
-        "b97a0198a6e036443f5787faee73c96e8ec95efa3ed74086ff4c81ddf69b9653",
+        "5583653d04a039ddebbfd465fd6eecae23e7e80fa0b2aad8b175f3f57f7743e9",
     ),
 }
 
@@ -46,5 +46,5 @@ def test_profile_digests(name):
     tight = solve_fixed_point(p, C, grid, tol=1e-8)
     assert tight.finish == "newton"
     assert _sha256(tight.profile, tight.newton) == tight_digest
-    root, agreement = newton_cross_check(solve_fixed_point(p, C, grid, tol=1e-4))
-    assert _sha256(root, [agreement]) == loose_digest
+    loose = solve_fixed_point(p, C, grid, tol=1e-4)
+    assert _sha256(loose.newton, [loose.agreement]) == loose_digest

@@ -69,13 +69,13 @@ def test_quick_report_matches_golden_bytes():
 
 
 def test_full_report_matches_golden_bytes():
-    # the full report adds the Newton cross-check and the three simulation checks
+    # the full report adds the three simulation checks
     golden = Path(__file__).parent / "data" / "verify_report_p0_full.json"
     assert report_json(run_suite(P0, 2.5, level="full")).encode() == golden.read_bytes()
 
 
 def test_fixed_point_check_reuses_the_newton_root(monkeypatch):
-    # the P0 solve finishes by Newton, so the cross-check compares against its
+    # the P0 solve finishes by Newton and carries its agreement with the
     # root: the solve's own Newton call is the only one
     calls = []
     original = sirwaves.wave_profile.solve_bvp_newton

@@ -18,7 +18,6 @@ from sirwaves import (
     make_bound_set,
     make_gamma_set,
     map_inverses,
-    newton_cross_check,
     profile_diagnostics,
     select_Ms,
     select_epsilons,
@@ -384,6 +383,23 @@ def test_newton_root_is_settled_beyond_its_residual():
     assert np.max(np.abs(again - rep.newton)) <= 1e-12
 
 
+def test_newton_settles_at_its_roundoff_floor():
+    # with d3 = 3.6 and S(-inf) = 2.6 at dx = 0.05 the residual's roundoff
+    # floor is above NEWTON_TOL: PTC stalled at 1.2e-12 for all 100 steps and
+    # the solve fell back to 265 plain steps; the floor settles it by Newton
+    from sirwaves.wave_profile import NEWTON_TOL
+
+    p = ModelParams(d1=1.385, d2=1.955, d3=3.599, beta=1.940, gamma=1.0, delta=0.0, s_minus_inf=2.631)
+    c = 4.9387
+    grid = wave_window(p, c)
+    floor = 4.0 * np.finfo(float).eps * p.d3 / grid.dx**2 * p.s_minus_inf
+    assert floor > NEWTON_TOL
+    rep = solve_fixed_point(p, c, grid, tol=1e-8)
+    assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
+    assert rep.stage_iterations == {"confirm": 1, "picard": 0} and rep.newton_steps <= 10
+    assert max(rep.newton_residuals[-2:]) <= floor
+
+
 @pytest.mark.parametrize("table,row", [("ladder", row) for row in LADDER] + [("regime", row) for row in REGIME_ROWS])
 def test_newton_root_is_a_fixed_point_of_the_map(table, row):
     # Newton's right rows are F's tail closures, so one projected step of F
@@ -398,13 +414,20 @@ def test_newton_root_is_a_fixed_point_of_the_map(table, row):
     step = np.clip(apply_F(rep.newton, p, map_inverses(rep.specs, p, grid.dx)), sub, sup)
     step[1, 0] = sup[1, 0]
     assert np.max(np.abs(step - rep.newton)) <= 1e-10
+    # the certified profile is that step, so its plain distance from the root
+    # is the agreement; aligning finds no shift and a distance under 1e-12,
+    # so reading the plain distance moves the 1e-5 agreement check by less
+    plain = float(np.max(np.abs(rep.profile - rep.newton)))
+    assert rep.finish == "newton" and rep.agreement == plain
+    shift, aligned = align_profiles(rep.profile, rep.newton, grid)
+    assert abs(shift) < 1e-9 and aligned <= 1e-12
 
 
 def test_closure_fallback_config_cross_checks():
     # at dx = 0.05 the root of this config dips below the infected lower
     # envelope on [-19.85, -9.50] by 5e-8, so the projected step of F moves
     # it and the plain iteration runs from the midpoint; its profile is pinned
-    # bitwise, and the cross-check compares it with the carried root
+    # bitwise, and the report's agreement aligns it with the carried root
     p = ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0)
     rep = solve_fixed_point(p, 3.6373, wave_window(p, 3.6373), tol=1e-8)
     assert rep.converged and rep.finish == "picard" and "projected step" in rep.finish_reason
@@ -412,9 +435,11 @@ def test_closure_fallback_config_cross_checks():
     assert hashlib.sha256(rep.profile.tobytes()).hexdigest() == (
         "a30cffd61a5d011ddde5ff4c1388413efb82bb0803757eaa29c05f9d41f0e371"
     )
-    root, agreement = newton_cross_check(rep)
-    assert root is rep.newton and rep.newton_steps >= 1  # the Newton solve itself converged
-    assert agreement <= 1e-5
+    assert rep.newton is not None and rep.newton_steps >= 1  # the Newton solve itself converged
+    # the plain iteration's fixed point is a translate of the root: 2.8e-2
+    # apart as they stand, 6.2e-8 once aligned
+    assert rep.agreement == align_profiles(rep.profile, rep.newton, rep.grid)[1] <= 1e-5
+    assert float(np.max(np.abs(rep.profile - rep.newton))) == pytest.approx(2.8e-2, rel=0.05)
 
 
 def _band_to_dense(ab, kl, ku):
@@ -507,32 +532,29 @@ def test_fallback_is_the_plain_iteration(monkeypatch):
     assert np.array_equal(rep.profile, plain.profile)
     assert (rep.residual, rep.ode_residual, rep.converged) == (plain.residual, plain.ode_residual, plain.converged)
     assert rep.iterations == plain.iterations + 1
-    with pytest.raises(NotConverged, match="NotConverged: refused"):
-        newton_cross_check(plain)
+    assert plain.agreement is None and rep.agreement is not None
 
 
 def test_loose_tolerance_certifies_the_newton_root():
     # every tol starts with Newton, and tol is the certificate's tolerance:
-    # the loose solve takes the same root, and its cross-check reuses it
+    # the loose solve takes the same root and reports the same agreement
     grid = Grid.symmetric(60.0, 0.05)
     tight = solve_fixed_point(P0, C, grid, tol=1e-8)
     rep = solve_fixed_point(P0, C, grid, tol=1e-4)
     assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
     assert rep.stage_iterations == {"confirm": 1, "picard": 0}
     assert np.array_equal(rep.newton, tight.newton) and np.array_equal(rep.profile, tight.profile)
-    root, agreement = newton_cross_check(rep)
-    assert root is rep.newton and agreement <= 1e-10
+    assert rep.agreement == tight.agreement <= 1e-10
 
 
 def test_loose_cross_check_returns_the_carried_root():
-    # a loose solve certifies the Newton root, so its cross-check solves
-    # nothing again: it returns the carried root, which settled at 1e-12
+    # a loose solve certifies the Newton root, which settled at 1e-12, and
+    # reports the profile's plain distance from it as the agreement
     grid = wave_window(P0, 2.1)
     rep = solve_fixed_point(P0, 2.1, grid, tol=1e-4)
     assert rep.converged and rep.finish == "newton"
     assert rep.newton_residuals[-1] <= 1e-12
-    root, agreement = newton_cross_check(rep)
-    assert root is rep.newton and agreement <= 1e-10
+    assert rep.agreement == float(np.max(np.abs(rep.profile - rep.newton))) <= 1e-10
 
 
 # ---------- diagnostics ----------
