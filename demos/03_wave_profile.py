@@ -3,11 +3,11 @@
 The wave at speed c > c* is a fixed point of the integral map inside the
 region between explicit lower and upper envelopes; Newton (pseudo-transient
 continuation) solves the map's own discrete problem and one step of the map
-certifies the root. The report carries the converged profile's distance from
-that root, and the profile is checked against every identity the wave
-provably satisfies: monotone S and R, the sandwich 0 <= I <= S(-inf) - S(inf),
-the leading-edge decay rate, the conserved integrals, and the removed-field
-reconstruction from I alone.
+certifies the root. The report carries that step's distance from the root and
+the profile's signed distance to the envelopes, and the profile is checked
+against every identity the wave provably satisfies: monotone S and R, the
+sandwich 0 <= I <= S(-inf) - S(inf), the leading-edge decay rate, the
+conserved integrals, and the removed-field reconstruction from I alone.
 """
 
 import numpy as np
@@ -22,14 +22,12 @@ rep = solve_fixed_point(p, c, grid, tol=1e-8)
 b = rep.gamma_set.bounds
 print(f"envelope constants: eps = ({b.eps1}, {b.eps2}, {b.eps3})")
 print(f"                    M   = ({b.m1:.4f}, {b.m2:.4f}, {b.m3:.4f})")
-print(f"converged in {rep.iterations} iterations {rep.stage_iterations}, finished by {rep.finish}, "
-      f"residual {rep.residual:.2e}")
 print(f"Newton took {rep.newton_steps} steps, residual sup norm "
       + " -> ".join(f"{r:.1e}" for r in rep.newton_residuals))
-print(f"wave-equation residual {rep.ode_residual:.2e}, S(inf) = {rep.s_inf:.6f}")
-
-print(f"one step of the map from the Newton root moved it by {rep.residual_max:.2e}; "
-      f"agreement {rep.agreement:.2e}")
+print(f"one step of the map from the Newton root moved it by {rep.residual_max:.2e} "
+      f"(weighted {rep.residual:.2e}); certified: {rep.converged}")
+print(f"wave-equation residual {rep.ode_residual:.2e}, S(inf) = {rep.s_inf:.6f}, "
+      f"distance to the envelopes {rep.gamma_margin:.2e}")
 
 d = profile_diagnostics(rep.profile, grid, p, c)
 print("\ndiagnostics of the converged wave:")

@@ -29,7 +29,7 @@ from .linear_analysis import (
     lambda0,
     minimal_speed,
 )
-from .wave_profile import profile_diagnostics, solve_fixed_point, wave_window
+from .wave_profile import NotConverged, SingularJacobian, profile_diagnostics, solve_fixed_point, wave_window
 from . import pde_sim
 from . import verification
 
@@ -233,33 +233,26 @@ def cmd_profile(args) -> int:
     try:  # ComplexRoots, SubThreshold and an oversized window are ValueErrors
         with _timed(timings, "solve"):
             report = solve_fixed_point(p, c, grid or wave_window(p, c, args.dx), tol=args.tol)
-    except ValueError as exc:
+    except (ValueError, NotConverged, SingularJacobian) as exc:
         # no profile: clear the previous run's outputs and record why in the manifest
+        reason = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
         for name in ("profile.csv", "diagnostics.json"):
             if os.path.exists(os.path.join(out, name)):
                 os.remove(os.path.join(out, name))
-        write_manifest(out, "profile", {**cfg, "c": c}, {"solve": {"failed": str(exc)}}, timings)
-        print(f"solve failed: {exc}", file=sys.stderr)
+        write_manifest(out, "profile", {**cfg, "c": c}, {"solve": {"failed": reason}}, timings)
+        print(f"solve failed: {reason}", file=sys.stderr)
         return 2
-    grid, warnings = report.grid, list(report.warnings)
+    grid = report.grid
     failure = None if report.converged else "profile solve did not converge; outputs are flagged"
-
-    chosen, agreement = report.profile, None
-    if args.solver != "picard" and report.converged:
-        agreement = report.agreement
-        if agreement is None:
-            failure = f"newton solve failed: {report.finish_reason}"
-            warnings.append(failure)
-        elif args.solver == "newton":
-            chosen = report.newton
+    # the root itself for newton; picard and both write the certifying step of F from it
+    chosen = report.newton if args.solver == "newton" else report.profile
 
     with _timed(timings, "writes"):
         _write_csv(os.path.join(out, "profile.csv"), "x,S,I,R", (grid.x, *chosen))
     with _timed(timings, "diagnostics"):
         diag = profile_diagnostics(chosen, grid, p, c)
     b = report.gamma_set.bounds
-    solve = {"finish": report.finish, "finish_reason": report.finish_reason,
-             "stage_iterations": report.stage_iterations, "newton_steps": report.newton_steps,
+    solve = {"gamma_margin": report.gamma_margin, "newton_steps": report.newton_steps,
              "newton_residuals": list(report.newton_residuals)}
     payload = {
         "c": c,
@@ -272,9 +265,9 @@ def cmd_profile(args) -> int:
         "mu": report.mu,
         "alphas": [s.alpha for s in report.specs],
         "solver": args.solver,
-        "solver_agreement": agreement,
+        "solver_agreement": report.agreement,
         "solve": solve,
-        "warnings": warnings,
+        "warnings": list(report.warnings),
         "bound_set": {
             "eps": [b.eps1, b.eps2, b.eps3],
             "M": [b.m1, b.m2, b.m3],
@@ -514,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--c", type=float)
     pp.add_argument("--dx", type=float, default=0.05)
     pp.add_argument("--tol", type=float, default=1e-8)
-    pp.add_argument("--solver", choices=("picard", "newton", "both"), default="picard")
+    pp.add_argument("--solver", choices=("picard", "newton", "both"), default="picard",
+                    help="profile.csv holds the Newton root (newton) or the step of F certifying it (picard, both)")
     pp.add_argument("--out", default="profile_out")
     pp.set_defaults(func=cmd_profile)
 

@@ -18,6 +18,8 @@ from .model import Grid, GridFunction, ModelParams
 from .linear_analysis import lambda0, minimal_speed
 from .resolvent import TailIncompatible, apply_delta_inverse, choose_alphas, delta_inverse_piecewise_g
 from .wave_profile import (
+    NotConverged,
+    SingularJacobian,
     apply_F,
     make_bound_set,
     make_gamma_set,
@@ -36,7 +38,7 @@ TOL_INVERSION = 1e-6  # O(dx^2) quadrature at dx = 0.01 on the oracle functions
 TOL_DOMINATION = 1e-8  # O(dx^2) quadrature error near the tail of the kinked image
 TOL_SUB_INEQ = 1e-10  # closed-form evaluations; roundoff only
 TOL_GAMMA = 1e-6  # one quadrature application on envelope-scale inputs
-TOL_AGREEMENT = 1e-5  # the solve's Newton agreement: ~1e-13 after a certificate, ~6e-8 aligned after the fallback
+TOL_AGREEMENT = 1e-5  # distance of the certifying step of F from the Newton root; ~1e-13 in practice
 TOL_FIXED_POINT = 1e-8  # solve tolerance of the fixed point; its residuals are held to it
 SPEED_BAND = 0.05  # pulled-front speed convergence at finite time and window
 
@@ -179,7 +181,11 @@ class _Context:
 
     @cached_property
     def fixed_point(self):
-        return solve_fixed_point(self.p, self.c, self.wave_grid, tol=TOL_FIXED_POINT)
+        """The solve's report, or the Newton error it raised, kept so that the solve runs once."""
+        try:
+            return solve_fixed_point(self.p, self.c, self.wave_grid, tol=TOL_FIXED_POINT)
+        except (NotConverged, SingularJacobian) as exc:
+            return exc
 
 
 # Each check returns (worst margin, tolerance, details) or raises _Skip.
@@ -227,6 +233,8 @@ def _gamma_invariance(ctx: _Context):
 
 def _fixed_point(ctx: _Context):
     report = ctx.fixed_point
+    if isinstance(report, RuntimeError):
+        return -1.0, 0.0, f"newton solve failed: {type(report).__name__}: {report}"
     details = (
         f"iterations {report.iterations}, residual {report.residual:.3e}, "
         f"wave-equation residual {report.ode_residual:.3e}"
@@ -234,8 +242,6 @@ def _fixed_point(ctx: _Context):
     if not report.converged:
         return -1.0, 0.0, "did not converge: " + details
     diff = report.agreement
-    if diff is None:
-        return -1.0, 0.0, f"{details}, newton solve failed: {report.finish_reason}"
     tol = TOL_FIXED_POINT
     margin = min(tol - report.residual, 10.0 * tol - report.ode_residual, TOL_AGREEMENT - diff)
     return margin, 0.0, details + f", solver agreement {diff:.3e}"
@@ -246,6 +252,8 @@ def _profile_diagnostics(ctx: _Context):
     # window terms set by how far the fields still sit from their limits at
     # x_max, estimated geometrically from the tail increment and decay rate)
     report = ctx.fixed_point
+    if isinstance(report, RuntimeError):
+        raise _Skip("no profile")
     if not report.converged:
         raise _Skip("no converged profile")
     diag = profile_diagnostics(report.profile, report.grid, ctx.p, ctx.c)
@@ -333,7 +341,7 @@ def run_suite(p: ModelParams, c: float, level: str = "quick", seed: int = DEFAUL
     """Execute the oracle checks in declaration order and return their results.
 
     quick: operator identities, envelope inequalities, invariance of the
-    convex set, the fixed point with its cross-solver agreement, and the
+    convex set, the fixed point with its Newton agreement, and the
     profile diagnostics. full: adds the spreading-speed measurement and the
     two nonexistence falsification runs.
     """

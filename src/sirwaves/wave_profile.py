@@ -3,9 +3,10 @@
 The wave is a fixed point of u -> D^{-1}[shifted reaction] inside the convex
 set sandwiched between explicit super- and sub-solution envelopes. Newton on
 the map's own discrete problem, globalized by pseudo-transient continuation,
-finds it and one step of the map certifies it; the plain iteration of the map
-is the fallback. The diagnostics verify the integral identities and asymptotics
-the converged wave must satisfy.
+finds it and one unprojected step of the map certifies it; the solve measures
+the profile's distance to the envelopes and never projects onto them. The
+diagnostics verify the integral identities and asymptotics the converged wave
+must satisfy.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ from .model import ETA_DEFAULT, Grid, ModelParams, edge_difference, reaction_ter
 from .linear_analysis import characteristic_f, lambda0
 from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
-# Largest share of grid points the final projection onto the envelope set may
-# move in a solve that counts as converged.
-CLAMP_BUDGET = 0.01
-# Most applications of F the plain iteration may take, after the certificate.
-MAX_ITER = 5000
 # Residual sup norm the Newton solve must reach where its roundoff floor is
 # lower (see solve_bvp_newton). Its pseudo-transient
 # continuation starts at pseudo-time step PTC_TAU0, drops the shift past
@@ -136,38 +132,31 @@ class SubInequalityReport:
 
 @dataclass
 class FixedPointReport:
-    """Outcome of the projected fixed-point iteration; profiles are (3, n) arrays, rows S, I, R."""
+    """Outcome of solve_fixed_point: the Newton root and one step of F from it; (3, n) arrays, rows S, I, R."""
 
     grid: Grid
-    profile: np.ndarray
-    iterations: int
-    residual: float  # weighted norm of F(u) - u at the final iterate
+    profile: np.ndarray  # F(newton), clipped at zero
+    iterations: int  # applications of F, always 1; bench/spans.py counts them
+    residual: float  # weighted norm of F(newton) - newton
     residual_max: float  # same step in the plain sup norm
-    clamp_fraction: float  # share of points the final projection actually moved
     s_inf: float  # measured plateau of S at the right edge
     converged: bool
-    ode_residual: float  # sup norm of the finite-difference wave-equation residual
+    ode_residual: float  # sup norm of the finite-difference wave-equation residual of the profile
     gamma_set: GammaSet
+    gamma_margin: float  # gamma_set.membership_margin(profile); negative means outside the envelopes
     specs: tuple
     mu: float
     lambda0: float
     c: float
     warnings: tuple
-    finish_reason: str  # why the Newton root was not certified; empty after a Newton finish
-    stage_iterations: dict  # applications of F: "confirm" from the Newton root, "picard" from the midpoint
-    newton: np.ndarray | None  # the Newton root whenever the Newton solve converged, certified or not
-    newton_residuals: tuple  # residual sup norms of a converged Newton solve, at its start and after each step
-    agreement: float | None  # sup distance of profile from newton, aligned after a fallback; None without a root
+    newton: np.ndarray  # the Newton root
+    newton_residuals: tuple  # residual sup norms of the Newton solve, at its start and after each step
+    agreement: float  # plain sup distance of profile from newton
 
     @property
     def newton_steps(self) -> int:
-        """Steps of the Newton solve (pseudo-transient continuation); 0 when none converged."""
-        return max(len(self.newton_residuals) - 1, 0)
-
-    @property
-    def finish(self) -> str:
-        """"newton" when one step of F certified the Newton root, else "picard"."""
-        return "picard" if self.finish_reason else "newton"
+        """Steps of the Newton solve (pseudo-transient continuation)."""
+        return len(self.newton_residuals) - 1
 
 
 def select_epsilons(p: ModelParams, c: float):
@@ -407,70 +396,29 @@ def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.nda
     return wave_operator(u, d, c, dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
 
 
-class _Picard:
-    """The projected iteration u -> P(F(u)) from one start.
-
-    The wave-equation residual is the step difference amplified by the map's
-    Lipschitz constant, so once both step residuals reach the target it is
-    tightened until the wave-equation residual fits under 10*tol (a few times
-    only: a residual that stays up reflects window error, not iteration error).
-    """
-
-    def __init__(self, u: np.ndarray, step, ode_residual, tol: float):
-        self.u, self.step, self.ode_residual, self.tol = u, step, ode_residual, tol
-        self.target, self.tightenings, self.iterations = tol, 0, 0
-        self.res_w = self.res_m = self.ode_res = np.inf
-        self.clamp_fraction = 1.0
-
-    def run(self, budget: int) -> bool:
-        """Take up to budget steps; True when the target was reached, False when the budget ran out."""
-        for _ in range(budget):
-            self.iterations += 1
-            self.u, self.res_w, self.res_m, self.clamp_fraction = self.step(self.u, self.iterations)
-            if max(self.res_w, self.res_m) <= self.target:
-                self.ode_res = self.ode_residual(self.u)
-                if self.ode_res <= 10.0 * self.tol or self.tightenings >= 4 or self.target <= 1e-14:
-                    return True
-                self.target *= 0.25
-                self.tightenings += 1
-        return False
-
-    @property
-    def converged(self) -> bool:
-        return self.res_w <= self.tol and self.res_m <= self.tol and self.clamp_fraction <= CLAMP_BUDGET
-
-
 def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -> FixedPointReport:
-    """Fixed point of the integral map F inside the invariant set, found by Newton and certified by F.
-
-    The start is the envelope midpoint with the infected value at the left
-    edge pinned to the upper envelope (the translation family's canonical
-    representative; the value there is below 1e-10 by the window guard, so
-    the pin is a phase convention, not a constraint on the shape).
+    """Fixed point of the integral map F, found by Newton and certified by one step of F.
 
     solve_bvp_newton (pseudo-transient continuation on the banded Jacobian)
-    solves F's own discrete problem from that start with rows I and R capped
-    at S(-inf), the a priori bound of every front, and never below the lower
-    envelopes; uncapped, the upper envelopes grow like exp(lambda0*x) right of
-    the crossovers and PTC spends its first steps undoing them. Its right-edge
-    rows are F's tail closures, so its root is a fixed point of F, and one
-    projected step of F from the root certifies it under the convergence
-    tests below, at tolerance tol.
-    If Newton fails or the certificate does not hold (the envelope projection
-    can be active at a root that dips below a lower envelope), the projected
-    iteration runs from the uncapped start, which is the plain iteration's own
-    trajectory. Each projected step projects F(u) onto the invariant set and
-    re-pins the left infected value; convergence requires the weighted and
-    the plain sup residual of the step to both reach tol, so the reported
-    wave-equation residual inherits the tolerance rather than the
-    discretization error.
+    solves F's own discrete problem. Its start is the envelope midpoint with
+    the infected value at the left edge pinned to the upper envelope (the
+    translation family's canonical representative; the value there is below
+    1e-10 by the window guard, so the pin is a phase convention, not a
+    constraint on the shape), and with rows I and R capped at S(-inf), the a
+    priori bound of every front, and never below the lower envelopes;
+    uncapped, the upper envelopes grow like exp(lambda0*x) right of the
+    crossovers and PTC spends its first steps undoing them. Its right-edge
+    rows are F's tail closures, so its root is a fixed point of F.
 
-    iterations counts every application of F, the certificate included. The
-    report carries the root whenever Newton converged, and its agreement with
-    the profile: after a Newton finish the profile is one step of F from the
-    root, so the agreement is their plain sup distance; the plain iteration's
-    fixed point is a translate of the root, so after a fallback it is the
-    distance align_profiles finds. It is None when Newton raised.
+    The profile is one step of F from the root, neither projected onto the
+    invariant set nor re-pinned. It is certified when the step moved the root
+    by at most tol, in the weighted and in the plain sup norm, and its
+    wave-equation residual is at most 10*tol; otherwise the report reads
+    converged=False with a warning. The invariant set is only measured:
+    gamma_margin is the profile's signed distance to the envelopes, which can
+    be slightly negative (a root dipping up to 1e-5 below a lower envelope on
+    a coarse grid). NotConverged and SingularJacobian from the Newton solve
+    propagate; so does the ValueError of a point outside the wave regime.
     """
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
@@ -488,63 +436,24 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
             f"left window too short: exp(lambda0*x_min) = {np.exp(roots.lambda0 * grid.x_min):.2e} >= 1e-10"
         )
 
-    def ode_residual(arr: np.ndarray) -> float:
-        return float(np.max(np.abs(_wave_residual(arr, p, c, grid.dx))))
+    sub, sup = gamma_set.sub_array, gamma_set.super_array
+    start = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
+    start[1, 0] = sup[1, 0]
+    start[1:] = np.maximum(np.minimum(start[1:], p.s_minus_inf), sub[1:])
+    newton, residuals = solve_bvp_newton(p, c, grid, start, gamma_set.bounds, inverses)
 
-    sub = gamma_set.sub_array
-    sup = gamma_set.super_array
-    pin_value = sup[1, 0]
-    w = np.exp(-mu * np.abs(grid.x))
-
-    def step(u: np.ndarray, k: int):
-        v = apply_F(u, p, inverses)
-        diff = v - u
-        res_w = float(np.max(w * np.abs(diff)))
-        res_m = float(np.max(np.abs(diff)))
-        if not np.isfinite(res_m):
-            raise ValueError(f"fixed-point step is not finite at iteration {k}")
-        clamped = np.clip(v, sub, sup)
-        # grazing the envelopes within the solve tolerance is not a projection
-        # event, so only count moves the iteration itself could resolve
-        clamp_fraction = float(np.mean(np.abs(clamped - v) > 0.1 * tol))
-        clamped[1, 0] = pin_value
-        return clamped, res_w, res_m, clamp_fraction
-
-    def start(u: np.ndarray) -> _Picard:
-        u = u.copy()
-        u[1, 0] = pin_value
-        return _Picard(u, step, ode_residual, tol)
-
-    midpoint = np.where(sub > 0, np.sqrt(sub * sup), 0.5 * (sub + sup))
-    midpoint[1, 0] = pin_value
-    stages = {"confirm": 0, "picard": 0}
-    bounded = midpoint.copy()
-    bounded[1:] = np.maximum(np.minimum(midpoint[1:], p.s_minus_inf), sub[1:])
-    try:
-        newton, residuals = solve_bvp_newton(p, c, grid, bounded, gamma_set.bounds, inverses)
-    except (NotConverged, SingularJacobian) as exc:
-        newton, residuals, reason = None, (), f"{type(exc).__name__}: {exc}"
-    else:
-        final, stages["confirm"] = start(newton), 1
-        certified = final.run(1) and final.converged and final.ode_res <= 10.0 * tol
-        reason = "" if certified else (f"the projected step of F from the Newton root moved it by {final.res_m:.2e} "
-                                       f"and clamped {final.clamp_fraction:.1%} of the points")
-    if reason:
-        final = start(midpoint)
-        final.run(MAX_ITER)
-        stages["picard"] = final.iterations
-    u, res_w, res_m = final.u, final.res_w, final.res_m
-    clamp_fraction, ode_res = final.clamp_fraction, final.ode_res
-
-    converged = final.converged
+    u = apply_F(newton, p, inverses)
+    moved = np.abs(u - newton)
+    res_w = float(np.max(np.exp(-mu * np.abs(grid.x)) * moved))
+    res_m = float(np.max(moved))
+    ode_res = float(np.max(np.abs(_wave_residual(u, p, c, grid.dx))))
+    converged = res_w <= tol and res_m <= tol and ode_res <= 10.0 * tol
+    if not converged:
+        warnings.append(f"not certified at tol {tol:.1e}: one step of F moved the Newton root by {res_m:.2e} "
+                        f"and left a wave-equation residual of {ode_res:.2e}")
 
     n_tail = max(2, int(0.1 * grid.n))
     s_inf = float(np.mean(u[0, -n_tail:]))
-    if not np.isfinite(ode_res):
-        ode_res = ode_residual(u)
-    if converged and ode_res > 10.0 * tol:
-        converged = False
-        warnings.append(f"wave-equation residual {ode_res:.2e} exceeds 10*tol")
 
     i_vals = u[1]
     mass = np.cumsum(0.5 * (i_vals[1:] + i_vals[:-1]) * grid.dx)
@@ -554,34 +463,25 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
             warnings.append("right window too short: 99.9% of the infected mass is not inside")
 
     profile = np.clip(u, 0.0, None)
-    if newton is None:
-        agreement = None
-    elif reason:
-        agreement = align_profiles(profile, newton, grid)[1]
-    else:
-        agreement = float(np.max(np.abs(profile - newton)))
-
     return FixedPointReport(
         grid=grid,
         profile=profile,
-        iterations=sum(stages.values()),
+        iterations=1,
         residual=res_w,
         residual_max=res_m,
-        clamp_fraction=clamp_fraction,
         s_inf=s_inf,
         converged=bool(converged),
         ode_residual=ode_res,
         gamma_set=gamma_set,
+        gamma_margin=gamma_set.membership_margin(profile),
         specs=specs,
         mu=mu,
         lambda0=roots.lambda0,
         c=c,
         warnings=tuple(warnings),
-        finish_reason=reason,
-        stage_iterations=stages,
         newton=newton,
         newton_residuals=residuals,
-        agreement=agreement,
+        agreement=float(np.max(np.abs(profile - newton))),
     )
 
 

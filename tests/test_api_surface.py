@@ -1,8 +1,9 @@
 """The names the traced benchmark and the package namespace rely on still resolve.
 
-bench/spans.py wraps functions by name on each sirwaves module; a deletion
-there would only show when `bench/run.py --trace 1` runs. This test makes it
-show in the test suite instead. So does the import probe of the traced run,
+bench/spans.py wraps functions by name on each sirwaves module and reads
+`iterations` from every solve's report; a deletion there would only show when
+`bench/run.py --trace 1` runs. These tests make it show in the test suite
+instead. So does the import probe of the traced run,
 which reads the import times of sirwaves and scipy.signal without a guard.
 bench/workloads.py sizes its profile windows itself, and a test here holds
 those windows to wave_profile.wave_window.
@@ -35,11 +36,15 @@ def test_traced_functions_resolve(layer, names):
 
 
 def test_tracer_hooks_resolve():
+    import dataclasses
+
     import sirwaves.model
     import sirwaves.wave_profile
 
     assert callable(sirwaves.model.GridFunction.__post_init__)
     assert callable(sirwaves.wave_profile.splu)
+    # the solve_fixed_point hook sums report.iterations
+    assert "iterations" in {f.name for f in dataclasses.fields(sirwaves.wave_profile.FixedPointReport)}
 
 
 def test_package_imports_resolve():

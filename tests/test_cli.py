@@ -136,7 +136,7 @@ def test_profile_sizes_its_window_from_the_decay_rates(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["profile", config_path, "--c", "4", "--out", str(out)]) == 0
     diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["converged"] and diag["solve"]["finish"] == "newton"
+    assert diag["converged"] and diag["iterations"] == 1
     lines = (out / "profile.csv").read_text().splitlines()
     assert len(lines) == 4002 and lines[1].startswith("-100,")
 
@@ -268,42 +268,46 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
 
 def test_verify_newton_failure_is_a_failed_check(tmp_path, monkeypatch):
     # with a two-step budget every Newton solve fails; the suite records
-    # fixed_point as failed and still reports the diagnostics of the Picard wave
-    monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
-    cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
-                      "delta": 0.5, "s_minus_inf": 2.0}}
-    path = write_config(tmp_path, cfg)
-    assert main(["verify", path, "--c", "3.6373", "--out", str(tmp_path / "out")]) == 3
+    # fixed_point as failed with the error's type and text, and with no
+    # profile to check it skips the diagnostics, without solving again
+    import sirwaves.wave_profile
+
+    calls = []
+    original = sirwaves.wave_profile.solve_bvp_newton
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sirwaves.wave_profile, "solve_bvp_newton", counted)
+    monkeypatch.setattr(sirwaves.wave_profile, "PTC_MAX_ITER", 2)
+    path = write_config(tmp_path, P0_CONFIG)
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+    assert len(calls) == 1
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["fixed_point"]["status"] == "fail"
-    assert "newton solve failed" in checks["fixed_point"]["details"]
-    assert checks["profile_diagnostics"]["status"] != "skipped"
+    assert checks["fixed_point"]["details"].startswith("newton solve failed: NotConverged: 2 steps ended at residual")
+    assert (checks["profile_diagnostics"]["status"], checks["profile_diagnostics"]["details"]) == ("skipped", "no profile")
+    assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == ["fixed_point"]
 
 
 def test_profile_newton_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # with a two-step budget the Newton solve fails at every tol, so the
-    # report carries no agreement and profile fails with the solve's reason;
-    # the Picard profile is still written, flagged, over an earlier run's files
-    monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
-    cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
-                      "delta": 0.5, "s_minus_inf": 2.0}}
-    path = write_config(tmp_path, cfg)
+    # with a two-step budget the Newton solve fails at every tol: profile
+    # takes the path of every refused solve, clearing an earlier run's files
+    # and recording the typed error in the manifest
+    path = write_config(tmp_path, P0_CONFIG)
     out = tmp_path / "out"
-    assert main(["profile", path, "--c", "3.6373", "--tol", "1e-4", "--out", str(out)]) == 0
+    assert main(["profile", path, "--tol", "1e-4", "--out", str(out)]) == 0
     capsys.readouterr()
-    rc = main(["profile", path, "--c", "3.6373", "--solver", "both", "--out", str(out)])
-    assert rc == 2
+    monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
+    assert main(["profile", path, "--solver", "both", "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith("newton solve failed: ")
-    diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["solver"] == "both" and diag["solver_agreement"] is None
-    assert diag["converged"] and diag["solve"]["finish_reason"].startswith("NotConverged: 2 steps")
-    assert err[-1] == "newton solve failed: " + diag["solve"]["finish_reason"]
-    assert diag["warnings"][-1] == err[-1]
+    assert len(err) == 1 and err[0].startswith("solve failed: NotConverged: 2 steps ended at residual")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"]["diagnostics.json"] == hashlib.sha256((out / "diagnostics.json").read_bytes()).hexdigest()
-    assert manifest["outputs"]["profile.csv"] == hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
+    assert manifest["outputs"] == {}
+    assert manifest["derived"]["solve"] == {"failed": err[0].removeprefix("solve failed: ")}
 
 
 def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
@@ -314,8 +318,8 @@ def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["converged"] and diag["solver_agreement"] <= 1e-5
     solve = diag["solve"]
-    assert solve["finish"] == "newton" and solve["stage_iterations"]["picard"] == 0
-    assert sum(solve["stage_iterations"].values()) == diag["iterations"]
+    assert diag["iterations"] == 1 and sorted(solve) == ["gamma_margin", "newton_residuals", "newton_steps"]
+    assert abs(solve["gamma_margin"]) <= 1e-12  # inside the envelopes up to roundoff
     assert solve["newton_steps"] == len(solve["newton_residuals"]) - 1 >= 1
     assert solve["newton_residuals"][-1] <= 1e-12
     manifest = json.loads((out / "manifest.json").read_text())
@@ -323,8 +327,8 @@ def test_profile_near_c_star_on_wide_window_is_solved(tmp_path):
 
 
 def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monkeypatch):
-    # every tol starts with Newton and the report carries its agreement, so
-    # the solve's Newton call is the only one, after a failed Newton solve too
+    # the report carries the Newton agreement, so the solve's Newton call is
+    # the only one, and a failed Newton solve is not retried
     import sirwaves.wave_profile
 
     calls = []
@@ -340,17 +344,31 @@ def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monk
         out = tmp_path / tol
         assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--tol", tol, "--out", str(out)]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["solve"]["finish"] == "newton" and diag["solve"]["stage_iterations"] == {"confirm": 1, "picard": 0}
-        assert diag["solver_agreement"] <= 1e-10
+        assert diag["iterations"] == 1 and diag["solver_agreement"] <= 1e-10
         assert len(calls) == 1
 
     calls.clear()
     monkeypatch.setattr(sirwaves.wave_profile, "PTC_MAX_ITER", 2)
-    cfg = {"params": {"d1": 0.5, "d2": 1.0, "d3": 1.0, "beta": 4.0, "gamma": 0.5,
-                      "delta": 0.5, "s_minus_inf": 2.0}}
-    path = write_config(tmp_path, cfg)
-    assert main(["profile", path, "--c", "3.6373", "--solver", "both", "--out", str(tmp_path / "fb")]) == 2
+    assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--out", str(tmp_path / "fail")]) == 2
     assert len(calls) == 1
+
+
+def test_solver_option_only_chooses_the_written_array(tmp_path):
+    # newton writes the root, picard and both the step of F that certifies
+    # it; every choice reports the same agreement
+    from sirwaves import Grid, ModelParams, solve_fixed_point
+
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
+    rep = solve_fixed_point(ModelParams(**P0_CONFIG["params"]), 2.5, Grid(**GRID_40), tol=1e-8)
+    written = {}
+    for solver in ("picard", "newton", "both"):
+        out = tmp_path / solver
+        assert main(["profile", path, "--solver", solver, "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["solver"] == solver and diag["solver_agreement"] == rep.agreement
+        written[solver] = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)[:, 1:].T
+    assert np.array_equal(written["newton"], rep.newton)
+    assert np.array_equal(written["picard"], rep.profile) and np.array_equal(written["both"], rep.profile)
 
 
 def test_verify_far_above_c_star_passes(tmp_path):

