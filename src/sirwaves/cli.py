@@ -505,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("profile", help="solve for the traveling-wave profile at a speed")
     pp.add_argument("config")
     pp.add_argument("--c", type=float)
-    pp.add_argument("--dx", type=float, default=0.05)
+    pp.add_argument("--dx", type=float,
+                    help="window spacing; default min(0.05, 0.9*2*min(d1, d2, d3)/c), inside the mesh condition")
     pp.add_argument("--tol", type=float, default=1e-8)
     pp.add_argument("--solver", choices=("picard", "newton", "both"), default="picard",
                     help="profile.csv holds the Newton root (newton) or the step of F certifying it (picard, both)")

@@ -1,10 +1,12 @@
 """Everything derived from linearizing at the invaded disease-free state.
 
-The infected equation linearized at (s_minus_inf, 0, 0) has the characteristic
-function f(lambda) = -d2*lambda^2 + c*lambda - (beta-gamma-delta). Its smaller
-positive root is the leading-edge decay rate of the front; minimizing the
-growth-rate quotient over decay rates gives the minimal front speed
-c* = 2*sqrt(d2*(beta-gamma-delta)).
+Every linear operator of the package is h -> -d*h'' + c*h' + a*h, of symbol
+P(lambda; d, c, a) = -d*lambda^2 + c*lambda + a; the roots of P and of its
+centred stencil are the rates and per-cell ratios it annihilates. The infected
+equation linearized at (s_minus_inf, 0, 0) is d = d2, a = -(beta-gamma-delta):
+the characteristic function f, whose smaller positive root is the leading-edge
+decay rate of the front; minimizing the growth-rate quotient over decay rates
+gives the minimal front speed c* = 2*sqrt(d2*(beta-gamma-delta)).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, wave_operator
 
 
 class ComplexRoots(ValueError):
@@ -72,29 +74,60 @@ class D3Report:
     c_minus_d3_lambda0: float
 
 
+def symbol(lam, d: float, c: float, a: float):
+    """P(lambda; d, c, a) = -d*lambda^2 + c*lambda + a, the symbol of h -> -d*h'' + c*h' + a*h."""
+    return -d * lam * lam + c * lam + a
+
+
+def symbol_roots(d: float, c: float, a: float):
+    """Roots lo <= hi of the symbol and s = sqrt(c*c + 4*d*a); raises ComplexRoots when c*c + 4*d*a < 0.
+
+    lo = -2a/(c + s) is the conjugate form of (c - s)/(2d), free of cancellation
+    when c*c dominates 4*d*|a|; hi = (c + s)/(2d).
+    """
+    disc = c * c + 4.0 * d * a
+    if disc < 0:
+        raise ComplexRoots(f"c = {c} is below the minimal speed {np.sqrt(-4.0 * d * a)}: "
+                           "characteristic roots are complex")
+    s = np.sqrt(disc)
+    return -2.0 * a / (c + s), (c + s) / (2.0 * d), s
+
+
+def stencil_roots(d: float, c: float, a: float, dx: float):
+    """Roots z_lo <= z_hi of the symbol's centred stencil on spacing dx, and its discriminant root s.
+
+    h_j = z^j solves the centred -d*h'' + c*h' + a*h = 0 exactly when
+    E*z^2 + B*z + A = 0, with (A, B, E) the weights of h[j-1], h[j], h[j+1];
+    z stands for exp(lambda*dx). s*dx = sqrt(c^2 + 4*d*a + (a*dx)^2) is real
+    wherever the symbol's roots are, and for dx < 2d/c then 0 < z_lo <= z_hi.
+    """
+    # the stencil of a minus the wave operator d*h'' - c*h'
+    w = wave_operator(np.eye(3), d, c, dx)[:, 0]
+    A, B, E = -w[0], a - w[1], -w[2]
+    s = np.sqrt(B * B - 4.0 * A * E)
+    return -2.0 * A / (B + s), (B + s) / (-2.0 * E), s
+
+
+def envelope_image(x, lam: float, eps: float, m: float, d: float, c: float, a: float):
+    """-d*h'' + c*h' + a*h of an envelope piece h = exp(lam*x)*(1 - m*exp(eps*x)), from the symbol."""
+    return symbol(lam, d, c, a) * np.exp(lam * x) - m * symbol(lam + eps, d, c, a) * np.exp((lam + eps) * x)
+
+
 def characteristic_f(lam: float, c: float, p: ModelParams) -> float:
     """f(lambda) = -d2*lambda^2 + c*lambda - (beta - gamma - delta)."""
-    return -p.d2 * lam * lam + c * lam - (p.beta - p.gamma - p.delta)
+    return symbol(lam, p.d2, c, -(p.beta - p.gamma - p.delta))
 
 
 def lambda0(c: float, p: ModelParams) -> CharRoots:
     """Both positive roots of f at speed c; raises ComplexRoots below the minimal speed.
 
-    The smaller root uses the conjugate form 2q/(c + sqrt(...)) to avoid
+    The smaller root is the conjugate form of symbol_roots, free of
     cancellation for c much larger than the minimal speed.
     """
     q = p.beta - p.gamma - p.delta
     if q <= 0:
         raise SubThreshold("beta <= gamma + delta: no wave decay rate exists")
-    disc = c * c - 4.0 * p.d2 * q
-    if disc < 0:
-        raise ComplexRoots(
-            f"c = {c} is below the minimal speed {2.0 * np.sqrt(p.d2 * q)}: "
-            "characteristic roots are complex"
-        )
-    s = np.sqrt(disc)
-    lam_small = 2.0 * q / (c + s)
-    lam_large = (c + s) / (2.0 * p.d2)
+    lam_small, lam_large, s = symbol_roots(p.d2, c, -q)
     degenerate = bool(s <= 1e-13 * max(1.0, c))
     return CharRoots(c=float(c), lambda0=float(lam_small), lambda0_plus=float(lam_large), degenerate=degenerate)
 

@@ -494,8 +494,9 @@ def subcritical_falsification(cfg: SimConfig, c_target: float, fit_window: float
     grid = cfg.grid
     x = grid.x
     try:
-        c_star = minimal_speed(p).c_star
-        lam_seed = np.sqrt((p.beta - p.gamma - p.delta) / p.d2)  # root modulus below c*
+        speed = minimal_speed(p)
+        c_star = speed.c_star
+        lam_seed = speed.lambda_star  # root modulus below c*
         if c_target > c_star:
             lam_seed = lambda0(c_target, p).lambda0
     except SubThreshold:

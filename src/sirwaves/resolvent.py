@@ -28,7 +28,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .model import Grid, GridFunction, ModelParams, edge_difference, wave_operator
-from .linear_analysis import CrossCheckFailed, lambda0
+from .linear_analysis import CrossCheckFailed, envelope_image, lambda0, stencil_roots, symbol, symbol_roots
 
 
 class GridTooSmall(ValueError):
@@ -55,7 +55,7 @@ class ShiftFloorLost(ValueError):
 class ResolventSpec:
     """Constants defining one operator pair (D_i, D_i^{-1}).
 
-    lambda_minus < 0 < -lambda_minus < lambda_plus are the roots of
+    lambda_minus < 0 < -lambda_minus < lambda_plus are the roots of the symbol
     f_i(lambda) = -d_i lambda^2 + c lambda + alpha, and rho = d_i*(l+ - l-)
     = sqrt(c^2 + 4 d_i alpha) normalizes the kernel.
     """
@@ -70,9 +70,7 @@ class ResolventSpec:
 
     @classmethod
     def build(cls, index: int, d: float, c: float, alpha: float) -> "ResolventSpec":
-        s = np.sqrt(c * c + 4.0 * d * alpha)
-        lam_minus = (c - s) / (2.0 * d)
-        lam_plus = (c + s) / (2.0 * d)
+        lam_minus, lam_plus, s = symbol_roots(d, c, alpha)
         rho_diff = d * (lam_plus - lam_minus)
         if abs(rho_diff - s) > 1e-12 * s:
             raise CrossCheckFailed("the two closed forms of rho disagree")
@@ -85,7 +83,7 @@ class ResolventSpec:
 
     def f(self, lam: float) -> float:
         """f_i(lambda) = -d lambda^2 + c lambda + alpha; the kernel exponents are its roots."""
-        return -self.d * lam * lam + self.c * lam + self.alpha
+        return symbol(lam, self.d, self.c, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def choose_mu(specs, lam0: float) -> float:
 
 
 def discrete_kernel(spec: ResolventSpec, dx: float) -> DiscreteKernel:
-    """Stencil-matched kernel ratios for spacing dx.
+    """Stencil-matched kernel ratios for spacing dx: the stencil roots of the operator's symbol.
 
     Requires dx < 2*d/c so the off-diagonal stencil entries keep one sign and
     the two ratios stay positive.
@@ -150,12 +148,7 @@ def discrete_kernel(spec: ResolventSpec, dx: float) -> DiscreteKernel:
         raise ValueError(
             f"dx = {dx} too coarse for operator {spec.index}: need dx < 2d/c = {2.0 * d / c}"
         )
-    # D = alpha - (d*h'' - c*h'), so its stencil is alpha minus the wave operator's weights
-    w = wave_operator(np.eye(3), d, c, dx)[:, 0]
-    A, B, E = -w[0], alpha - w[1], -w[2]
-    s = np.sqrt(B * B - 4.0 * A * E)  # = rho_hat/dx with rho_hat below
-    z_minus = -2.0 * A / (B + s)
-    z_plus = (B + s) / (-2.0 * E)
+    z_minus, z_plus, s = stencil_roots(d, c, alpha, dx)
     rho_hat = s * dx  # = sqrt(c^2 + 4 d alpha + (alpha dx)^2)
     return DiscreteKernel(z_minus=z_minus, z_plus=z_plus, rho_hat=rho_hat, dx=dx)
 
@@ -263,10 +256,10 @@ def delta_inverse_piecewise_g(
 ):
     """Apply the inverse to the image of g(x) = max(e^{lam x}(1 - M e^{eps x}), 0).
 
-    The image under D_i is the piecewise function f_i(lam) e^{lam x}
-    - M f_i(lam+eps) e^{(lam+eps) x} left of the crossover x* = -ln(M)/eps and
-    zero to the right; it is built analytically here, including its exact
-    two-exponential left tail, and the result must dominate g pointwise.
+    The image under D_i is envelope_image, f_i(lam) e^{lam x}
+    - M f_i(lam+eps) e^{(lam+eps) x}, left of the crossover x* = -ln(M)/eps and
+    zero to the right; its exact two-exponential left tail is summed here too,
+    and the result must dominate g pointwise.
 
     Returns (result, g_samples, margins) with margins = result - g.
     """
@@ -278,16 +271,11 @@ def delta_inverse_piecewise_g(
         raise ValueError("M and eps must be positive")
     x_star = -np.log(big_m) / eps
     x = grid.x
-    fl = spec.f(lam)
-    fle = spec.f(lam + eps)
-    dg = np.where(x < x_star, fl * np.exp(lam * x) - big_m * fle * np.exp((lam + eps) * x), 0.0)
+    image = envelope_image(x, lam, eps, big_m, spec.d, spec.c, spec.alpha)
     # a node sitting on the crossover carries half the one-sided limit, the
     # trapezoid-consistent weight for a jump located exactly at a sample
     on_kink = np.abs(x - x_star) <= 1e-9 * max(1.0, abs(x_star))
-    if np.any(on_kink):
-        dg[on_kink] = 0.5 * (
-            fl * np.exp(lam * x[on_kink]) - big_m * fle * np.exp((lam + eps) * x[on_kink])
-        )
+    dg = np.where(on_kink, 0.5 * image, np.where(x < x_star, image, 0.0))
 
     kern = discrete_kernel(spec, grid.dx)
     dx, zm = kern.dx, kern.z_minus
@@ -298,8 +286,8 @@ def delta_inverse_piecewise_g(
         q1 = np.exp(lam * dx)
         q2 = np.exp((lam + eps) * dx)
         t_left = dx * (
-            fl * np.exp(lam * grid.x_min) / (q1 - zm)
-            - big_m * fle * np.exp((lam + eps) * grid.x_min) / (q2 - zm)
+            spec.f(lam) * np.exp(lam * grid.x_min) / (q1 - zm)
+            - big_m * spec.f(lam + eps) * np.exp((lam + eps) * grid.x_min) / (q2 - zm)
         )
     result = _kernel_sums(dg, kern, t_left, 0.0)
 

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 # splu no longer factors anything here; it stays bound by name because the
-# benchmark tracer (bench/spans.py) hooks wave_profile.splu and
-# tests/test_api_surface.py checks that the name resolves.
+# benchmark tracer (bench/spans.py) hooks wave_profile.splu; tests/test_api_surface.py
+# checks that the name resolves and spares it the unused-import check.
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .model import ETA_DEFAULT, Grid, ModelParams, edge_difference, reaction_terms, wave_operator
-from .linear_analysis import characteristic_f, lambda0
+from .linear_analysis import characteristic_f, envelope_image, lambda0, stencil_roots, symbol_roots
 from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
 # Residual sup norm the Newton solve must reach where its roundoff floor is
@@ -125,9 +124,6 @@ class SubInequalityReport:
     s_margin: float
     i_margin: float
     r_margin: float
-    s_argmin: float
-    i_argmin: float
-    r_argmin: float
 
 
 @dataclass
@@ -279,80 +275,50 @@ def make_gamma_set(p: ModelParams, c: float, grid: Grid, bounds: BoundSet | None
 def verify_sub_inequalities(b: BoundSet, p: ModelParams, c: float, grid: Grid) -> SubInequalityReport:
     """Pointwise margins of the three sub-solution inequalities on their domains.
 
-    Derivatives of the piecewise-smooth envelopes are evaluated from their
-    closed forms on each smooth piece (values at the crossover are the
-    one-sided limits from the left), never by differencing. Violations are
-    reported, not raised.
+    Each envelope is amp*exp(lam*x)*(1 - M*exp(eps*x)) on its smooth piece, so
+    its image -d*h'' + c*h' comes from the symbol (envelope_image), never by
+    differencing; values at the crossover are the one-sided limits from the
+    left. Violations are reported, not raised.
     """
     x = grid.x
     l0 = b.lambda0
 
     def worst(margins, mask):
-        if not np.any(mask):
-            return np.inf, np.nan
-        vals = margins[mask]
-        k = int(np.argmin(vals))
-        return float(vals[k]), float(x[mask][k])
+        return float(np.min(margins[mask])) if np.any(mask) else np.inf
 
     # susceptible envelope inequality on x <= x1
-    mask1 = x <= b.x1
-    m_s = -p.beta * np.exp(l0 * x) + b.s_minus_inf * b.m1 * b.eps1 * (
-        c - p.d1 * b.eps1
-    ) * np.exp(b.eps1 * x)
-    s_margin, s_arg = worst(m_s, mask1)
+    s_image = b.s_minus_inf * envelope_image(x, 0.0, b.eps1, b.m1, p.d1, c, 0.0)
+    s_margin = worst(-p.beta * np.exp(l0 * x) - s_image, x <= b.x1)
 
     # infected envelope inequality on x <= x2 (sub-branch formulas are exact there)
-    mask2 = x <= b.x2
     i_minus = np.exp(l0 * x) - b.m2 * np.exp((l0 + b.eps2) * x)
-    i_minus_p = l0 * np.exp(l0 * x) - b.m2 * (l0 + b.eps2) * np.exp((l0 + b.eps2) * x)
-    i_minus_pp = l0**2 * np.exp(l0 * x) - b.m2 * (l0 + b.eps2) ** 2 * np.exp((l0 + b.eps2) * x)
     s_minus = b.s_minus(x)
     lhs = (
         p.beta * s_minus * i_minus / (s_minus + b.i_plus(x) + b.r_plus(x))
         - (p.gamma + p.delta) * i_minus
     )
-    rhs = -p.d2 * i_minus_pp + c * i_minus_p
-    i_margin, i_arg = worst(lhs - rhs, mask2)
+    i_margin = worst(lhs - envelope_image(x, l0, b.eps2, b.m2, p.d2, c, 0.0), x <= b.x2)
 
     # removed envelope inequality on x <= x3
-    mask3 = x <= b.x3
-    k = b.r_coef
-    r_minus_p = k * (l0 * np.exp(l0 * x) - b.m3 * (l0 + b.eps3) * np.exp((l0 + b.eps3) * x))
-    r_minus_pp = k * (
-        l0**2 * np.exp(l0 * x) - b.m3 * (l0 + b.eps3) ** 2 * np.exp((l0 + b.eps3) * x)
-    )
-    lhs_r = p.gamma * b.i_minus(x)
-    rhs_r = -p.d3 * r_minus_pp + c * r_minus_p
-    r_margin, r_arg = worst(lhs_r - rhs_r, mask3)
+    r_image = b.r_coef * envelope_image(x, l0, b.eps3, b.m3, p.d3, c, 0.0)
+    r_margin = worst(p.gamma * b.i_minus(x) - r_image, x <= b.x3)
 
-    return SubInequalityReport(
-        s_margin=s_margin,
-        i_margin=i_margin,
-        r_margin=r_margin,
-        s_argmin=s_arg,
-        i_argmin=i_arg,
-        r_argmin=r_arg,
-    )
+    return SubInequalityReport(s_margin=s_margin, i_margin=i_margin, r_margin=r_margin)
 
 
 def discrete_decay_rate(p: ModelParams, c: float, dx: float) -> float:
-    """Decay rate actually propagated by the centered stencil.
+    """Decay rate actually propagated by the centered stencil: log(z_lo)/dx.
 
-    Smaller positive root of -d2*(2cosh(l*dx)-2)/dx^2 + c*sinh(l*dx)/dx = q;
-    it sits O(dx^2) from the continuum rate and is independent of the shift
-    constants, so tail closures keyed to it keep the fixed point free of the
-    shift-constant bookkeeping.
+    z_lo is the smaller stencil root of the infected equation linearized at
+    the disease-free state, the symbol with d = d2 and a = -(beta-gamma-delta);
+    the rate sits O(dx^2) from the continuum rate lambda0 and is independent
+    of the shift constants, so tail closures keyed to it keep the fixed point
+    free of the shift-constant bookkeeping. Raises ComplexRoots below the
+    minimal speed, where the stencil roots can still be real.
     """
-    roots = lambda0(c, p)
-    q = p.beta - p.gamma - p.delta
-
-    def fdisc(lam):
-        return -p.d2 * (2.0 * np.cosh(lam * dx) - 2.0) / dx**2 + c * np.sinh(lam * dx) / dx - q
-
-    lo, hi = 0.5 * roots.lambda0, 0.5 * (roots.lambda0 + roots.lambda0_plus)
-    if fdisc(lo) >= 0 or fdisc(hi) <= 0:  # extremely coarse mesh; fall back
-        return roots.lambda0
-    return brentq(fdisc, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    lambda0(c, p)  # the continuum roots decide whether a decay rate exists
+    z_lo, _, _ = stencil_roots(p.d2, c, -(p.beta - p.gamma - p.delta), dx)
+    return float(np.log(z_lo) / dx)
 
 
 def map_inverses(specs, p: ModelParams, dx: float):
@@ -607,21 +573,26 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
 def outflow_rate(p: ModelParams, c: float) -> float:
     """Decay rate kappa of small infected perturbations at the right edge, which sizes the wave window.
 
-    The positive root of d2*k^2 + c*k = gamma + delta. wave_window puts the
-    right edge where I has decayed by exp(-16.1) at this rate.
+    The positive root of d2*k^2 + c*k = gamma + delta, minus the negative root
+    of the symbol with d = d2 and a = gamma + delta. wave_window puts the right
+    edge where I has decayed by exp(-16.1) at this rate.
     """
-    return (np.sqrt(c * c + 4.0 * p.d2 * (p.gamma + p.delta)) - c) / (2.0 * p.d2)
+    return -symbol_roots(p.d2, c, p.gamma + p.delta)[0]
 
 
-def wave_window(p: ModelParams, c: float, dx: float = 0.05) -> Grid:
+def wave_window(p: ModelParams, c: float, dx: float | None = None) -> Grid:
     """The window every wave solve uses unless it is given a grid, with spacing dx.
 
+    dx defaults to min(0.05, 0.9*2*min(d1, d2, d3)/c), inside the mesh
+    condition dx < 2d/c of every operator's stencil; a given dx is kept.
     The left half-width max(60, ceil(26/rate/10)*10), rate = min(lambda0, c/d1),
     puts I below exp(-26) at x_min, under the solve's window guard, and lets S,
     which settles at the slower rate, meet the map's constant tail there. The
     right edge max(half, ceil(16.1/kappa/10)*10), kappa = outflow_rate(p, c),
     lets I fall below exp(-16.1) of its scale by x_max. Raises ValueError above MAX_WINDOW_POINTS.
     """
+    if dx is None:
+        dx = min(0.05, 0.9 * 2.0 * min(p.d1, p.d2, p.d3) / c)
     half = max(60.0, np.ceil(26.0 / min(lambda0(c, p).lambda0, c / p.d1) / 10.0) * 10.0)
     right = max(half, np.ceil(16.1 / outflow_rate(p, c) / 10.0) * 10.0)
     n = int(round((half + right) / dx)) + 1

@@ -57,6 +57,26 @@ def test_package_imports_resolve():
             assert hasattr(mod, alias.name), f"sirwaves.{node.module}.{alias.name}"
 
 
+# names a module imports only so that something outside it finds them there:
+# the benchmark tracer hooks wave_profile.splu
+IMPORTED_FOR_OTHERS = {"wave_profile": {"splu"}}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in (ROOT / "src" / "sirwaves").glob("*.py") if p.stem != "__init__"))
+def test_module_imports_are_used(module):
+    # a module-level import that nothing in the module reads is left over from
+    # deleted code (a root finder whose call is gone, say)
+    tree = ast.parse((ROOT / "src" / "sirwaves" / f"{module}.py").read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - read - IMPORTED_FOR_OTHERS.get(module, set()) == set()
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_bench_ladder_windows_are_wave_window(seed):
     # bench/workloads.py sizes its profile grids with its own copy of the

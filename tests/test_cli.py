@@ -141,6 +141,17 @@ def test_profile_sizes_its_window_from_the_decay_rates(config_path, tmp_path):
     assert len(lines) == 4002 and lines[1].startswith("-100,")
 
 
+def test_profile_default_spacing_meets_the_mesh_condition(tmp_path, capsys):
+    # d3 = 0.1 at c = 6 needs dx < 2*d3/c = 0.033: the default spacing is 0.03,
+    # and an explicit --dx 0.05 is kept and refused
+    path = write_config(tmp_path, {"params": {**P0_CONFIG["params"], "d3": 0.1}})
+    out = tmp_path / "out"
+    assert main(["profile", path, "--c", "6", "--out", str(out)]) == 0
+    assert len((out / "profile.csv").read_text().splitlines()) == 10669
+    assert main(["profile", path, "--c", "6", "--dx", "0.05", "--out", str(out)]) == 2
+    assert "too coarse for operator 3" in capsys.readouterr().err
+
+
 def test_profile_runs_and_writes_outputs(tmp_path):
     path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
     out = str(tmp_path / "out")

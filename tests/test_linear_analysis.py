@@ -203,3 +203,57 @@ def test_d3_condition_implies_positivity_property():
         c = minimal_speed(p).c_star * rng.uniform(1.0, 4.0)
         assert check_d3_condition(p, c).c_minus_d3_lambda0 > 0
         count += 1
+
+
+@pytest.mark.parametrize("c", (2.05, 2.5, 4.0, 8.0))
+def test_each_rate_is_a_root_of_its_symbol(c):
+    # every decay rate and kernel exponent solves P(lambda; d, c, a) = 0 for
+    # its own (d, a), relative to the size of the symbol's terms
+    from sirwaves import choose_alphas
+    from sirwaves.linear_analysis import symbol
+    from sirwaves.wave_profile import outflow_rate
+
+    def rel(lam, d, a):
+        return abs(symbol(lam, d, c, a)) / (d * lam * lam + c * abs(lam) + abs(a))
+
+    q = P0.beta - P0.gamma - P0.delta
+    r = lambda0(c, P0)
+    assert rel(r.lambda0, P0.d2, -q) <= 1e-15 and rel(r.lambda0_plus, P0.d2, -q) <= 1e-15
+    assert rel(-outflow_rate(P0, c), P0.d2, P0.gamma + P0.delta) <= 1e-15
+    for spec in choose_alphas(P0, c):
+        assert rel(spec.lambda_minus, spec.d, spec.alpha) <= 1e-15
+        assert rel(spec.lambda_plus, spec.d, spec.alpha) <= 1e-15
+
+
+@pytest.mark.parametrize("c", (2.05, 2.5, 4.0, 8.0))
+@pytest.mark.parametrize("dx", (0.1, 0.05, 0.025))
+def test_discrete_decay_rate_is_a_root_of_the_stencil(c, dx):
+    # exp(lambda_hat*x) solves the centred infected equation d2*h'' - c*h' + q*h = 0
+    # at interior points, relative to the size of the stencil's terms; the
+    # continuum rate lambda0 misses by its O(dx^2) offset
+    from sirwaves import Grid, discrete_decay_rate
+    from sirwaves.model import wave_operator
+
+    q = P0.beta - P0.gamma - P0.delta
+    x = Grid.symmetric(5.0, dx).x
+
+    def worst(lam):
+        h = np.exp(lam * x)
+        terms = P0.d2 * (h[2:] + 2.0 * h[1:-1] + h[:-2]) / dx**2 + c * (h[2:] + h[:-2]) / (2.0 * dx) + q * h[1:-1]
+        return np.max(np.abs(wave_operator(h, P0.d2, c, dx) + q * h[1:-1]) / terms)
+
+    assert worst(discrete_decay_rate(P0, c, dx)) <= 1e-12
+    assert worst(lambda0(c, P0).lambda0) > 1e-10
+
+
+def test_discrete_decay_rate_complex_below_c_star():
+    # at c = 1.9999 the stencil roots of dx = 0.05 are still real; the
+    # continuum roots are not, and no wave decay rate exists
+    from sirwaves import discrete_decay_rate
+    from sirwaves.linear_analysis import stencil_roots
+
+    z_lo, z_hi, _ = stencil_roots(P0.d2, 1.9999, -1.0, 0.05)
+    assert 0.0 < z_lo < z_hi
+    for c in (1.9999, 1.9):
+        with pytest.raises(ComplexRoots):
+            discrete_decay_rate(P0, c, 0.05)

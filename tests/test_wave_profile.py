@@ -520,6 +520,9 @@ def test_wave_window_sizes_from_both_decay_rates():
     assert wave_window(P0, 4.0, 0.1) == Grid.symmetric(100.0, 0.1)  # left tail: lambda0 = 0.27
     assert wave_window(dataclasses.replace(P0, delta=0.0), 3.0619) == Grid(-60.0, 110.0, 3401)  # slow outflow
     assert wave_window(dataclasses.replace(P0, beta=1.05), 2.0).n == 41201 <= MAX_WINDOW_POINTS
+    # the default spacing keeps 0.9 of the mesh bound 2*d3/c = 0.033; a given dx is kept
+    assert wave_window(dataclasses.replace(P0, d3=0.1), 6.0) == Grid.symmetric(160.0, 0.03)
+    assert wave_window(dataclasses.replace(P0, d3=0.1), 6.0, 0.05) == Grid.symmetric(160.0, 0.05)
     with pytest.raises(ValueError, match="103201 points"):
         wave_window(dataclasses.replace(P0, beta=1.01), 1.0)  # refused before any solve
 
