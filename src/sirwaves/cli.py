@@ -323,26 +323,29 @@ def cmd_simulate(args) -> int:
         return 2
     out = _out_dir(args)
     hit = False
-    try:
-        result = pde_sim.run(sim_cfg)
-    except pde_sim.FrontHitBoundary as exc:
-        result = exc.result
-        hit = True
+    timings = {}
+    with _timed(timings, "steps"):
+        try:
+            result = pde_sim.run(sim_cfg)
+        except pde_sim.FrontHitBoundary as exc:
+            result = exc.result
+            hit = True
 
     x = grid.x
-    for t, arr in result.snapshots:
+    with _timed(timings, "writes"):
+        for t, arr in result.snapshots:
+            _write_csv(
+                os.path.join(out, f"snapshot_t{t:09.3f}.csv"), "x,S,I,R",
+                (x, arr[0], arr[1], arr[2]),
+            )
         _write_csv(
-            os.path.join(out, f"snapshot_t{t:09.3f}.csv"), "x,S,I,R",
-            (x, arr[0], arr[1], arr[2]),
+            os.path.join(out, "front_trace.csv"), "t,x_front",
+            (result.mass_times, result.trace.positions),
         )
-    _write_csv(
-        os.path.join(out, "front_trace.csv"), "t,x_front",
-        (result.mass_times, result.trace.positions),
-    )
-    _write_csv(
-        os.path.join(out, "mass_budget.csv"), "t,total_mass,infected_mass",
-        (result.mass_times, result.mass_total, result.mass_infected),
-    )
+        _write_csv(
+            os.path.join(out, "mass_budget.csv"), "t,total_mass,infected_mass",
+            (result.mass_times, result.mass_total, result.mass_infected),
+        )
     try:
         c_star = minimal_speed(p).c_star
     except SubThreshold:
@@ -360,9 +363,12 @@ def cmd_simulate(args) -> int:
     }
     if np.isfinite(result.trace.pulled_front_speed):
         summary["pulled_front_speed"] = result.trace.pulled_front_speed
-    _write_json(os.path.join(out, "summary.json"), summary)
+    with _timed(timings, "writes"):
+        _write_json(os.path.join(out, "summary.json"), summary)
+    # the last sample is taken at the last step, also when the front stopped the run early
+    steps = int(round(result.mass_times[-1] / summary["dt"]))
     write_manifest(out, "simulate", {**cfg, "sim": {**sim_block, "t_end": t_end}},
-                   {"c_star": c_star, "dt": summary["dt"]})
+                   {"c_star": c_star, "dt": summary["dt"], "steps": steps}, timings)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -377,7 +383,7 @@ def _parse_vary(spec: str):
 
 
 def _sweep_one(job):
-    """One sweep point: derived constants plus a coarse profile solve outcome."""
+    """One sweep point: derived constants plus the outcome of a profile solve."""
     base_params, c, overrides, dx, tol = job
     values = dict(base_params)
     row: dict = {}
@@ -526,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("config")
     pw.add_argument("--vary", action="append", required=True, help="key=lo:hi:n")
     pw.add_argument("--jobs", type=int, default=1)
-    pw.add_argument("--dx", type=float, default=0.1)
+    pw.add_argument("--dx", type=float,
+                    help="window spacing; default min(0.05, 0.9*2*min(d1, d2, d3)/c), as for profile")
     pw.add_argument("--tol", type=float, default=1e-8)
     pw.add_argument("--out", default="sweep_out")
     pw.set_defaults(func=cmd_sweep)

@@ -118,14 +118,19 @@ def r_naught(p: ModelParams) -> float:
 def incidence(s, i, r, beta: float):
     """Standard incidence beta*S*I/(S+I+R), pinned to 0 where the population is extinct.
 
-    Works elementwise on arrays; scalars in give a scalar out.
+    Works elementwise on arrays; scalars in give a scalar out. When every
+    total is above the guard (no extinct point, no nan), the pinning is
+    skipped: the values are the same, without the two masked passes.
     """
     s = np.asarray(s, dtype=float)
     i = np.asarray(i, dtype=float)
     r = np.asarray(r, dtype=float)
     n = s + i + r
-    safe = np.where(n > ETA_DEFAULT, n, 1.0)
-    out = np.where(n > ETA_DEFAULT, beta * s * i / safe, 0.0)
+    if n.size and n.min() > ETA_DEFAULT:
+        out = beta * s * i / n
+    else:
+        safe = np.where(n > ETA_DEFAULT, n, 1.0)
+        out = np.where(n > ETA_DEFAULT, beta * s * i / safe, 0.0)
     return out if out.ndim else float(out)
 
 

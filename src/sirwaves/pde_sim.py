@@ -185,19 +185,28 @@ def _diffusion_bands(p: ModelParams, dx: float, n: int):
     return lower.ravel()[1:], np.outer(w_mid, np.ones(n)).ravel(), upper.ravel()[:-1]
 
 
-def _reaction_rk4(state: np.ndarray, dt: float, p: ModelParams) -> np.ndarray:
+def _reaction_rk4(state: np.ndarray, dt: float, p: ModelParams, stages: np.ndarray) -> np.ndarray:
     """Classical RK4 on the pointwise reaction terms of the (3, n) state.
 
-    The weighted sum of the stages is formed in place, in the textbook order.
+    stages is a (5, 3, n) work array: rows 0-3 take the four stage slopes and
+    row 4 the stage arguments. The weighted sum of the stages is formed in
+    place, in the textbook order, and returned as stages[0].
     """
+    k1, k2, k3, k4, arg = stages
 
-    def f(u):
-        return np.array(reaction_terms(*u, p))
+    def f(u, out):
+        out[0], out[1], out[2] = reaction_terms(*u, p)
 
-    k1 = f(state)
-    k2 = f(state + 0.5 * dt * k1)
-    k3 = f(state + 0.5 * dt * k2)
-    k4 = f(state + dt * k3)
+    f(state, k1)
+    np.multiply(k1, 0.5 * dt, out=arg)
+    arg += state
+    f(arg, k2)
+    np.multiply(k2, 0.5 * dt, out=arg)
+    arg += state
+    f(arg, k3)
+    np.multiply(k3, dt, out=arg)
+    arg += state
+    f(arg, k4)
     k2 *= 2.0
     k3 *= 2.0
     k1 += k2
@@ -218,6 +227,9 @@ def _strang_step(p: ModelParams, dx: float, n: int, dt: float):
     definite, so it is factored once here by LDL^T and every solve is O(n).
     Since W*A has zero column sums, each diffusion half step conserves the
     trapezoid-rule mass of every species to roundoff.
+
+    Every buffer is built here, so a step allocates no array: the map
+    returns its own (3, n) state buffer, which the next call overwrites.
     """
     lower, diag, upper = _diffusion_bands(p, dx, n)
     g = TRBDF2_GAMMA
@@ -225,50 +237,73 @@ def _strang_step(p: ModelParams, dx: float, n: int, dt: float):
     w = np.ones(n)
     w[[0, -1]] = 0.5
     w = np.tile(w, 3)
-    factors = dpttrf(w * (1.0 - a * diag), -a * w[:-1] * upper)[:2]  # w[:-1]*upper == w[1:]*lower
+    d, e = dpttrf(w * (1.0 - a * diag), -a * w[:-1] * upper)[:2]  # w[:-1]*upper == w[1:]*lower
     # BDF2 weight of the old state: (I - a*A) u_new = u_star/(g(2-g)) - c_old*u
     c_old = (1.0 - g) ** 2 / (g * (2.0 - g))
+    u = np.empty(3 * n)  # the state, stepped in place
+    inc = np.empty(3 * n)  # each TR-BDF2 stage's increment
+    applied = np.empty(3 * n)  # A u for the BDF2 stage
+    prod = np.empty(3 * n - 1)  # a band times the shifted state
+    stages = np.empty((5, 3, n))
 
-    def apply(u):
-        out = diag * u
-        out[:-1] += upper * u[1:]
-        out[1:] += lower * u[:-1]
-        return out
+    def apply(v, out):
+        np.multiply(diag, v, out=out)
+        np.multiply(upper, v[1:], out=prod)
+        out[:-1] += prod
+        np.multiply(lower, v[:-1], out=prod)
+        out[1:] += prod
 
     def solve(b):
         b *= w
-        return dpttrs(*factors, b, overwrite_b=1)[0]
+        dpttrs(d, e, b, overwrite_b=1)  # b is contiguous float64, so it is solved in place
 
-    def diffuse(u):
+    def diffuse(v):
         # both stages solved for the increment, so a uniform state (A u = 0
         # exactly) stays exactly uniform
-        inc = solve(2.0 * a * apply(u))
-        u_star = u + inc
-        inc *= c_old
-        inc += a * apply(u_star)
-        u_star += solve(inc)
-        return u_star
+        apply(v, inc)
+        np.multiply(inc, 2.0 * a, out=inc)
+        solve(inc)
+        v += inc
+        np.multiply(inc, c_old, out=inc)
+        apply(v, applied)
+        np.multiply(applied, a, out=applied)
+        np.add(inc, applied, out=inc)
+        solve(inc)
+        v += inc
+
+    state_u = u.reshape(3, n)
 
     def step(state):
-        half = diffuse(state.ravel()).reshape(state.shape)
-        return diffuse(_reaction_rk4(half, dt, p).ravel()).reshape(state.shape)
+        np.copyto(state_u, state)
+        diffuse(u)
+        np.copyto(state_u, _reaction_rk4(state_u, dt, p, stages))
+        diffuse(u)
+        return state_u
 
     return step
 
 
-def front_position(x: np.ndarray, i_vals: np.ndarray, threshold: float) -> float:
-    """Rightmost crossing of the threshold, linearly interpolated; nan if none."""
-    above = i_vals >= threshold
-    if not np.any(above):
-        return np.nan
-    k = int(np.max(np.nonzero(above)[0]))
-    if k == len(x) - 1:
-        return float(x[-1])
-    y0, y1 = i_vals[k], i_vals[k + 1]
-    if y1 == y0:
-        return float(x[k])
-    frac = (threshold - y0) / (y1 - y0)
-    return float(x[k] + frac * (x[k + 1] - x[k]))
+def front_position(x: np.ndarray, i_vals: np.ndarray, threshold):
+    """Rightmost crossing of the threshold, linearly interpolated; nan if none.
+
+    threshold may be an array of levels, which gives an array of crossings,
+    each the one its level alone gives; a scalar level gives a float.
+    """
+    levels = np.asarray(threshold, dtype=float)
+    lv = levels.ravel()
+    last = len(x) - 1
+    k = last - (i_vals >= lv[:, None])[:, ::-1].argmax(axis=1)  # rightmost point at or above (last if none)
+    inside = k < last  # below the rightmost crossing I falls under the level, so y1 < y0 there
+    k1 = k + inside
+    y0, y1 = i_vals[k], i_vals[k1]
+    frac = np.divide(lv - y0, y1 - y0, out=np.zeros(len(lv)), where=inside)
+    pos = np.where(y0 >= lv, x[k] + frac * (x[k1] - x[k]), np.nan)
+    return pos.reshape(levels.shape) if levels.ndim else float(pos[0])
+
+
+def _trapezoid(y: np.ndarray, widths: np.ndarray) -> float:
+    """np.trapezoid(y, x) given widths = np.diff(x), the same sum in the same order."""
+    return float((widths * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _fit_window(times: np.ndarray, positions: np.ndarray, fit_window: float):
@@ -345,33 +380,33 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         "1e-4": 1e-4 * p.s_minus_inf,
         "1e-5": 1e-5 * p.s_minus_inf,
     }
+    levels = np.array([cfg.threshold, *thresholds.values()])  # the tracked front first
+    widths = np.diff(x)
 
     clipped = 0.0
-    times, fronts, masses, infected, imax = [], [], [], [], []
-    aux_fronts = {k: [] for k in thresholds}
+    times, positions, masses, infected, imax = [], [], [], [], []
     snapshots = [(0.0, state.copy())]
     hit_boundary = False
 
     def sample(t):
         times.append(t)
-        fronts.append(front_position(x, state[1], cfg.threshold))
-        for key, thr in thresholds.items():
-            aux_fronts[key].append(front_position(x, state[1], thr))
-        masses.append(float(np.trapezoid(state.sum(axis=0), x)))
-        infected.append(float(np.trapezoid(state[1], x)))
-        imax.append(float(np.max(state[1])))
+        positions.append(front_position(x, state[1], levels))
+        masses.append(_trapezoid(state.sum(axis=0), widths))
+        infected.append(_trapezoid(state[1], widths))
+        imax.append(float(state[1].max()))
 
     sample(0.0)
     for k in range(1, n_steps + 1):
         state = step(state)
-        neg = state < 0.0
-        if np.any(neg):
+        if state.min() < 0.0:
+            neg = state < 0.0
             clipped += float(-np.sum(state[neg]) * dx)
             state[neg] = 0.0
         t = k * dt
         if k % sample_every == 0 or k == n_steps:
             sample(t)
-            if np.isfinite(fronts[-1]) and fronts[-1] >= grid.x_max - 10.0 * dx:
+            front = positions[-1][0]
+            if np.isfinite(front) and front >= grid.x_max - 10.0 * dx:
                 hit_boundary = True
         if k % snap_every == 0 or k == n_steps:
             snapshots.append((t, state.copy()))
@@ -379,7 +414,7 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
             break
 
     times = np.asarray(times)
-    fronts = np.asarray(fronts)
+    fronts, *aux_fronts = np.ascontiguousarray(np.array(positions).T)
     speed, stderr = _fit_speed(times, fronts, fit_window)
     trace = FrontTrace(
         times=times,
@@ -391,10 +426,7 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         hit_boundary=hit_boundary,
         pulled_front_speed=_pulled_front_speed(p, _fit_window(times, fronts, fit_window)[0]),
     )
-    thr_speeds = {
-        key: _fit_speed(times, np.asarray(vals), fit_window)[0]
-        for key, vals in aux_fronts.items()
-    }
+    thr_speeds = {key: _fit_speed(times, vals, fit_window)[0] for key, vals in zip(thresholds, aux_fronts)}
     return SimResult(
         config=cfg,
         final=state,

@@ -227,6 +227,21 @@ def test_simulate_writes_summary(tmp_path):
     assert any(f.startswith("snapshot_t") for f in files)
 
 
+def test_simulate_manifest_records_phase_timings(tmp_path):
+    cfg = {"params": P0_CONFIG["params"], "sim": {"t_end": 4.0}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--L", "30", "--dx", "0.25", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert sorted(timings) == ["steps", "writes"]
+    assert all(isinstance(v, float) and v > 0.0 for v in timings.values())
+    assert manifest["derived"]["steps"] == 80  # t_end / (0.15/(beta+gamma+delta))
+    # telemetry stays out of the deterministic outputs
+    summary = (out / "summary.json").read_text()
+    assert "timings" not in summary and "steps" not in summary
+
+
 def test_simulate_extinction_outcome(tmp_path):
     cfg = {"params": {**P0_CONFIG["params"], "beta": 1.8, "gamma": 1.0, "delta": 1.0}}
     path = write_config(tmp_path, cfg)
@@ -454,6 +469,19 @@ def test_simulate_front_hit_boundary_flagged(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["front_hit_boundary"] is True
+    # the run stopped at the edge, short of the 800 steps to t_end
+    assert 0 < json.loads((tmp_path / "out" / "manifest.json").read_text())["derived"]["steps"] < 800
+
+
+def test_sweep_default_spacing_fits_a_slow_removed_diffusion(tmp_path):
+    # with d3 = 0.1 the old fixed --dx 0.1 broke the mesh condition dx < 2*d3/c
+    # at both speeds and wrote two error rows; the default is the window's own spacing
+    path = write_config(tmp_path, {"params": {**P0_CONFIG["params"], "d3": 0.1}})
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--vary", "c=2.5:6:2", "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert [(float(r["c"]), r["outcome"]) for r in rows] == [(2.5, "wave"), (6.0, "wave")]
 
 
 def test_sweep_rejects_bad_vary(config_path, tmp_path):

@@ -51,6 +51,33 @@ def test_incidence_guard_branch():
     assert incidence(1e-14, 1e-14, 0.0, beta=2.0) == 0.0
 
 
+def pinned_incidence(s, i, r, beta):
+    """The guarded formula applied at every point, as the masked path computes it."""
+    n = s + i + r
+    return np.where(n > ETA_DEFAULT, beta * s * i / np.where(n > ETA_DEFAULT, n, 1.0), 0.0)
+
+
+def test_incidence_fast_path_matches_the_guarded_formula():
+    rng = np.random.default_rng(7)
+    s, i, r = rng.uniform(0.0, 2.0, size=(3, 40))
+    # all totals above the guard: the unmasked path, equal at every point
+    assert np.array_equal(incidence(s, i, r, 1.7), pinned_incidence(s, i, r, 1.7))
+    # extinct points, one exactly at the guard, and a nan total take the masked path
+    s[[3, 11]], i[[3, 11]], r[[3, 11]] = 0.0, [1e-13, ETA_DEFAULT], 0.0
+    r[20] = np.nan
+    mixed = incidence(s, i, r, 1.7)
+    expected = pinned_incidence(s, i, r, 1.7)
+    assert mixed[3] == mixed[11] == mixed[20] == 0.0  # a nan total fails the guard and is pinned too
+    assert np.array_equal(mixed, expected)
+    # a live point gives the same value on either path
+    live = np.setdiff1d(np.arange(40), [3, 11, 20])
+    assert np.array_equal(mixed[live], incidence(s[live], i[live], r[live], 1.7))
+    # scalars in give a float out, on both paths
+    for args in ((0.6, 0.3, 0.1), (1e-14, 1e-14, 0.0)):
+        out = incidence(*args, beta=2.0)
+        assert type(out) is float and out == float(pinned_incidence(*np.array(args), 2.0))
+
+
 def test_incidence_monotone_in_s():
     rng = np.random.default_rng(0)
     for _ in range(200):

@@ -116,7 +116,7 @@ def test_rhs_and_step_match_componentwise_reference():
     k3 = reference_reaction(state + 0.5 * dt * k2, P_MIXED)
     k4 = reference_reaction(state + dt * k3, P_MIXED)
     expected = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.array_equal(_reaction_rk4(state, dt, P_MIXED), expected)
+    assert np.array_equal(_reaction_rk4(state, dt, P_MIXED, np.empty((5, 3, n))), expected)
 
 
 def test_split_step_converges_to_explicit_rk4_reference():
@@ -248,6 +248,25 @@ def test_front_position_interpolates():
     pos = front_position(x, i_vals, 0.25)
     assert 5.0 <= pos <= 6.0
     assert np.isnan(front_position(x, i_vals, 10.0))
+
+
+def test_front_position_takes_several_levels_at_once():
+    x = np.linspace(0, 10, 11)
+    i_vals = np.array([0.0, 0.2, 0.5, 0.5, 0.5, 0.3, 0.1, 0.1, 0.05, 0.0, 0.0])
+    # a crossing inside a segment, one at the right end of a flat pair (0.1, 0.1)
+    # and one at the right end of a plateau at the level, a level above every
+    # value, and levels at or below zero, met at the last grid point (the only
+    # place where the pair (y0, y1) around the rightmost crossing is flat)
+    levels = np.array([0.25, 0.1, 0.5, 0.7, 0.0, -1.0])
+    several = front_position(x, i_vals, levels)
+    singles = [front_position(x, i_vals, lv) for lv in levels]
+    assert all(type(v) is float for v in singles)
+    np.testing.assert_array_equal(several, singles)
+    assert singles[1] == 7.0 and singles[2] == 4.0 and singles[4] == singles[5] == 10.0
+    assert np.isnan(singles[3])
+    # the shape of the levels is kept
+    assert front_position(x, i_vals, levels.reshape(2, 3)).shape == (2, 3)
+    assert front_position(x, i_vals, levels[:1]).shape == (1,)
 
 
 def test_short_run_front_mechanics():
