@@ -358,6 +358,7 @@ def cmd_simulate(args) -> int:
         "outcome": result.outcome,
         "front_hit_boundary": hit,
         "clipped_mass": result.clipped_mass,
+        "min_value": result.min_value,
         "dt": sim_cfg.time_steps()[0],
         "dt_bound": sim_cfg.dt_bound,
     }
@@ -483,11 +484,11 @@ def cmd_verify(args) -> int:
     if c is None:
         raise ConfigInvalid("verify needs a speed: pass --c or put 'c' in the config")
     out = _out_dir(args)
-    results = verification.run_suite(p, c, level=args.level, seed=args.seed)
+    results = verification.run_suite(p, c, level=args.level)
     report = verification.report_json(results)
     with open(os.path.join(out, "verify_report.json"), "w") as fh:
         fh.write(report)
-    write_manifest(out, "verify", {**cfg, "c": c, "level": args.level, "seed": args.seed}, {})
+    write_manifest(out, "verify", {**cfg, "c": c, "level": args.level}, {})
     print(verification.report_table(results))
     return 0 if verification.suite_passed(results) else 3
 
@@ -542,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("config")
     pv.add_argument("--c", type=float)
     pv.add_argument("--level", choices=("quick", "full"), default="quick")
-    pv.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
+    pv.add_argument("--seed", type=int, help="accepted for old command lines; has no effect, since no check draws samples")
     pv.add_argument("--out", default="verify_out")
     pv.set_defaults(func=cmd_verify)
     return ap

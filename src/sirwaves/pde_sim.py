@@ -158,6 +158,7 @@ class SimResult:
     mass_infected: np.ndarray  # integral of I
     i_max_trace: np.ndarray
     clipped_mass: float
+    min_value: float  # smallest field value any step produced, before clipping
     snapshots: list  # (t, (3, n) array) pairs
     threshold_speeds: dict  # speed fits at 1e-3/1e-4/1e-5 of S_-inf
 
@@ -384,6 +385,7 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     widths = np.diff(x)
 
     clipped = 0.0
+    min_value = np.inf
     times, positions, masses, infected, imax = [], [], [], [], []
     snapshots = [(0.0, state.copy())]
     hit_boundary = False
@@ -398,7 +400,9 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     sample(0.0)
     for k in range(1, n_steps + 1):
         state = step(state)
-        if state.min() < 0.0:
+        low = float(state.min())
+        min_value = min(min_value, low)
+        if low < 0.0:
             neg = state < 0.0
             clipped += float(-np.sum(state[neg]) * dx)
             state[neg] = 0.0
@@ -436,6 +440,7 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         mass_infected=np.asarray(infected),
         i_max_trace=np.asarray(imax),
         clipped_mass=clipped,
+        min_value=min_value,
         snapshots=snapshots,
         threshold_speeds=thr_speeds,
     )

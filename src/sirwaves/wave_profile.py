@@ -116,6 +116,43 @@ class GammaSet:
         """Smallest signed distance of a (3, n) array to the envelopes; negative means outside."""
         return float(min(np.min(a - self.sub_array), np.min(self.super_array - a)))
 
+    def image_margin(self, p: ModelParams, inverses):
+        """Exact worst membership margin of F(u) over every u in the set: (margin, species, side).
+
+        species is "S", "I" or "R" and side "lower" or "upper", the envelope
+        the worst image comes closest to or crosses. Each component F_k is
+        D_k^{-1} applied to its integrand H_k, which is monotone in each
+        species at every point:
+          - dH_1/dS >= alpha_1 - beta > 0 and dH_2/dI >= alpha_2 - (gamma+delta) > 0,
+            floors that choose_alphas enforces;
+          - the cross terms follow from the incidence h = beta*S*I/(S+I+R), with
+            dh/dS >= 0, dh/dI >= 0 and dh/dR <= 0: H_1 = alpha_1*S - h falls in I
+            and rises in R, H_2 = alpha_2*I + h - (gamma+delta)*I rises in S and
+            falls in R, and H_3 = alpha_3*R + gamma*I rises in both;
+          - D_k^{-1} is a positive map: discrete_kernel (dx < 2d/c) keeps both
+            kernel ratios positive and _tail_ratio keeps every tail coefficient
+            positive.
+        So over the envelope box F_1 is smallest at (S-, I+, R-) and largest at
+        (S+, I-, R+), F_2 at (S-, I-, R+) and (S+, I+, R-), and F_3 at (I-, R-)
+        and (I+, R+). Six one-component images give the worst case that any
+        sampling of the set can only approach from above. inverses comes from
+        map_inverses on the grid of the envelope arrays.
+        """
+        (s_lo, i_lo, r_lo), (s_hi, i_hi, r_hi) = self.sub_array, self.super_array
+        corners = (  # per species: the corner of its smallest image, the corner of its largest
+            ((s_lo, i_hi, r_lo), (s_hi, i_lo, r_hi)),
+            ((s_lo, i_lo, r_hi), (s_hi, i_hi, r_lo)),
+            ((s_lo, i_lo, r_lo), (s_hi, i_hi, r_hi)),  # S does not enter F_3
+        )
+        margins = []
+        for k, (low, high) in enumerate(corners):
+            invert = inverses[k][1]
+            lowest = invert(_integrands(low, p, inverses)[k])
+            highest = invert(_integrands(high, p, inverses)[k])
+            margins.append((float(np.min(lowest - self.sub_array[k])), "SIR"[k], "lower"))
+            margins.append((float(np.min(self.super_array[k] - highest)), "SIR"[k], "upper"))
+        return min(margins, key=lambda m: m[0])
+
 
 @dataclass(frozen=True)
 class SubInequalityReport:
@@ -338,19 +375,20 @@ def map_inverses(specs, p: ModelParams, dx: float):
     return tuple((alpha, invert, (z + w * alpha, w)) for alpha, invert, (z, w) in ops)
 
 
+def _integrands(u, p: ModelParams, inverses):
+    """The integrands alpha_i*u_i + (shifted reaction) that F inverts, rows S, I, R; f_S is minus the incidence."""
+    s, i, r = u
+    f_s, _, f_r = reaction_terms(s, i, r, p)
+    (a1, _, _), (a2, _, _), (a3, _, _) = inverses
+    return a1 * s + f_s, a2 * i - f_s - (p.gamma + p.delta) * i, a3 * r + f_r
+
+
 def apply_F(u: np.ndarray, p: ModelParams, inverses) -> np.ndarray:
     """One application of the integral map F = D^{-1} o (shifted reaction) to a (3, n) array.
 
-    inverses comes from map_inverses on the grid spacing of u; f_S is minus the incidence.
+    inverses comes from map_inverses on the grid spacing of u.
     """
-    s, i, r = u
-    f_s, _, f_r = reaction_terms(s, i, r, p)
-    (a1, inv1, _), (a2, inv2, _), (a3, inv3, _) = inverses
-    return np.array([
-        inv1(a1 * s + f_s),
-        inv2(a2 * i - f_s - (p.gamma + p.delta) * i),
-        inv3(a3 * r + f_r),
-    ])
+    return np.array([invert(g) for (_, invert, _), g in zip(inverses, _integrands(u, p, inverses))])
 
 
 def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.ndarray:

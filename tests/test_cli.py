@@ -222,6 +222,8 @@ def test_simulate_writes_summary(tmp_path):
     assert summary["dt"] <= summary["dt_bound"]
     # the finite-time pulled-front speed sits beside the linear fit, below c*
     assert summary["pulled_front_speed"] < summary["c_star"]
+    # from a physical start no step leaves a negative value, so nothing is clipped
+    assert summary["min_value"] >= 0.0 and summary["clipped_mass"] == 0.0
     files = os.listdir(out)
     assert "front_trace.csv" in files and "mass_budget.csv" in files
     assert any(f.startswith("snapshot_t") for f in files)
@@ -274,6 +276,18 @@ def test_verify_quick_exit_code_and_determinism(config_path, tmp_path):
     r1 = (tmp_path / "v1" / "verify_report.json").read_bytes()
     r2 = (tmp_path / "v2" / "verify_report.json").read_bytes()
     assert r1 == r2
+
+
+def test_verify_seed_has_no_effect(config_path, tmp_path):
+    # --seed is still accepted, but no check samples: two seeds give the same
+    # bytes, and the manifest does not record the option
+    outs = {seed: tmp_path / f"seed{seed}" for seed in (1, 24301)}
+    for seed, out in outs.items():
+        assert main(["verify", config_path, "--seed", str(seed), "--out", str(out)]) == 0
+    r1, r2 = ((out / "verify_report.json").read_bytes() for out in outs.values())
+    assert r1 == r2
+    manifest = json.loads((outs[1] / "manifest.json").read_text())
+    assert "seed" not in manifest["config"]
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

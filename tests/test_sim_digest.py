@@ -51,6 +51,7 @@ def dipped_run():
     state[2, 300:310] = -1e-6  # negative removed density ahead of the pulse, clipped after the first step
     res = _simulate(cfg, state, 0.5, stop_at_boundary=True)
     assert res.clipped_mass > 0.0
+    assert res.min_value < 0.0  # the first step still carries the dip
     return res
 
 
@@ -60,6 +61,15 @@ RUNS = {
     "r0=0.9": (lambda: run(config(SUB, dx=0.25, t_end=30.0)), "918927899af6116a9d25af84d82384185896ac0422f36a65c7d88716779bf515"),
     "clipped": (dipped_run, "fef60c4f0662e9d0d62705dc4ea5fe8fb5282a866335f63a1f605a4bd381750c"),
 }
+
+
+def test_min_value_is_the_smallest_value_the_steps_reach():
+    # the loop reads it from the state.min() it takes every step; every stored
+    # snapshot after the start is a stepped state, clipped at zero
+    for res in (run(config(P0)), run(config(P_MIXED)), dipped_run()):
+        stepped = [st for t, st in res.snapshots[1:]] + [res.final]
+        assert res.min_value <= min(float(st.min()) for st in stepped)
+        assert (res.min_value < 0.0) == (res.clipped_mass > 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

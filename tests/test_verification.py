@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 import sirwaves.model
+import sirwaves.verification
 import sirwaves.wave_profile
-from sirwaves import ModelParams, run_suite, report_json, report_table, suite_passed
+from sirwaves import (
+    ModelParams,
+    choose_alphas,
+    make_gamma_set,
+    map_inverses,
+    minimal_speed,
+    report_json,
+    report_table,
+    run_suite,
+    suite_passed,
+    wave_window,
+)
 from sirwaves.verification import CheckResult, _result
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
@@ -88,6 +100,43 @@ def test_fixed_point_check_reuses_the_newton_root(monkeypatch):
     golden = Path(__file__).parent / "data" / "verify_report_p0_quick.json"
     assert report_json(run_suite(P0, 2.5, level="quick")).encode() == golden.read_bytes()
     assert len(calls) == 1
+
+
+def test_gamma_invariance_applies_the_map_at_most_seven_times(monkeypatch):
+    # the solve applies F once and the exact check needs at most six
+    # one-component images; a return to sampling members of the set fails here
+    calls = []
+    original = sirwaves.wave_profile.apply_F
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (sirwaves.wave_profile, sirwaves.verification):
+        if hasattr(module, "apply_F"):
+            monkeypatch.setattr(module, "apply_F", counted)
+    results = run_suite(P0, 2.5, level="quick")
+    assert suite_passed(results)
+    assert 1 <= len(calls) <= 7  # the solve's step shows the counter is hooked
+
+
+def test_gamma_invariance_fails_near_c_star_where_the_envelopes_do():
+    # at 1.01 c* with slow removed diffusion the sub-solution inequality of S
+    # fails (-2.24e-3), and so does invariance: the exact worst image falls
+    # 3.68e-4 below the lower S envelope at dx 0.05 and at dx 0.025 alike,
+    # where 100 random members of the set all stayed inside (+2.9e-14)
+    p = ModelParams(d1=0.5, d2=0.5, d3=0.025, beta=0.21, gamma=0.2, delta=0.0, s_minus_inf=0.5)
+    c = 1.01 * minimal_speed(p).c_star
+    checks = {r.name: r for r in run_suite(p, c, level="quick")}
+    assert checks["sub_solution_inequalities"].status == "fail"
+    assert checks["sub_solution_inequalities"].worst_margin == pytest.approx(-2.24e-3, rel=0.01)
+    assert checks["gamma_invariance"].status == "fail"
+    assert checks["gamma_invariance"].worst_margin == pytest.approx(-3.68e-4, rel=0.01)
+    assert checks["gamma_invariance"].details.endswith("worst S, lower envelope")
+    g = wave_window(p, c, 0.025)
+    exact, species, side = make_gamma_set(p, c, g).image_margin(p, map_inverses(choose_alphas(p, c), p, g.dx))
+    assert (species, side) == ("S", "lower")
+    assert exact == pytest.approx(-3.68e-4, rel=0.01)
 
 
 def test_report_table_renders(quick_results):

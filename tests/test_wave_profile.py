@@ -164,6 +164,56 @@ def test_map_preserves_gamma_set():
     assert worst >= -1e-6
 
 
+def _corner_margins(gset, p, inverses):
+    """Margins of each species' image at its own two corners of the envelope box, through apply_F."""
+    (s_lo, i_lo, r_lo), (s_hi, i_hi, r_hi) = gset.sub_array, gset.super_array
+    corners = (
+        ((s_lo, i_hi, r_lo), (s_hi, i_lo, r_hi)),
+        ((s_lo, i_lo, r_hi), (s_hi, i_hi, r_lo)),
+        ((s_lo, i_lo, r_lo), (s_hi, i_hi, r_hi)),
+    )
+    margins = []
+    for k, (low, high) in enumerate(corners):
+        margins.append(np.min(apply_F(np.array(low), p, inverses)[k] - gset.sub_array[k]))
+        margins.append(np.min(gset.super_array[k] - apply_F(np.array(high), p, inverses)[k]))
+    return margins
+
+
+@pytest.mark.parametrize("p, c", [
+    (P0, 2.5),
+    (P0, 2.05),
+    (dataclasses.replace(P0, d1=0.7, d3=1.3), 2.5),
+])
+def test_image_margin_bounds_every_member(p, c):
+    # F is monotone in each species and D^{-1} is positive, so no member of the
+    # set maps closer to an envelope than the worst corner does
+    g = wave_window(p, c)
+    gset = make_gamma_set(p, c, g)
+    inverses = map_inverses(choose_alphas(p, c), p, g.dx)
+    exact, species, side = gset.image_margin(p, inverses)
+    assert species in ("S", "I", "R") and side in ("lower", "upper")
+    # the bound is attained: it is the worst of the six corner images
+    assert exact == min(_corner_margins(gset, p, inverses))
+    rng = np.random.default_rng(19)
+    sub, sup = gset.sub_array, gset.super_array
+    for _ in range(20):
+        theta = rng.uniform(size=sub.shape)
+        assert gset.membership_margin(apply_F(sub + theta * (sup - sub), p, inverses)) >= exact
+
+
+def test_image_margin_is_attained_where_the_infected_envelope_binds():
+    # here the worst image is I's, at a roundoff-sized margin; the six corner
+    # images of apply_F must reproduce it bit for bit
+    p = dataclasses.replace(P0, d1=0.5, beta=4.0, s_minus_inf=2.0)
+    c = 3.6373
+    g = wave_window(p, c)
+    gset = make_gamma_set(p, c, g)
+    inverses = map_inverses(choose_alphas(p, c), p, g.dx)
+    exact, species, side = gset.image_margin(p, inverses)
+    assert (species, side) == ("I", "lower")
+    assert exact == min(_corner_margins(gset, p, inverses))
+
+
 def test_map_output_nonnegative_for_nonnegative_input():
     g = Grid.symmetric(30.0, 0.1)
     specs = choose_alphas(P0, C)
