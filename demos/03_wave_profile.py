@@ -1,9 +1,9 @@
 """Solving for the traveling wave: envelopes, fixed point, Newton agreement.
 
 The wave at speed c > c* is a fixed point of the integral map inside the
-region between explicit lower and upper envelopes; Newton (pseudo-transient
-continuation) solves the map's own discrete problem and one step of the map
-certifies the root. The report carries that step's distance from the root and
+region between explicit lower and upper envelopes; Newton, clipped at zero
+and started inside the a priori bounds, solves the map's own discrete problem
+and one step of the map certifies the root. The report carries that step's distance from the root and
 the profile's signed distance to the envelopes, and the profile is checked
 against every identity the wave provably satisfies: monotone S and R, the
 sandwich 0 <= I <= S(-inf) - S(inf), the leading-edge decay rate, the

@@ -485,10 +485,11 @@ def cmd_verify(args) -> int:
         raise ConfigInvalid("verify needs a speed: pass --c or put 'c' in the config")
     out = _out_dir(args)
     results = verification.run_suite(p, c, level=args.level)
-    report = verification.report_json(results)
-    with open(os.path.join(out, "verify_report.json"), "w") as fh:
-        fh.write(report)
-    write_manifest(out, "verify", {**cfg, "c": c, "level": args.level}, {})
+    timings = {r.name: r.seconds for r in results}
+    with _timed(timings, "writes"):
+        with open(os.path.join(out, "verify_report.json"), "w") as fh:
+            fh.write(verification.report_json(results))
+    write_manifest(out, "verify", {**cfg, "c": c, "level": args.level}, {}, timings)
     print(verification.report_table(results))
     return 0 if verification.suite_passed(results) else 3
 

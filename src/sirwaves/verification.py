@@ -9,6 +9,7 @@ failures are results, never exceptions.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +49,7 @@ class CheckResult:
     worst_margin: float
     tolerance: float
     details: str = ""
+    seconds: float = 0.0  # run time: telemetry for the manifest, never in the report
 
     def to_dict(self) -> dict:
         return {
@@ -350,6 +352,7 @@ def run_suite(p: ModelParams, c: float, level: str = "quick") -> list:
         if needs_wave and not wave_ok:
             results.append(_skipped(name, claim, "outside the wave regime"))
             continue
+        start = time.perf_counter()
         try:
             margin, tol, details = compute(ctx)
         except _Skip as why:
@@ -358,6 +361,7 @@ def run_suite(p: ModelParams, c: float, level: str = "quick") -> list:
             results.append(_result(name, claim, -1.0, 0.0, str(exc)))
         else:
             results.append(_result(name, claim, margin, tol, details))
+        results[-1].seconds = time.perf_counter() - start
     return results
 
 

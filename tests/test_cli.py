@@ -278,6 +278,18 @@ def test_verify_quick_exit_code_and_determinism(config_path, tmp_path):
     assert r1 == r2
 
 
+def test_verify_manifest_records_check_timings(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["verify", config_path, "--out", str(out)]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert sorted(timings) == sorted([c["name"] for c in report["checks"]] + ["writes"])
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    assert timings["fixed_point"] > 0.0
+    # telemetry stays out of the deterministic report
+    assert "seconds" not in (out / "verify_report.json").read_text()
+
+
 def test_verify_seed_has_no_effect(config_path, tmp_path):
     # --seed is still accepted, but no check samples: two seeds give the same
     # bytes, and the manifest does not record the option
@@ -320,7 +332,7 @@ def test_verify_newton_failure_is_a_failed_check(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sirwaves.wave_profile, "solve_bvp_newton", counted)
-    monkeypatch.setattr(sirwaves.wave_profile, "PTC_MAX_ITER", 2)
+    monkeypatch.setattr(sirwaves.wave_profile, "NEWTON_MAX_ITER", 2)
     path = write_config(tmp_path, P0_CONFIG)
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
     assert len(calls) == 1
@@ -340,7 +352,7 @@ def test_profile_newton_failure_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["profile", path, "--tol", "1e-4", "--out", str(out)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr("sirwaves.wave_profile.PTC_MAX_ITER", 2)
+    monkeypatch.setattr("sirwaves.wave_profile.NEWTON_MAX_ITER", 2)
     assert main(["profile", path, "--solver", "both", "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("solve failed: NotConverged: 2 steps ended at residual")
@@ -388,7 +400,7 @@ def test_profile_reuses_the_newton_root_of_the_solve(config_path, tmp_path, monk
         assert len(calls) == 1
 
     calls.clear()
-    monkeypatch.setattr(sirwaves.wave_profile, "PTC_MAX_ITER", 2)
+    monkeypatch.setattr(sirwaves.wave_profile, "NEWTON_MAX_ITER", 2)
     assert main(["profile", config_path, "--c", "2.5", "--solver", "both", "--out", str(tmp_path / "fail")]) == 2
     assert len(calls) == 1
 

@@ -23,15 +23,15 @@ C = 2.5
 CASES = {
     "p0": (
         P0,
-        "2d413e7fc60f788eefc0c370dc1945e3f6fc30cf2459e1995c15f2a749bdecd3",
-        "cd2fbd473bde5c2bf7aa72b5e7de202a15b9d3343a98d59502888d0fd2803550",
-        "a39274d6cd7b990b8ee350e6e6b29f56624fc8c7ab380212ad05104513595c0d",
+        "c3c208819fc8265b27accc39dda7282382bafe07b0be209d522d52fe74b8b75d",
+        "fbdd656544864a77060cf910ce80426c2e81d0d1298f10a09aeed3d72052e834",
+        "5badd3c7f4df8cef91e0770efcbe346285546bb549b0b52bae71b2a653325d19",
     ),
     "d=(0.7,1,1.3)": (
         dataclasses.replace(P0, d1=0.7, d3=1.3),
-        "7e60def2793498d677260c1834cbdac6850f4c5bad401514b1001c007758476d",
-        "e65f42e78c203334453020caad13994f3845f553e7e35c85393c96acb7d5f09c",
-        "f35e033f2cc6136cdab74300e00e74208bb00af1eb0bbc2f5154cb84bf577379",
+        "e10800b5b48cea79a24561f2fb4150388401a20ec8e4e737b2e5022dd092340c",
+        "764717ef62de337ec5ea0d1bf2fb7b589c860e832e1a61a99a8f588bee7b54ae",
+        "8b632ae18973480d3e7ca2f36c6a20d65e1f8a93024bf99238b25d5e145a23bf",
     ),
 }
 

@@ -5,8 +5,9 @@ them, and speeds c in (1.01*c*, 4*c*), each on wave_window's grid, whose
 default spacing keeps inside the mesh condition dx < 2d/c of every operator.
 Every solve must certify its Newton root with one unprojected step of the
 integral map: a refusal (ValueError) or a Newton failure (NotConverged,
-SingularJacobian) fails the draw. The examples are derandomized, so every run
-draws the same configurations.
+SingularJacobian) fails the draw. A second suite redraws the speed in
+(1.0005*c*, 1.05*c*), where the solves take the most Newton steps. The
+examples are derandomized, so every run draws the same configurations.
 """
 
 import numpy as np
@@ -38,6 +39,23 @@ def regime_points(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(regime_points())
 def test_every_regime_solve_certifies(point):
+    p, c = point
+    rep = solve_fixed_point(p, c, wave_window(p, c))
+    assert rep.converged and rep.iterations == 1
+    assert rep.newton_residuals[-1] <= 1e-10 and rep.agreement <= 1e-8
+
+
+@st.composite
+def near_c_star_points(draw):
+    p, _ = draw(regime_points())
+    c_star = 2.0 * np.sqrt(p.d2 * (p.beta - p.gamma - p.delta))
+    return p, draw(st.floats(1.0005, 1.05, exclude_min=True, exclude_max=True)) * c_star
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(near_c_star_points())
+def test_every_near_c_star_solve_certifies(point):
     p, c = point
     rep = solve_fixed_point(p, c, wave_window(p, c))
     assert rep.converged and rep.iterations == 1

@@ -405,16 +405,59 @@ def test_regime_rows_finish_by_newton(changes, c):
     rep = solve_fixed_point(p, c, wave_window(p, c), tol=1e-8)
     assert rep.converged and rep.iterations == 1
     assert rep.newton_residuals[-1] <= 1e-12
-    assert rep.newton_steps <= 12  # 10-23 from the uncapped envelope midpoint
+    assert rep.newton_steps <= 12  # 6-10 from the bounded start
 
 
 def test_bounded_start_skips_the_residual_plateau():
-    # the uncapped midpoint has I near 1e19 at the right edge and took 46
-    # steps here; capped at S(-inf) the start residual is in the hundreds
+    # the uncapped midpoint has I near 1e19 at the right edge; capped at
+    # S(-inf) the start residual is in the hundreds and plain Newton goes
+    # straight down from it
     rep = solve_fixed_point(P0, 2.1, wave_window(P0, 2.1), tol=1e-8)
     assert rep.converged
     assert rep.newton_residuals[0] < 1e3
-    assert rep.newton_steps <= 16
+    assert rep.newton_steps <= 8
+
+
+# Near c*, where the solve takes the most steps: a seeded draw at 1.008*c*,
+# P0 at 1.0002*c*, P0 without deaths at 1.01*c*, and d1 = 0.5, beta = 4,
+# S(-inf) = 2 at 1.05*c*.
+NEAR_C_STAR_ROWS = [
+    (ModelParams(d1=0.728988840517677, d2=0.6391128645564984, d3=0.7971541570013758, beta=6.272782537107987,
+                 gamma=0.5608863334055678, delta=0.827954377242825, s_minus_inf=2.0728489452052514),
+     3.5620312688245312),
+    (P0, 2.0004),
+    (dataclasses.replace(P0, delta=0.0), 1.01 * 2.0 * np.sqrt(1.5)),
+    (ModelParams(d1=0.5, d2=1.0, d3=1.0, beta=4.0, gamma=0.5, delta=0.5, s_minus_inf=2.0), 3.6373),
+]
+
+
+@pytest.mark.parametrize("p,c", NEAR_C_STAR_ROWS)
+def test_near_c_star_rows_certify_within_ten_steps(p, c):
+    rep = solve_fixed_point(p, c, wave_window(p, c), tol=1e-8)
+    assert rep.converged and rep.iterations == 1
+    assert rep.newton_residuals[-1] <= 1e-12
+    assert rep.newton_steps <= 10
+
+
+def test_settling_step_reuses_the_last_factors(monkeypatch):
+    # every step factors a fresh Jacobian except the settling one, taken
+    # from a residual already under the settle tolerance
+    from sirwaves.wave_profile import NEWTON_TOL
+
+    calls = []
+    original = sirwaves.wave_profile.dgbtrf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sirwaves.wave_profile, "dgbtrf", counted)
+    grid = wave_window(P0, C)
+    assert 4.0 * np.finfo(float).eps * P0.d1 / grid.dx**2 * P0.s_minus_inf < NEWTON_TOL  # settles at NEWTON_TOL
+    rep = solve_fixed_point(P0, C, grid, tol=1e-8)
+    assert rep.converged
+    assert max(rep.newton_residuals[-2:]) <= NEWTON_TOL < rep.newton_residuals[-3]
+    assert len(calls) == rep.newton_steps - 1
 
 
 def test_newton_root_is_settled_beyond_its_residual():
@@ -430,8 +473,8 @@ def test_newton_root_is_settled_beyond_its_residual():
 
 def test_newton_settles_at_its_roundoff_floor():
     # with d3 = 3.6 and S(-inf) = 2.6 at dx = 0.05 the residual's roundoff
-    # floor is above NEWTON_TOL: PTC stalled at 1.2e-12 for all 100 steps and
-    # the solve fell back to 265 plain steps; the floor settles it
+    # floor is above NEWTON_TOL, which the residual cannot be driven under;
+    # the floor settles it
     from sirwaves.wave_profile import NEWTON_TOL
 
     p = ModelParams(d1=1.385, d2=1.955, d3=3.599, beta=1.940, gamma=1.0, delta=0.0, s_minus_inf=2.631)
@@ -533,16 +576,11 @@ def test_band_jacobian_matches_directional_differences():
     edge = np.array([closure for _, _, closure in map_inverses(choose_alphas(p, c), p, dx)]).T
     h = 1e-6
     fd = (_bvp_residual(u + h * v, p, c, dx, bc_left, edge) - _bvp_residual(u - h * v, p, c, dx, bc_left, edge)) / (2 * h)
-    jac = _band_to_dense(_band_jacobian(u, p, c, dx, edge, 0.0), BAND_KL, BAND_KU)
+    jac = _band_to_dense(_band_jacobian(u, p, c, dx, edge), BAND_KL, BAND_KU)
     jv = (jac @ v.T.ravel()).reshape(n, 3).T  # unknowns point by point
     assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
     # the last point's rows on their own, where F's closure stands in for u_n
     assert np.max(np.abs(jv[:, -1] - fd[:, -1])) <= 1e-6 * np.max(np.abs(fd[:, -1]))
-    # the pseudo-time shift sits on the diagonal of the wave rows, the last point's included
-    shifted = _band_to_dense(_band_jacobian(u, p, c, dx, edge, 0.25), BAND_KL, BAND_KU)
-    wave_rows = np.zeros(3 * n)
-    wave_rows[3:] = 1.0
-    assert np.allclose(jac - shifted, np.diag(0.25 * wave_rows), rtol=0.0, atol=1e-12)
 
 
 def test_band_jacobian_is_factored_in_place():
@@ -554,7 +592,7 @@ def test_band_jacobian_is_factored_in_place():
     grid = wave_window(P0, C)
     rep = solve_fixed_point(P0, C, grid, tol=1e-4)
     edge = np.array([closure for _, _, closure in map_inverses(rep.specs, P0, grid.dx)]).T
-    ab = _band_jacobian(rep.profile, P0, C, grid.dx, edge, 0.5)
+    ab = _band_jacobian(rep.profile, P0, C, grid.dx, edge)
     assert ab.flags.f_contiguous
     c_lu, c_piv, c_info = dgbtrf(np.ascontiguousarray(ab), BAND_KL, BAND_KU)
     lu, piv, info = dgbtrf(ab, BAND_KL, BAND_KU, overwrite_ab=1)
