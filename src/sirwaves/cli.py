@@ -524,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="direct simulation with front tracking")
     ps.add_argument("config")
     ps.add_argument("--t-end", type=float, dest="t_end")
-    ps.add_argument("--dt", type=float)
+    ps.add_argument("--dt", type=float,
+                    help="time step; default 0.3/(beta+gamma+delta), at most 2/(beta+gamma+delta)")
     ps.add_argument("--L", type=float, default=200.0)
     ps.add_argument("--dx", type=float, default=0.1)
     ps.add_argument("--out", default="simulate_out")

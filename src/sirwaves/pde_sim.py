@@ -35,9 +35,9 @@ class FrontHitBoundary(RuntimeError):
 
 # Automatic step and largest accepted step, as multiples of 1/(beta+gamma+delta),
 # the fastest reaction rate. The classical RK4 step is stable up to about 2.79/rate
-# on a real decay. At the automatic step the split scheme is within about 1e-6 of
+# on a real decay. At the automatic step the split scheme is within about 4.3e-6 of
 # explicit RK4 on the same grid (tests/test_pde_sim.py, dt refinement).
-AUTO_STEP = 0.15
+AUTO_STEP = 0.3
 STEP_LIMIT = 2.0
 
 # TR-BDF2 stage fraction: a trapezoid stage over TRBDF2_GAMMA of the step, then
@@ -102,7 +102,7 @@ class SimConfig:
     def time_steps(self) -> tuple[float, int]:
         """Step size and count: t_end split evenly under the requested or automatic step."""
         dt = AUTO_STEP / self._reaction_rate if self.dt is None else self.dt
-        # a count within roundoff of a whole number is not rounded up: 10/(0.15/3) = 200, not 201
+        # a count within roundoff of a whole number is not rounded up: 10/(0.3/3) = 100, not 101
         n_steps = max(1, int(np.ceil(self.t_end / dt * (1.0 - 1e-12))))
         return self.t_end / n_steps, n_steps
 

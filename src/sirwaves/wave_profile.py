@@ -228,7 +228,7 @@ def select_Ms(p: ModelParams, c: float, eps):
 
     The amplitude inequalities (with l0 the decay rate and K the removed-envelope
     scale) are:
-        M1*eps1*(c - d1*eps1) >= beta * M1^(-(l0-eps1)/eps1)
+        S_-inf*M1*eps1*(c - d1*eps1) >= beta * M1^(-(l0-eps1)/eps1)
         M2*f(l0+eps2)*S_-inf*(1 - M1*M2^(-eps1/eps2))
             >= beta*(gamma + c*l0 - d3*l0^2)/(c*l0 - d3*l0^2) * M2^(-(l0-eps2)/eps2)
         (c*(l0+eps3) - d3*(l0+eps3)^2)/(c*l0 - d3*l0^2) * M3 >= M2 * M3^(-(eps2-eps3)/eps3)
@@ -242,7 +242,7 @@ def select_Ms(p: ModelParams, c: float, eps):
         raise EnvelopeConditionFailed("c*lambda0 - d3*lambda0^2 must be positive (d3 < 2*d2 regime)")
 
     def ineq1(m):
-        return m * e1 * (c - p.d1 * e1) - p.beta * m ** (-(l0 - e1) / e1)
+        return sm * m * e1 * (c - p.d1 * e1) - p.beta * m ** (-(l0 - e1) / e1)
 
     m1 = 1.1 * _smallest_m(ineq1)
     rhs2 = p.beta * (p.gamma + denom) / denom

@@ -238,7 +238,7 @@ def test_simulate_manifest_records_phase_timings(tmp_path):
     timings = manifest["timings"]
     assert sorted(timings) == ["steps", "writes"]
     assert all(isinstance(v, float) and v > 0.0 for v in timings.values())
-    assert manifest["derived"]["steps"] == 80  # t_end / (0.15/(beta+gamma+delta))
+    assert manifest["derived"]["steps"] == 40  # t_end / (0.3/(beta+gamma+delta))
     # telemetry stays out of the deterministic outputs
     summary = (out / "summary.json").read_text()
     assert "timings" not in summary and "steps" not in summary

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,9 +76,9 @@ def test_auto_dt_satisfies_stability_bound():
     rate = P0.beta + P0.gamma + P0.delta
     assert config().dt_bound == pytest.approx(2.0 / rate)
     assert config(dx=0.05).dt_bound == config().dt_bound
-    assert config().time_steps() == (pytest.approx(0.05), 200)
-    assert config(t_end=1.01).time_steps() == (pytest.approx(1.01 / 21), 21)
-    assert config(dt=0.1).time_steps() == (pytest.approx(0.1), 100)
+    assert config().time_steps() == (pytest.approx(0.1), 100)  # 0.3/(beta+gamma+delta)
+    assert config(t_end=1.01).time_steps() == (pytest.approx(1.01 / 11), 11)
+    assert config(dt=0.05).time_steps() == (pytest.approx(0.05), 200)
     assert config().time_steps()[0] <= config().dt_bound
     config(dt=2.0 / rate)  # the bound itself is accepted
     with pytest.raises(StabilityViolated):
@@ -137,6 +139,19 @@ def test_split_step_converges_to_explicit_rk4_reference():
     assert errors[0] <= 1e-4
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all(ratios >= 3.5), (errors, ratios)
+
+
+def test_automatic_step_error_in_the_front_speed():
+    # the fitted P0 speed at the automatic step and at half of it; the step's
+    # error is O(dt^2), measured 6.5e-5 here (a doubled automatic step, dt 0.2,
+    # moves it by 2.5e-4), far below the 1.3% by which the fit still lags c* at t = 40
+    cfg = config(L=100.0, dx=0.2, t_end=40.0)
+    dt, _ = cfg.time_steps()
+    assert dt == pytest.approx(0.1)
+    auto = run(cfg).trace.speed_fit
+    halved = run(dataclasses.replace(cfg, dt=dt / 2)).trace.speed_fit
+    assert abs(auto - halved) <= 1.5e-4, (auto, halved)
+    assert auto == pytest.approx(minimal_speed(P0).c_star, rel=0.02)
 
 
 def test_no_ignition_ahead_of_the_front():
@@ -220,7 +235,7 @@ def test_mass_conserved_over_full_run_without_removal():
 
 @pytest.mark.parametrize("n_outputs", [200, 7])
 def test_samples_at_most_n_outputs_evenly_spaced_but_the_last(n_outputs):
-    cfg = config(L=50.0, dx=0.25, t_end=15.0, n_outputs=n_outputs)
+    cfg = config(L=50.0, dx=0.25, t_end=15.0, n_outputs=n_outputs, dt=0.05)
     assert cfg.time_steps()[1] == 300
     t = run(cfg).mass_times
     assert len(t) <= n_outputs + 1
@@ -232,7 +247,7 @@ def test_samples_at_most_n_outputs_evenly_spaced_but_the_last(n_outputs):
 
 @pytest.mark.parametrize("t_end,n_steps", [(15.0, 300), (0.75, 15)])
 def test_snapshots_at_most_n_snapshots_plus_one_evenly_spaced_but_the_last(t_end, n_steps):
-    cfg = config(L=50.0, dx=0.25, t_end=t_end)
+    cfg = config(L=50.0, dx=0.25, t_end=t_end, dt=0.05)
     assert cfg.time_steps()[1] == n_steps and cfg.n_snapshots == 9
     t = np.array([ts for ts, _ in run(cfg).snapshots])
     assert len(t) <= cfg.n_snapshots + 1

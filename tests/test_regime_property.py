@@ -6,14 +6,17 @@ default spacing keeps inside the mesh condition dx < 2d/c of every operator.
 Every solve must certify its Newton root with one unprojected step of the
 integral map: a refusal (ValueError) or a Newton failure (NotConverged,
 SingularJacobian) fails the draw. A second suite redraws the speed in
-(1.0005*c*, 1.05*c*), where the solves take the most Newton steps. The
-examples are derandomized, so every run draws the same configurations.
+(1.0005*c*, 1.05*c*), where the solves take the most Newton steps. A third
+suite checks the envelope construction itself, with no solve: on the bound
+set make_bound_set builds, all three sub-solution inequalities hold, for
+S(-inf) on both sides of 1 and speeds in both bands. The examples are
+derandomized, so every run draws the same configurations.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sirwaves import ModelParams, solve_fixed_point, wave_window
+from sirwaves import ModelParams, make_bound_set, solve_fixed_point, verify_sub_inequalities, wave_window
 
 
 @st.composite
@@ -60,3 +63,22 @@ def test_every_near_c_star_solve_certifies(point):
     rep = solve_fixed_point(p, c, wave_window(p, c))
     assert rep.converged and rep.iterations == 1
     assert rep.newton_residuals[-1] <= 1e-10 and rep.agreement <= 1e-8
+
+
+@st.composite
+def envelope_points(draw):
+    p, _ = draw(regime_points())
+    c_star = 2.0 * np.sqrt(p.d2 * (p.beta - p.gamma - p.delta))
+    band = draw(st.sampled_from([(1.0005, 1.05), (1.05, 4.0)]))
+    return p, draw(st.floats(*band, exclude_min=True, exclude_max=True)) * c_star
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(envelope_points())
+def test_envelope_amplitudes_satisfy_the_sub_solution_inequalities(point):
+    # select_Ms sizes M1 from the S inequality with its factor S(-inf); without
+    # it M1 is too small whenever S(-inf) < 1 and the S row fails
+    p, c = point
+    rep = verify_sub_inequalities(make_bound_set(p, c), p, c, wave_window(p, c))
+    assert min(rep.s_margin, rep.i_margin, rep.r_margin) >= 0.0, rep

@@ -56,10 +56,10 @@ def dipped_run():
 
 
 RUNS = {
-    "p0": (lambda: run(config(P0)), "e66bcfea764e4a71d44b32f7388e8d901c179b641cec747bb1222bf680bbb70a"),
-    "mixed_d": (lambda: run(config(P_MIXED)), "98d2d91346b2eaeff535c6b315edca9ca619831f2a2372afe8ffda94bd527009"),
-    "r0=0.9": (lambda: run(config(SUB, dx=0.25, t_end=30.0)), "918927899af6116a9d25af84d82384185896ac0422f36a65c7d88716779bf515"),
-    "clipped": (dipped_run, "fef60c4f0662e9d0d62705dc4ea5fe8fb5282a866335f63a1f605a4bd381750c"),
+    "p0": (lambda: run(config(P0)), "da0646bd36aafc3a071b7e8abacb50982118c2008540c3581d7178b588e419d9"),
+    "mixed_d": (lambda: run(config(P_MIXED)), "33c90acb42058f5b9dd3e669f721c90a957e2018e9b576e46c86995e4a82df1c"),
+    "r0=0.9": (lambda: run(config(SUB, dx=0.25, t_end=30.0)), "35ecd7cb5b62b7ba93a376b95578648ae656cafa57affc76908d63dcf1fff44e"),
+    "clipped": (dipped_run, "03983303e3d1783d56b78937fbe2533143061b35c06176613229af00fbc1c4c3"),
 }
 
 
@@ -82,4 +82,4 @@ def test_falsification_report_digest():
     rep = subcritical_falsification(config(P0, dx=0.25, t_end=10.0), c_target=1.0)
     assert rep.outcome == "relaxed_to_minimal_speed"
     fields = [rep.c_target, rep.c_star, rep.measured_speed, rep.measured_stderr, rep.i_max_initial, rep.i_max_final]
-    assert _sha256(fields) == "0c753a251ef33c80d06172968ac727f5952d91d89160457284ac56536ae7ed39"
+    assert _sha256(fields) == "282fb1d137c4a37c1a21a5445234b7eb0d2853dcd2f8d0621e22d472c4bdd4bc"

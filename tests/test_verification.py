@@ -120,23 +120,25 @@ def test_gamma_invariance_applies_the_map_at_most_seven_times(monkeypatch):
     assert 1 <= len(calls) <= 7  # the solve's step shows the counter is hooked
 
 
-def test_gamma_invariance_fails_near_c_star_where_the_envelopes_do():
-    # at 1.01 c* with slow removed diffusion the sub-solution inequality of S
-    # fails (-2.24e-3), and so does invariance: the exact worst image falls
-    # 3.68e-4 below the lower S envelope at dx 0.05 and at dx 0.025 alike,
-    # where 100 random members of the set all stayed inside (+2.9e-14)
+def test_envelopes_hold_near_c_star_with_s_minus_inf_below_one():
+    # at 1.01 c* with slow removed diffusion and S(-inf) = 0.5 every quick check
+    # passes: the S amplitude rule carries the factor S(-inf) that the S
+    # sub-solution inequality has, so M1 is large enough when S(-inf) < 1
     p = ModelParams(d1=0.5, d2=0.5, d3=0.025, beta=0.21, gamma=0.2, delta=0.0, s_minus_inf=0.5)
     c = 1.01 * minimal_speed(p).c_star
     checks = {r.name: r for r in run_suite(p, c, level="quick")}
-    assert checks["sub_solution_inequalities"].status == "fail"
-    assert checks["sub_solution_inequalities"].worst_margin == pytest.approx(-2.24e-3, rel=0.01)
-    assert checks["gamma_invariance"].status == "fail"
-    assert checks["gamma_invariance"].worst_margin == pytest.approx(-3.68e-4, rel=0.01)
+    assert len(checks) == 6 and all(r.status == "pass" for r in checks.values())
+    # the tightest row is I, at roundoff (2.65e-17); S holds at 4.0e-8
+    assert 0.0 <= checks["sub_solution_inequalities"].worst_margin < 1e-15
+    assert "S 4.029e-08" in checks["sub_solution_inequalities"].details
+    # the exact worst image sits 1.506e-7 below the lower S envelope, inside the
+    # tolerance 1e-6, at dx 0.05 and at dx 0.025 alike
+    assert checks["gamma_invariance"].worst_margin == pytest.approx(-1.506e-7, rel=0.01)
     assert checks["gamma_invariance"].details.endswith("worst S, lower envelope")
     g = wave_window(p, c, 0.025)
     exact, species, side = make_gamma_set(p, c, g).image_margin(p, map_inverses(choose_alphas(p, c), p, g.dx))
     assert (species, side) == ("S", "lower")
-    assert exact == pytest.approx(-3.68e-4, rel=0.01)
+    assert exact == pytest.approx(-1.506e-7, rel=0.01)
 
 
 def test_report_table_renders(quick_results):
