@@ -155,13 +155,15 @@ def _write_json(path: str, payload: dict):
 
 
 def _write_csv(path: str, header: str, columns):
-    """Columns side by side under header, each value with 17 significant digits as _fmt writes it."""
+    """Columns side by side under header, each value with 17 significant digits as _fmt writes it.
+
+    The whole table is formatted by one % over the row format repeated once per row.
+    """
     rows = np.column_stack(columns)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows.tolist():
-            fh.write(line % tuple(row))
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def cmd_analyze(args) -> int:

@@ -115,35 +115,52 @@ def r_naught(p: ModelParams) -> float:
     return p.beta / (p.gamma + p.delta)
 
 
-def incidence(s, i, r, beta: float):
+def incidence(s, i, r, beta: float, out=None):
     """Standard incidence beta*S*I/(S+I+R), pinned to 0 where the population is extinct.
 
-    Works elementwise on arrays; scalars in give a scalar out. When every
-    total is above the guard (no extinct point, no nan), the pinning is
-    skipped: the values are the same, without the two masked passes.
+    Works elementwise on arrays; scalars in give a scalar out. out, an array of
+    the broadcast shape, receives the values and is returned. When every total
+    is above the guard (no extinct point, no nan), the pinning is skipped: the
+    values are the same, without the two masked passes. The total is the one
+    temporary array.
     """
     s = np.asarray(s, dtype=float)
     i = np.asarray(i, dtype=float)
     r = np.asarray(r, dtype=float)
-    n = s + i + r
+    n = s + i
+    n += r
+    if out is None:
+        out = np.empty(n.shape)
     if n.size and n.min() > ETA_DEFAULT:
-        out = beta * s * i / n
+        np.multiply(s, beta, out=out)
+        out *= i
+        out /= n
     else:
         safe = np.where(n > ETA_DEFAULT, n, 1.0)
-        out = np.where(n > ETA_DEFAULT, beta * s * i / safe, 0.0)
+        out[...] = np.where(n > ETA_DEFAULT, beta * s * i / safe, 0.0)
     return out if out.ndim else float(out)
 
 
-def reaction_terms(s, i, r, p: ModelParams):
+def reaction_terms(s, i, r, p: ModelParams, out=None):
     """Reaction parts of the three equations: (-incidence, incidence-(gamma+delta)*I, gamma*I).
 
     The three components sum to -delta*I exactly; with delta = 0 the local
     population is conserved. Works elementwise on arrays; scalars in give
-    scalars out.
+    scalars out. out, a (3, n) array, receives the three rows and is
+    returned: the same terms in the same operation order, with no array
+    allocated but incidence's total.
     """
-    inc = incidence(s, i, r, p.beta)
     i = np.asarray(i, dtype=float)
-    return -inc, inc - (p.gamma + p.delta) * i, p.gamma * i
+    if out is None:
+        inc = incidence(s, i, r, p.beta)
+        return -inc, inc - (p.gamma + p.delta) * i, p.gamma * i
+    inc, removed = out[1], out[2]
+    incidence(s, i, r, p.beta, out=inc)
+    np.multiply(i, p.gamma + p.delta, out=removed)  # scratch until the last line
+    np.negative(inc, out=out[0])
+    inc -= removed
+    np.multiply(i, p.gamma, out=removed)
+    return out
 
 
 def centered_difference(y: np.ndarray, order: int) -> np.ndarray:

@@ -40,6 +40,14 @@ class FrontHitBoundary(RuntimeError):
 AUTO_STEP = 0.3
 STEP_LIMIT = 2.0
 
+# Samples of a run are reduced in blocks of this many rows: a fixed buffer, so
+# the memory of a run does not grow with its sample count.
+SAMPLE_BLOCK = 16
+# A sample locates the tracked front for the boundary stop only when I reaches
+# the level at one of this many points nearest the right edge. Otherwise the
+# front lies left of x[n - EDGE_POINTS] = x_max - 11*dx, short of x_max - 10*dx.
+EDGE_POINTS = 12
+
 # TR-BDF2 stage fraction: a trapezoid stage over TRBDF2_GAMMA of the step, then
 # BDF2 over the rest. With this choice both stages solve with the same matrix
 # I - (TRBDF2_GAMMA/2)*h*A, and the scheme is L-stable.
@@ -187,35 +195,31 @@ def _diffusion_bands(p: ModelParams, dx: float, n: int):
 
 
 def _reaction_rk4(state: np.ndarray, dt: float, p: ModelParams, stages: np.ndarray) -> np.ndarray:
-    """Classical RK4 on the pointwise reaction terms of the (3, n) state.
+    """Classical RK4 on the pointwise reaction terms of the (3, n) state, stepped in place.
 
     stages is a (5, 3, n) work array: rows 0-3 take the four stage slopes and
     row 4 the stage arguments. The weighted sum of the stages is formed in
-    place, in the textbook order, and returned as stages[0].
+    place, in the textbook order, and added to state, which is returned.
     """
     k1, k2, k3, k4, arg = stages
-
-    def f(u, out):
-        out[0], out[1], out[2] = reaction_terms(*u, p)
-
-    f(state, k1)
+    reaction_terms(*state, p, out=k1)
     np.multiply(k1, 0.5 * dt, out=arg)
     arg += state
-    f(arg, k2)
+    reaction_terms(*arg, p, out=k2)
     np.multiply(k2, 0.5 * dt, out=arg)
     arg += state
-    f(arg, k3)
+    reaction_terms(*arg, p, out=k3)
     np.multiply(k3, dt, out=arg)
     arg += state
-    f(arg, k4)
+    reaction_terms(*arg, p, out=k4)
     k2 *= 2.0
     k3 *= 2.0
     k1 += k2
     k1 += k3
     k1 += k4
     k1 *= dt / 6.0
-    k1 += state
-    return k1
+    state += k1
+    return state
 
 
 def _strang_step(p: ModelParams, dx: float, n: int, dt: float):
@@ -229,8 +233,10 @@ def _strang_step(p: ModelParams, dx: float, n: int, dt: float):
     Since W*A has zero column sums, each diffusion half step conserves the
     trapezoid-rule mass of every species to roundoff.
 
-    Every buffer is built here, so a step allocates no array: the map
-    returns its own (3, n) state buffer, which the next call overwrites.
+    Every buffer is built here, so a step allocates no array but the total
+    S+I+R of each reaction stage: the map returns its own (3, n) state
+    buffer, which the next call overwrites, and handed that buffer back it
+    steps it without a copy.
     """
     lower, diag, upper = _diffusion_bands(p, dx, n)
     g = TRBDF2_GAMMA
@@ -275,9 +281,10 @@ def _strang_step(p: ModelParams, dx: float, n: int, dt: float):
     state_u = u.reshape(3, n)
 
     def step(state):
-        np.copyto(state_u, state)
+        if state is not state_u:
+            np.copyto(state_u, state)
         diffuse(u)
-        np.copyto(state_u, _reaction_rk4(state_u, dt, p, stages))
+        _reaction_rk4(state_u, dt, p, stages)
         diffuse(u)
         return state_u
 
@@ -289,22 +296,34 @@ def front_position(x: np.ndarray, i_vals: np.ndarray, threshold):
 
     threshold may be an array of levels, which gives an array of crossings,
     each the one its level alone gives; a scalar level gives a float.
+    i_vals may be a stack of rows (m, n), which gives one crossing per row and
+    level, shape (m, *levels.shape), each the one its row alone gives.
     """
     levels = np.asarray(threshold, dtype=float)
     lv = levels.ravel()
+    rows = i_vals.reshape(-1, len(x))
     last = len(x) - 1
-    k = last - (i_vals >= lv[:, None])[:, ::-1].argmax(axis=1)  # rightmost point at or above (last if none)
+    above = rows[:, None, :] >= lv[:, None]  # (rows, levels, points)
+    k = last - above[..., ::-1].argmax(axis=-1)  # rightmost point at or above (last if none)
     inside = k < last  # below the rightmost crossing I falls under the level, so y1 < y0 there
     k1 = k + inside
-    y0, y1 = i_vals[k], i_vals[k1]
-    frac = np.divide(lv - y0, y1 - y0, out=np.zeros(len(lv)), where=inside)
+    y0, y1 = np.take_along_axis(rows, k, axis=1), np.take_along_axis(rows, k1, axis=1)
+    frac = np.divide(lv - y0, y1 - y0, out=np.zeros(k.shape), where=inside)
     pos = np.where(y0 >= lv, x[k] + frac * (x[k1] - x[k]), np.nan)
-    return pos.reshape(levels.shape) if levels.ndim else float(pos[0])
+    if i_vals.ndim == 1 and not levels.ndim:
+        return float(pos[0, 0])
+    return pos.reshape(i_vals.shape[:-1] + levels.shape)
 
 
-def _trapezoid(y: np.ndarray, widths: np.ndarray) -> float:
-    """np.trapezoid(y, x) given widths = np.diff(x), the same sum in the same order."""
-    return float((widths * (y[1:] + y[:-1]) / 2.0).sum())
+def _trapezoid(y: np.ndarray, widths: np.ndarray):
+    """np.trapezoid(y, x) given widths = np.diff(x), the same sum in the same order.
+
+    A stack of rows gives an array of their integrals, each bitwise the one
+    its row alone gives (the sum runs along the contiguous axis either way);
+    one row gives a float.
+    """
+    sums = (widths * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
+    return sums if y.ndim > 1 else float(sums)
 
 
 def _fit_window(times: np.ndarray, positions: np.ndarray, fit_window: float):
@@ -369,6 +388,10 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     the full fields likewise every ceil(n_steps/(n_snapshots - 1)) steps, at
     most n_snapshots + 1 times. With stop_at_boundary the run ends
     as soon as a sample finds the front within 10*dx of the right edge.
+
+    A sample copies only the I row and the S+I+R row into a block of
+    SAMPLE_BLOCK rows; fronts, masses and max I are computed once per block,
+    each bitwise what the sample alone gives.
     """
     p, grid = cfg.params, cfg.grid
     x, dx = grid.x, grid.dx
@@ -383,19 +406,41 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     }
     levels = np.array([cfg.threshold, *thresholds.values()])  # the tracked front first
     widths = np.diff(x)
+    edge = grid.x_max - 10.0 * dx
 
     clipped = 0.0
     min_value = np.inf
-    times, positions, masses, infected, imax = [], [], [], [], []
+    times, blocks = [], []
+    i_rows, totals = np.empty((2, SAMPLE_BLOCK, grid.n))  # I and S+I+R of the block's samples
+    filled = 0
     snapshots = [(0.0, state.copy())]
     hit_boundary = False
 
     def sample(t):
+        nonlocal filled
         times.append(t)
-        positions.append(front_position(x, state[1], levels))
-        masses.append(_trapezoid(state.sum(axis=0), widths))
-        infected.append(_trapezoid(state[1], widths))
-        imax.append(float(state[1].max()))
+        i_rows[filled] = state[1]
+        state.sum(axis=0, out=totals[filled])
+        filled += 1
+        if filled == SAMPLE_BLOCK:
+            reduce_block()
+
+    def reduce_block():
+        # fronts at every level, both masses and max I of the filled rows
+        nonlocal filled
+        rows = i_rows[:filled]
+        blocks.append((
+            front_position(x, rows, levels),
+            _trapezoid(totals[:filled], widths),
+            _trapezoid(rows, widths),
+            rows.max(axis=1),
+        ))
+        filled = 0
+
+    def front_at_edge() -> bool:
+        # the tracked front, located only when I reaches its level near the right edge
+        near = state[1, -EDGE_POINTS:].max() >= cfg.threshold
+        return bool(near and front_position(x, state[1], cfg.threshold) >= edge)
 
     sample(0.0)
     for k in range(1, n_steps + 1):
@@ -409,16 +454,17 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         t = k * dt
         if k % sample_every == 0 or k == n_steps:
             sample(t)
-            front = positions[-1][0]
-            if np.isfinite(front) and front >= grid.x_max - 10.0 * dx:
-                hit_boundary = True
+            hit_boundary = hit_boundary or front_at_edge()
         if k % snap_every == 0 or k == n_steps:
             snapshots.append((t, state.copy()))
         if hit_boundary and stop_at_boundary:
             break
+    if filled:
+        reduce_block()
 
     times = np.asarray(times)
-    fronts, *aux_fronts = np.ascontiguousarray(np.array(positions).T)
+    positions, masses, infected, imax = (np.concatenate(parts) for parts in zip(*blocks))
+    fronts, *aux_fronts = np.ascontiguousarray(positions.T)
     speed, stderr = _fit_speed(times, fronts, fit_window)
     trace = FrontTrace(
         times=times,
@@ -436,9 +482,9 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         final=state,
         trace=trace,
         mass_times=times,
-        mass_total=np.asarray(masses),
-        mass_infected=np.asarray(infected),
-        i_max_trace=np.asarray(imax),
+        mass_total=masses,
+        mass_infected=infected,
+        i_max_trace=imax,
         clipped_mass=clipped,
         min_value=min_value,
         snapshots=snapshots,

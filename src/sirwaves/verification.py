@@ -39,6 +39,7 @@ TOL_GAMMA = 1e-6  # one quadrature application on envelope-scale inputs
 TOL_AGREEMENT = 1e-5  # distance of the certifying step of F from the Newton root; ~1e-13 in practice
 TOL_FIXED_POINT = 1e-8  # solve tolerance of the fixed point; its residuals are held to it
 SPEED_BAND = 0.05  # pulled-front speed convergence at finite time and window
+MONOTONE_SLACK = 1e-12  # a late rise of max I up to this fraction of max I is roundoff
 
 
 @dataclass
@@ -300,8 +301,11 @@ def _subthreshold_decay(ctx: _Context):
     sim = pde_sim.run(cfg)
     ratio = sim.i_max_trace[-1] / sim.i_max_trace[0]
     late = sim.i_max_trace[len(sim.i_max_trace) // 2 :]
-    monotone = float(np.max(np.diff(late))) if len(late) > 1 else 0.0
-    return min(1e-8 - ratio, -monotone + 1e-12), 0.0, f"max-I ratio {ratio:.3e} at t = {cfg.t_end}"
+    # the largest late rise of max I, as a fraction of max I before it: max I
+    # ends near 1e-12, so only a relative slack tests the decay there
+    rises = np.diff(late) / np.maximum(late[:-1], np.finfo(float).tiny)
+    monotone = float(np.max(rises)) if len(rises) else 0.0
+    return min(1e-8 - ratio, MONOTONE_SLACK - monotone), 0.0, f"max-I ratio {ratio:.3e} at t = {cfg.t_end}"
 
 
 # Every check once, in report order: (name, claim, needs a wave, compute).

@@ -78,6 +78,25 @@ def test_incidence_fast_path_matches_the_guarded_formula():
         assert type(out) is float and out == float(pinned_incidence(*np.array(args), 2.0))
 
 
+def test_reaction_terms_into_a_buffer_match_the_allocating_form():
+    # out= gives the allocating form's rows bitwise, on the unmasked path and
+    # on the masked one (a total exactly at the guard), and returns out
+    rng = np.random.default_rng(8)
+    s, i, r = rng.uniform(0.0, 2.0, size=(3, 40))
+    for masked in (False, True):
+        if masked:
+            s[5], i[5], r[5] = 0.0, ETA_DEFAULT, 0.0
+        out = np.full((3, 40), np.nan)
+        assert reaction_terms(s, i, r, P0, out=out) is out
+        assert np.array_equal(out, np.array(reaction_terms(s, i, r, P0)))
+        inc = np.empty(40)
+        assert incidence(s, i, r, P0.beta, out=inc) is inc
+        assert np.array_equal(inc, incidence(s, i, r, P0.beta))
+    assert out[:, 5].tolist() == [-0.0, -ETA_DEFAULT, 0.5 * ETA_DEFAULT]
+    # scalars in still give scalars out
+    assert all(isinstance(v, float) for v in reaction_terms(0.6, 0.3, 0.1, P0))
+
+
 def test_incidence_monotone_in_s():
     rng = np.random.default_rng(0)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sirwaves import (
     traveling_frame_check,
 )
 from sirwaves.model import incidence, reaction_terms
-from sirwaves.pde_sim import _diffusion_bands, _reaction_rk4, _strang_step
+from sirwaves.pde_sim import _diffusion_bands, _reaction_rk4, _strang_step, _trapezoid
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 SUB = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.8, gamma=1.0, delta=1.0, s_minus_inf=1.0)
@@ -282,6 +283,36 @@ def test_front_position_takes_several_levels_at_once():
     # the shape of the levels is kept
     assert front_position(x, i_vals, levels.reshape(2, 3)).shape == (2, 3)
     assert front_position(x, i_vals, levels[:1]).shape == (1,)
+
+
+def test_front_position_and_trapezoid_take_a_stack_of_rows():
+    # a stack of rows gives, row by row, bitwise what each row alone gives
+    res = run(config(L=30.0, t_end=4.0, n_outputs=8))
+    x, widths = res.config.grid.x, np.diff(res.config.grid.x)
+    rows = np.array([st[1] for _, st in res.snapshots])
+    levels = np.array([1e-4, 1e-3, 2.0])  # the last is above every value: nan
+    stacked = front_position(x, rows, levels)
+    assert stacked.shape == (len(rows), 3) and np.isnan(stacked[:, 2]).all()
+    np.testing.assert_array_equal(stacked, [front_position(x, row, levels) for row in rows])
+    np.testing.assert_array_equal(front_position(x, rows, 1e-4), stacked[:, 0])
+    assert np.array_equal(_trapezoid(rows, widths), [_trapezoid(row, widths) for row in rows])
+    assert type(_trapezoid(rows[0], widths)) is float
+
+
+def test_falsification_memory_stays_flat():
+    # the samples of a run are reduced in fixed blocks, so the traced peak of
+    # the benchmark's falsification run stays near its fields' size (1.4 MB
+    # measured; a buffer holding every sample of the run reads about 8 MB)
+    cfg = SimConfig(params=P0, grid=Grid.symmetric(60.0, 0.1), t_end=20.0)
+    c_target = 0.5 * minimal_speed(P0).c_star
+    tracemalloc.start()
+    try:
+        rep = subcritical_falsification(cfg, c_target=c_target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.outcome == "relaxed_to_minimal_speed"
+    assert peak <= 2e6, peak
 
 
 def test_short_run_front_mechanics():

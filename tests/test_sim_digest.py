@@ -6,7 +6,9 @@ with the max-I trace, the clipped mass and the three threshold speed fits.
 The runs cover P0, unequal diffusion rates (so a species mix-up in the
 diffusion step shows) and an outbreak below threshold, whose front trace
 runs into nan. A fourth run starts from a state with a negative dip, so that
-the clipping branch runs and its count of clipped mass is pinned too.
+the clipping branch runs and its count of clipped mass is pinned too. Two
+more pin the sampling: a run stopped by the right edge part way through a
+block of samples, and a run whose sample count is not a multiple of the block.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from sirwaves import Grid, ModelParams, SimConfig, run, subcritical_falsification
-from sirwaves.pde_sim import _simulate
+from sirwaves.pde_sim import FrontHitBoundary, _simulate
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 P_MIXED = dataclasses.replace(P0, d1=0.7, d3=1.3)
@@ -55,11 +57,31 @@ def dipped_run():
     return res
 
 
+def boundary_run():
+    # the front reaches x_max - 10*dx at sample 60 of a run sampled every other
+    # step, part way through a block of samples; the digest is of the partial result
+    cfg = SimConfig(params=P0, grid=Grid.symmetric(20.0, 0.2), t_end=30.0)
+    with pytest.raises(FrontHitBoundary) as hit:
+        run(cfg)
+    res = hit.value.result
+    assert res.trace.hit_boundary and len(res.mass_times) == 61 and res.mass_times[-1] == 12.0
+    return res
+
+
+def odd_samples_run():
+    # every third of 100 steps plus the last: 35 samples, not a multiple of the block
+    res = run(dataclasses.replace(config(P_MIXED), n_outputs=40))
+    assert len(res.mass_times) == 35
+    return res
+
+
 RUNS = {
     "p0": (lambda: run(config(P0)), "da0646bd36aafc3a071b7e8abacb50982118c2008540c3581d7178b588e419d9"),
     "mixed_d": (lambda: run(config(P_MIXED)), "33c90acb42058f5b9dd3e669f721c90a957e2018e9b576e46c86995e4a82df1c"),
     "r0=0.9": (lambda: run(config(SUB, dx=0.25, t_end=30.0)), "35ecd7cb5b62b7ba93a376b95578648ae656cafa57affc76908d63dcf1fff44e"),
     "clipped": (dipped_run, "03983303e3d1783d56b78937fbe2533143061b35c06176613229af00fbc1c4c3"),
+    "hit_boundary": (boundary_run, "6c155bf524e53e40efbe18b93fc4c838b8f96cc1ca68272733d4d0fc7f7c7b68"),
+    "35_samples": (odd_samples_run, "f2de227f8da7018890228bb7fa1a4c6fc12cde3fa8a358a1981f59a596170a1d"),
 }
 
 

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sirwaves import (
     suite_passed,
     wave_window,
 )
-from sirwaves.verification import CheckResult, _result
+from sirwaves.verification import CheckResult, _Context, _result, _subthreshold_decay
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 
@@ -160,6 +161,18 @@ def test_mutated_incidence_fails_checks(monkeypatch):
     assert failing & {"gamma_invariance", "fixed_point", "profile_diagnostics"}
     assert "gamma_invariance" in failing  # the integral map reads the same reaction terms
     assert not suite_passed(results)
+
+
+def test_subthreshold_decay_fails_on_a_late_rise_of_max_i(monkeypatch):
+    # max I falls from 1e-2 to 1.4e-13 (the P0 check's run ends at 7e-13), but
+    # rises by 1e-13 at t = 81: below an absolute slack of 1e-12, far above
+    # roundoff of max I there (1.6e-11)
+    trace = 1e-2 * np.exp(-0.25 * np.arange(101.0))
+    trace[81] = trace[80] + 1e-13
+    monkeypatch.setattr("sirwaves.pde_sim.run", lambda cfg: SimpleNamespace(i_max_trace=trace))
+    margin, tol, details = _subthreshold_decay(_Context(P0, 2.5, 2.0))
+    assert trace[-1] / trace[0] < 1e-8  # the overall decay alone would pass
+    assert _result("subthreshold_decay", "dies out", margin, tol, details).status == "fail"
 
 
 def test_default_window_holds_the_slow_right_tail():
