@@ -361,17 +361,15 @@ def cmd_simulate(args) -> int:
         "front_hit_boundary": hit,
         "clipped_mass": result.clipped_mass,
         "min_value": result.min_value,
-        "dt": sim_cfg.time_steps()[0],
+        "dt": result.dt,
         "dt_bound": sim_cfg.dt_bound,
     }
     if np.isfinite(result.trace.pulled_front_speed):
         summary["pulled_front_speed"] = result.trace.pulled_front_speed
     with _timed(timings, "writes"):
         _write_json(os.path.join(out, "summary.json"), summary)
-    # the last sample is taken at the last step, also when the front stopped the run early
-    steps = int(round(result.mass_times[-1] / summary["dt"]))
     write_manifest(out, "simulate", {**cfg, "sim": {**sim_block, "t_end": t_end}},
-                   {"c_star": c_star, "dt": summary["dt"], "steps": steps}, timings)
+                   {"c_star": c_star, "dt": result.dt, "steps": result.steps}, timings)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -81,6 +81,10 @@ class SimConfig:
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        for name in ("n_outputs", "n_snapshots"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be a positive integer, got {count!r}")
         if self.dt is not None:
             if not self.dt > 0:
                 raise ValueError(f"dt must be positive, got {self.dt}")
@@ -169,6 +173,8 @@ class SimResult:
     min_value: float  # smallest field value any step produced, before clipping
     snapshots: list  # (t, (3, n) array) pairs
     threshold_speeds: dict  # speed fits at 1e-3/1e-4/1e-5 of S_-inf
+    dt: float  # the split step size
+    steps: int  # split steps taken, fewer than the configured count after a boundary stop
 
     @property
     def outcome(self) -> str:
@@ -227,10 +233,16 @@ def _strang_step(p: ModelParams, dx: float, n: int, dt: float):
 
     Half a step of diffusion by TR-BDF2, a full reaction step by RK4, and the
     second diffusion half step. Both TR-BDF2 stages solve with the matrix
-    I - a*A, a = (TRBDF2_GAMMA/2)*(dt/2). Scaled by the trapezoid weights W
+    M = I - a*A, a = (TRBDF2_GAMMA/2)*(dt/2). Scaled by the trapezoid weights W
     (1/2 at each block's ends, 1 inside), W - a*W*A is symmetric positive
     definite, so it is factored once here by LDL^T and every solve is O(n).
-    Since W*A has zero column sums, each diffusion half step conserves the
+
+    A half step applies the operator once, s = a*W*A u. The trapezoid stage
+    solves (W - a*W*A) d1 = 2*s; since then a*A*(u + d1) = d1 - a*A*u, the
+    BDF2 stage's right side c_old*d1 + a*A*u* is (1 + c_old)*d1 - a*A*u and
+    needs no second application. A uniform state gives s = 0 exactly (a row
+    of a*W*A is -2q, q, q, or -q, q at a block's end), so it stays exactly
+    uniform; since W*A has zero column sums, each half step conserves the
     trapezoid-rule mass of every species to roundoff.
 
     Every buffer is built here, so a step allocates no array but the total
@@ -238,44 +250,38 @@ def _strang_step(p: ModelParams, dx: float, n: int, dt: float):
     buffer, which the next call overwrites, and handed that buffer back it
     steps it without a copy.
     """
-    lower, diag, upper = _diffusion_bands(p, dx, n)
+    _, diag, upper = _diffusion_bands(p, dx, n)
     g = TRBDF2_GAMMA
     a = 0.5 * g * (0.5 * dt)  # trapezoid weight of the half step's operator
     w = np.ones(n)
     w[[0, -1]] = 0.5
     w = np.tile(w, 3)
-    d, e = dpttrf(w * (1.0 - a * diag), -a * w[:-1] * upper)[:2]  # w[:-1]*upper == w[1:]*lower
+    # bands of a*W*A; it is symmetric, w[:-1]*upper == w[1:]*lower, so one off-diagonal serves both
+    a_diag = a * w * diag
+    a_off = a * w[:-1] * upper
+    d, e = dpttrf(w - a_diag, -a_off)[:2]
     # BDF2 weight of the old state: (I - a*A) u_new = u_star/(g(2-g)) - c_old*u
     c_old = (1.0 - g) ** 2 / (g * (2.0 - g))
+    cw = (1.0 + c_old) * w
     u = np.empty(3 * n)  # the state, stepped in place
+    s = np.empty(3 * n)  # a*W*A u
     inc = np.empty(3 * n)  # each TR-BDF2 stage's increment
-    applied = np.empty(3 * n)  # A u for the BDF2 stage
-    prod = np.empty(3 * n - 1)  # a band times the shifted state
+    prod = np.empty(3 * n - 1)  # the off-diagonal times the shifted state
     stages = np.empty((5, 3, n))
 
-    def apply(v, out):
-        np.multiply(diag, v, out=out)
-        np.multiply(upper, v[1:], out=prod)
-        out[:-1] += prod
-        np.multiply(lower, v[:-1], out=prod)
-        out[1:] += prod
-
-    def solve(b):
-        b *= w
-        dpttrs(d, e, b, overwrite_b=1)  # b is contiguous float64, so it is solved in place
-
     def diffuse(v):
-        # both stages solved for the increment, so a uniform state (A u = 0
-        # exactly) stays exactly uniform
-        apply(v, inc)
-        np.multiply(inc, 2.0 * a, out=inc)
-        solve(inc)
+        np.multiply(a_diag, v, out=s)
+        np.multiply(a_off, v[1:], out=prod)
+        s[:-1] += prod
+        np.multiply(a_off, v[:-1], out=prod)
+        s[1:] += prod
+        # both stages solved for the increment; inc is contiguous float64, so solved in place
+        np.add(s, s, out=inc)
+        dpttrs(d, e, inc, overwrite_b=1)
         v += inc
-        np.multiply(inc, c_old, out=inc)
-        apply(v, applied)
-        np.multiply(applied, a, out=applied)
-        np.add(inc, applied, out=inc)
-        solve(inc)
+        np.multiply(inc, cw, out=inc)
+        np.subtract(inc, s, out=inc)
+        dpttrs(d, e, inc, overwrite_b=1)
         v += inc
 
     state_u = u.reshape(3, n)
@@ -388,11 +394,14 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     the full fields likewise every ceil(n_steps/(n_snapshots - 1)) steps, at
     most n_snapshots + 1 times. With stop_at_boundary the run ends
     as soon as a sample finds the front within 10*dx of the right edge.
+    A fit_window outside (0, 1] raises ValueError before the first step.
 
     A sample copies only the I row and the S+I+R row into a block of
     SAMPLE_BLOCK rows; fronts, masses and max I are computed once per block,
     each bitwise what the sample alone gives.
     """
+    if not 0.0 < fit_window <= 1.0:
+        raise ValueError(f"fit_window must lie in (0, 1], got {fit_window!r}")
     p, grid = cfg.params, cfg.grid
     x, dx = grid.x, grid.dx
     dt, n_steps = cfg.time_steps()
@@ -489,6 +498,8 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         min_value=min_value,
         snapshots=snapshots,
         threshold_speeds=thr_speeds,
+        dt=dt,
+        steps=k,
     )
 
 

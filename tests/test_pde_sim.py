@@ -142,6 +142,32 @@ def test_split_step_converges_to_explicit_rk4_reference():
     assert np.all(ratios >= 3.5), (errors, ratios)
 
 
+def test_diffusion_half_steps_match_dense_tr_bdf2_and_conserve_mass():
+    # with I = 0 the reaction is exactly zero, so a split step is two pure
+    # diffusion half steps; each must be textbook TR-BDF2 on the dense matrix
+    dx, n = 0.2, 101
+    dt = 0.3 / (P_MIXED.beta + P_MIXED.gamma + P_MIXED.delta)  # the automatic step
+    rng = np.random.default_rng(23)
+    state = np.array([rng.uniform(0.2, 1.0, n), np.zeros(n), rng.uniform(0.0, 0.5, n)])
+    lower, diag, upper = _diffusion_bands(P_MIXED, dx, n)
+    A = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    g = 2.0 - np.sqrt(2.0)
+    a = 0.5 * g * (0.5 * dt)
+    c_old = (1.0 - g) ** 2 / (g * (2.0 - g))
+    M = np.eye(3 * n) - a * A
+    u = state.ravel()
+    for _ in range(2):
+        u_star = np.linalg.solve(M, u + a * (A @ u))
+        u = np.linalg.solve(M, u_star / (g * (2.0 - g)) - c_old * u)
+    out = _strang_step(P_MIXED, dx, n, dt)(state)
+    np.testing.assert_allclose(out, u.reshape(3, n), rtol=1e-12, atol=0.0)
+    assert np.array_equal(out[1], np.zeros(n))
+    x = np.linspace(-10.0, 10.0, n)
+    for k in (0, 2):
+        m0, m1 = np.trapezoid(state[k], x), np.trapezoid(out[k], x)
+        assert abs(m1 - m0) <= 1e-14 * m0, (k, m0, m1)
+
+
 def test_automatic_step_error_in_the_front_speed():
     # the fitted P0 speed at the automatic step and at half of it; the step's
     # error is O(dt^2), measured 6.5e-5 here (a doubled automatic step, dt 0.2,
@@ -256,6 +282,38 @@ def test_snapshots_at_most_n_snapshots_plus_one_evenly_spaced_but_the_last(t_end
     gaps = np.diff(t)
     assert np.allclose(gaps[:-1], gaps[0], rtol=1e-9)
     assert 0.0 < gaps[-1] <= gaps[0] * (1.0 + 1e-9)
+
+
+def test_fit_window_outside_the_unit_interval_is_refused():
+    # 1.5 used to fit the same last half as 0.5; 0 and -0.5 gave nan
+    cfg = config(L=40.0, t_end=4.0)
+    for fit_window in (1.5, 0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="fit_window"):
+            run(cfg, fit_window=fit_window)
+        with pytest.raises(ValueError, match="fit_window"):
+            subcritical_falsification(cfg, c_target=1.0, fit_window=fit_window)
+    trace = run(cfg, fit_window=1.0).trace  # the whole trace
+    assert trace.fit_window == 1.0 and np.isfinite(trace.speed_fit)
+
+
+@pytest.mark.parametrize("name", ["n_outputs", "n_snapshots"])
+@pytest.mark.parametrize("count", [0, -3, 2.5, True, None])
+def test_sample_counts_must_be_positive_integers(name, count):
+    with pytest.raises(ValueError, match=name):
+        config(**{name: count})
+
+
+def test_sample_counts_accept_numpy_integers():
+    cfg = config(L=40.0, t_end=2.0, n_outputs=np.int64(4), n_snapshots=np.int32(3))
+    res = run(cfg)
+    assert len(res.mass_times) <= 5 and len(res.snapshots) <= 4
+
+
+def test_result_records_step_size_and_steps_taken():
+    # a run stopped by the right edge takes fewer: see boundary_run in test_sim_digest.py
+    cfg = config(L=40.0, t_end=3.0)
+    res = run(cfg)
+    assert (res.dt, res.steps) == cfg.time_steps() == (pytest.approx(0.1), 30)
 
 
 def test_front_position_interpolates():

@@ -65,6 +65,7 @@ def boundary_run():
         run(cfg)
     res = hit.value.result
     assert res.trace.hit_boundary and len(res.mass_times) == 61 and res.mass_times[-1] == 12.0
+    assert (res.dt, res.steps) == (0.1, 120)  # of the 300 configured
     return res
 
 
@@ -76,12 +77,12 @@ def odd_samples_run():
 
 
 RUNS = {
-    "p0": (lambda: run(config(P0)), "da0646bd36aafc3a071b7e8abacb50982118c2008540c3581d7178b588e419d9"),
-    "mixed_d": (lambda: run(config(P_MIXED)), "33c90acb42058f5b9dd3e669f721c90a957e2018e9b576e46c86995e4a82df1c"),
-    "r0=0.9": (lambda: run(config(SUB, dx=0.25, t_end=30.0)), "35ecd7cb5b62b7ba93a376b95578648ae656cafa57affc76908d63dcf1fff44e"),
-    "clipped": (dipped_run, "03983303e3d1783d56b78937fbe2533143061b35c06176613229af00fbc1c4c3"),
-    "hit_boundary": (boundary_run, "6c155bf524e53e40efbe18b93fc4c838b8f96cc1ca68272733d4d0fc7f7c7b68"),
-    "35_samples": (odd_samples_run, "f2de227f8da7018890228bb7fa1a4c6fc12cde3fa8a358a1981f59a596170a1d"),
+    "p0": (lambda: run(config(P0)), "c0f10f74f47cca6fdcd766d4f58a14fb17fa1b14df5e4fca0b1f8df097abb057"),
+    "mixed_d": (lambda: run(config(P_MIXED)), "45cfc6549b11d76e29f287a6384499b5d6e1c5809fb24798e3129464ad9f97d6"),
+    "r0=0.9": (lambda: run(config(SUB, dx=0.25, t_end=30.0)), "2f40053d3f32918d0fb0a3bd221aa8842ccc3175d7e4a5658dddf0f863e184cf"),
+    "clipped": (dipped_run, "df37364b395473b6f767132f2b906fd59d00eb21e1360b2a232d01bd034363e8"),
+    "hit_boundary": (boundary_run, "c287649b2497dd725d9235251850fbbc2c56bbf5b4496ceb26472c6da269e058"),
+    "35_samples": (odd_samples_run, "ec470d2f8d9f526fa4aa08e5b9397da878504fe7068e0b00ae76d071483c5edc"),
 }
 
 
@@ -104,4 +105,4 @@ def test_falsification_report_digest():
     rep = subcritical_falsification(config(P0, dx=0.25, t_end=10.0), c_target=1.0)
     assert rep.outcome == "relaxed_to_minimal_speed"
     fields = [rep.c_target, rep.c_star, rep.measured_speed, rep.measured_stderr, rep.i_max_initial, rep.i_max_final]
-    assert _sha256(fields) == "282fb1d137c4a37c1a21a5445234b7eb0d2853dcd2f8d0621e22d472c4bdd4bc"
+    assert _sha256(fields) == "494d4e06003c2526f9b1b260a49ca8a98ef6443957aee4659f9177f7222e7b5d"
