@@ -41,11 +41,9 @@ from .linear_analysis import (
 from .resolvent import (
     DiscreteKernel,
     ExponentOrdering,
-    GridTooSmall,
     ResolventSpec,
     ShiftFloorLost,
     TailIncompatible,
-    apply_delta,
     apply_delta_inverse,
     choose_alphas,
     choose_mu,

@@ -186,13 +186,7 @@ def cmd_analyze(args) -> int:
         derived.update(c_star=speed.c_star, lambda_star=speed.lambda_star)
         if speed.phi_samples:
             payload["phi_samples"] = [[lam, val] for lam, val in speed.phi_samples]
-            if args.phi_csv:
-                _write_csv(
-                    os.path.join(out, "phi_samples.csv"),
-                    "lambda,phi",
-                    (np.array([s[0] for s in speed.phi_samples]),
-                     np.array([s[1] for s in speed.phi_samples])),
-                )
+            _write_csv(os.path.join(out, "phi_samples.csv"), "lambda,phi", np.array(speed.phi_samples).T)
     except SubThreshold:
         payload.update(c_star=None, lambda_star=None, subthreshold=True)
 
@@ -305,16 +299,21 @@ def cmd_profile(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     p = params_from_config(cfg)
-    grid = grid_from_config(cfg) or Grid.symmetric(args.L, args.dx)
+    grid = grid_from_config(cfg)
     sim_block = cfg.get("sim", {})
-    t_end = args.t_end if args.t_end is not None else float(sim_block.get("t_end", 80.0))
     dt = args.dt if args.dt is not None else sim_block.get("dt")
-    ic = pde_sim.PulseIC(
-        center=sim_block.get("pulse_center"),
-        width=float(sim_block.get("pulse_width", 2.0)),
-        amplitude=sim_block.get("pulse_amplitude"),
-    )
-    try:
+
+    def optional(key):
+        return None if sim_block.get(key) is None else float(sim_block[key])
+
+    try:  # a bad spacing, window or sim value fails here, with one line
+        grid = grid or Grid.symmetric(args.L, args.dx)
+        t_end = args.t_end if args.t_end is not None else float(sim_block.get("t_end", 80.0))
+        ic = pde_sim.PulseIC(
+            center=optional("pulse_center"),
+            width=float(sim_block.get("pulse_width", 2.0)),
+            amplitude=optional("pulse_amplitude"),
+        )
         sim_cfg = pde_sim.SimConfig(
             params=p, grid=grid, t_end=t_end,
             dt=float(dt) if dt is not None else None,
@@ -505,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="reproduction number, minimal speed, decay rates")
     pa.add_argument("config")
     pa.add_argument("--c", type=float, action="append", help="speed(s) for the decay-rate table")
-    pa.add_argument("--phi-samples", type=int, default=0)
-    pa.add_argument("--phi-csv", action="store_true", help="also write phi samples as CSV")
+    pa.add_argument("--phi-samples", type=int, default=0,
+                    help="sample phi at this many rates into analysis.json and phi_samples.csv")
     pa.add_argument("--out", default="analyze_out")
     pa.set_defaults(func=cmd_analyze)
 

@@ -49,6 +49,12 @@ class ModelParams:
         return self.beta / (self.gamma + self.delta) > 1.0 and self.d3 < 2.0 * self.d2
 
 
+def check_spacing(dx: float) -> None:
+    """Raise ValueError unless the grid spacing dx is finite and positive."""
+    if not (np.isfinite(dx) and dx > 0):
+        raise ValueError(f"grid spacing dx must be finite and positive, got {dx}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh on [x_min, x_max] with the origin strictly inside.
@@ -80,6 +86,7 @@ class Grid:
     @classmethod
     def symmetric(cls, half_width: float, dx: float) -> "Grid":
         """Window [-half_width, half_width] with spacing as close to dx as possible."""
+        check_spacing(dx)
         n = int(round(2.0 * half_width / dx)) + 1
         return cls(-half_width, half_width, n)
 
@@ -92,7 +99,9 @@ class GridFunction:
     rate 0.0 continues it as a constant, +inf on the left and -inf on the right
     as zero. These closures cover every function the resolvent operators
     transport: susceptible-like plateaus and pure exponentials of the
-    infected/removed type.
+    infected/removed type. It is the input of resolvent.apply_delta_inverse;
+    the solvers pass the samples and the two rates to inverse_operator as
+    plain arrays and floats.
     """
 
     grid: Grid

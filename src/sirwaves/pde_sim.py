@@ -79,8 +79,8 @@ class SimConfig:
     n_snapshots: int = 9  # stored full fields
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         for name in ("n_outputs", "n_snapshots"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
@@ -91,12 +91,12 @@ class SimConfig:
             if self.dt > self.dt_bound:
                 raise StabilityViolated(f"dt = {self.dt} exceeds the stability bound {self.dt_bound}")
         ic = self.ic
-        if ic.width <= 0:
-            raise ValueError("pulse width must be positive")
-        if ic.amplitude is not None and ic.amplitude <= 0:
-            raise ValueError("pulse amplitude must be positive")
-        if self.front_threshold <= 0:
-            raise ValueError("front threshold must be positive")
+        if not (np.isfinite(ic.width) and ic.width > 0):
+            raise ValueError(f"pulse width must be finite and positive, got {ic.width}")
+        if ic.amplitude is not None and not (np.isfinite(ic.amplitude) and ic.amplitude > 0):
+            raise ValueError(f"pulse amplitude must be finite and positive, got {ic.amplitude}")
+        if not (np.isfinite(self.front_threshold) and self.front_threshold > 0):
+            raise ValueError(f"front threshold must be finite and positive, got {self.front_threshold}")
         center = self.ic_center
         if not (self.grid.x_min + 3 * ic.width < center < self.grid.x_max - 3 * ic.width):
             raise ValueError("initial pulse must sit well inside the window")
@@ -321,17 +321,6 @@ def front_position(x: np.ndarray, i_vals: np.ndarray, threshold):
     return pos.reshape(i_vals.shape[:-1] + levels.shape)
 
 
-def _trapezoid(y: np.ndarray, widths: np.ndarray):
-    """np.trapezoid(y, x) given widths = np.diff(x), the same sum in the same order.
-
-    A stack of rows gives an array of their integrals, each bitwise the one
-    its row alone gives (the sum runs along the contiguous axis either way);
-    one row gives a float.
-    """
-    sums = (widths * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
-    return sums if y.ndim > 1 else float(sums)
-
-
 def _fit_window(times: np.ndarray, positions: np.ndarray, fit_window: float):
     """The finite samples over the last fit_window fraction of the usable trace."""
     ok = np.isfinite(positions)
@@ -414,7 +403,6 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         "1e-5": 1e-5 * p.s_minus_inf,
     }
     levels = np.array([cfg.threshold, *thresholds.values()])  # the tracked front first
-    widths = np.diff(x)
     edge = grid.x_max - 10.0 * dx
 
     clipped = 0.0
@@ -440,8 +428,8 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
         rows = i_rows[:filled]
         blocks.append((
             front_position(x, rows, levels),
-            _trapezoid(totals[:filled], widths),
-            _trapezoid(rows, widths),
+            np.trapezoid(totals[:filled], x),
+            np.trapezoid(rows, x),
             rows.max(axis=1),
         ))
         filled = 0

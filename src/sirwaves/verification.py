@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Grid, GridFunction, ModelParams
+from .model import Grid, ModelParams
 from .linear_analysis import lambda0, minimal_speed
-from .resolvent import TailIncompatible, apply_delta_inverse, choose_alphas, delta_inverse_piecewise_g
+from .resolvent import TailIncompatible, choose_alphas, delta_inverse_piecewise_g, inverse_operator
 from .wave_profile import (
     NotConverged,
     SingularJacobian,
@@ -140,12 +140,11 @@ def inversion_errors(specs, grid: Grid):
     for name, f0, f1, f2, lt, rt in ORACLE_FUNCTIONS:
         h, hp, hpp = f0(x), f1(x), f2(x)
         for spec in specs:
-            img = -spec.d * hpp + spec.c * hp + spec.alpha * h
-            gf = GridFunction(grid, img, lt, rt)
             try:
-                back = apply_delta_inverse(gf, spec).values
+                invert, _ = inverse_operator(spec, grid.dx, lt, rt)
             except TailIncompatible:
                 continue
+            back = invert(-spec.d * hpp + spec.c * hp + spec.alpha * h)
             errors[(name, spec.index)] = float(np.max(np.abs(back[inner] - h[inner])))
     return errors
 

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 # checks that the name resolves and spares it the unused-import check.
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from .model import ETA_DEFAULT, Grid, ModelParams, edge_difference, reaction_terms, wave_operator
+from .model import ETA_DEFAULT, Grid, ModelParams, check_spacing, edge_difference, reaction_terms, wave_operator
 from .linear_analysis import characteristic_f, envelope_image, lambda0, stencil_roots, symbol_roots
 from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
@@ -456,9 +456,9 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     s_inf = float(np.mean(u[0, -n_tail:]))
 
     i_vals = u[1]
-    mass = np.cumsum(0.5 * (i_vals[1:] + i_vals[:-1]) * grid.dx)
+    mass = _cumulative_integral(i_vals, grid.dx, 0.0)
     if mass[-1] > 0:
-        x999 = grid.x[1:][int(np.searchsorted(mass, 0.999 * mass[-1]))]
+        x999 = grid.x[int(np.searchsorted(mass, 0.999 * mass[-1]))]
         if x999 >= grid.x_max:
             warnings.append("right window too short: 99.9% of the infected mass is not inside")
 
@@ -617,10 +617,12 @@ def wave_window(p: ModelParams, c: float, dx: float | None = None) -> Grid:
     puts I below exp(-26) at x_min, under the solve's window guard, and lets S,
     which settles at the slower rate, meet the map's constant tail there. The
     right edge max(half, ceil(16.1/kappa/10)*10), kappa = outflow_rate(p, c),
-    lets I fall below exp(-16.1) of its scale by x_max. Raises ValueError above MAX_WINDOW_POINTS.
+    lets I fall below exp(-16.1) of its scale by x_max. Raises ValueError above MAX_WINDOW_POINTS
+    or for a spacing that is not finite and positive.
     """
     if dx is None:
         dx = min(0.05, 0.9 * 2.0 * min(p.d1, p.d2, p.d3) / c)
+    check_spacing(dx)
     half = max(60.0, np.ceil(26.0 / min(lambda0(c, p).lambda0, c / p.d1) / 10.0) * 10.0)
     right = max(half, np.ceil(16.1 / outflow_rate(p, c) / 10.0) * 10.0)
     n = int(round((half + right) / dx)) + 1

@@ -269,6 +269,54 @@ def test_simulate_bad_dt_exits_2_with_one_line(config_path, tmp_path, capsys, dt
     assert not os.path.exists(out)  # nothing is written for rejected settings
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--dx", "0"], "grid spacing"),
+    (["--dx", "nan"], "grid spacing"),
+    (["--L", "-5"], "grid window"),
+    (["--t-end", "nan"], "t_end"),
+])
+def test_simulate_bad_grid_or_t_end_exits_2_with_one_line(config_path, tmp_path, capsys, flags, message):
+    out = str(tmp_path / "out")
+    rc = main(["simulate", config_path, "--t-end", "1", "--L", "20", "--dx", "0.2", *flags, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("simulate: ") and message in err[0]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("sim,message", [
+    ({"pulse_amplitude": float("nan")}, "pulse amplitude"),
+    ({"pulse_amplitude": "tiny"}, "could not convert"),
+    ({"pulse_width": "x"}, "could not convert"),
+    ({"pulse_center": "left"}, "could not convert"),
+    ({"t_end": float("nan")}, "t_end"),
+])
+def test_simulate_rejects_bad_sim_values_with_one_line(tmp_path, capsys, sim, message):
+    path = write_config(tmp_path, {"params": P0_CONFIG["params"], "sim": sim})
+    out = str(tmp_path / "out")
+    assert main(["simulate", path, "--L", "20", "--dx", "0.2", "--out", out]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("simulate: ") and message in err[0]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("dx", ["0", "nan", "-0.05"])
+def test_profile_bad_spacing_exits_2_with_one_line(config_path, tmp_path, capsys, dx):
+    rc = main(["profile", config_path, "--dx", dx, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solve failed: ") and "grid spacing" in err[0]
+
+
+def test_analyze_writes_the_phi_samples_as_csv(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", config_path, "--phi-samples", "7", "--out", str(out)]) == 0
+    samples = json.loads((out / "analysis.json").read_text())["phi_samples"]
+    lines = (out / "phi_samples.csv").read_text().splitlines()
+    assert lines[0] == "lambda,phi" and len(samples) == len(lines) - 1 == 7
+    assert lines[1:] == [f"{lam:.17g},{val:.17g}" for lam, val in samples]
+
+
 def test_verify_quick_exit_code_and_determinism(config_path, tmp_path):
     out1, out2 = str(tmp_path / "v1"), str(tmp_path / "v2")
     assert main(["verify", config_path, "--out", out1]) == 0

@@ -161,6 +161,12 @@ def test_grid_requires_interior_origin():
         Grid(-10.0, 10.0, 2)
 
 
+@pytest.mark.parametrize("dx", [0.0, -0.1, float("nan"), float("inf")])
+def test_symmetric_grid_needs_a_finite_positive_spacing(dx):
+    with pytest.raises(ValueError, match="grid spacing"):
+        Grid.symmetric(10.0, dx)
+
+
 def test_grid_function_validation():
     g = Grid(-1.0, 1.0, 5)
     with pytest.raises(ValueError):

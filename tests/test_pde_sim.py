@@ -17,7 +17,7 @@ from sirwaves import (
     traveling_frame_check,
 )
 from sirwaves.model import incidence, reaction_terms
-from sirwaves.pde_sim import _diffusion_bands, _reaction_rk4, _strang_step, _trapezoid
+from sirwaves.pde_sim import _diffusion_bands, _reaction_rk4, _strang_step
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 SUB = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.8, gamma=1.0, delta=1.0, s_minus_inf=1.0)
@@ -303,6 +303,18 @@ def test_sample_counts_must_be_positive_integers(name, count):
         config(**{name: count})
 
 
+@pytest.mark.parametrize("settings,message", [
+    (lambda v: {"t_end": v}, "t_end"),
+    (lambda v: {"front_threshold": v}, "front threshold"),
+    (lambda v: {"ic": PulseIC(width=v)}, "pulse width"),
+    (lambda v: {"ic": PulseIC(amplitude=v)}, "pulse amplitude"),
+], ids=["t_end", "front_threshold", "pulse_width", "pulse_amplitude"])
+def test_times_widths_and_levels_must_be_finite_and_positive(settings, message):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=message):
+            config(**settings(bad))
+
+
 def test_sample_counts_accept_numpy_integers():
     cfg = config(L=40.0, t_end=2.0, n_outputs=np.int64(4), n_snapshots=np.int32(3))
     res = run(cfg)
@@ -346,15 +358,14 @@ def test_front_position_takes_several_levels_at_once():
 def test_front_position_and_trapezoid_take_a_stack_of_rows():
     # a stack of rows gives, row by row, bitwise what each row alone gives
     res = run(config(L=30.0, t_end=4.0, n_outputs=8))
-    x, widths = res.config.grid.x, np.diff(res.config.grid.x)
+    x = res.config.grid.x
     rows = np.array([st[1] for _, st in res.snapshots])
     levels = np.array([1e-4, 1e-3, 2.0])  # the last is above every value: nan
     stacked = front_position(x, rows, levels)
     assert stacked.shape == (len(rows), 3) and np.isnan(stacked[:, 2]).all()
     np.testing.assert_array_equal(stacked, [front_position(x, row, levels) for row in rows])
     np.testing.assert_array_equal(front_position(x, rows, 1e-4), stacked[:, 0])
-    assert np.array_equal(_trapezoid(rows, widths), [_trapezoid(row, widths) for row in rows])
-    assert type(_trapezoid(rows[0], widths)) is float
+    assert np.array_equal(np.trapezoid(rows, x), [np.trapezoid(row, x) for row in rows])
 
 
 def test_falsification_memory_stays_flat():

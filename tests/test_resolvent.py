@@ -5,18 +5,17 @@ from scipy.optimize import brentq
 from sirwaves import (
     Grid,
     GridFunction,
-    GridTooSmall,
     ModelParams,
     ResolventSpec,
     TailIncompatible,
     ExponentOrdering,
-    apply_delta,
     apply_delta_inverse,
     choose_alphas,
     choose_mu,
     delta_inverse_piecewise_g,
     discrete_kernel,
     lambda0,
+    wave_operator,
 )
 from sirwaves.resolvent import _tail_ratio, _tail_sums, inverse_operator
 from sirwaves.verification import ORACLE_FUNCTIONS, inversion_errors
@@ -84,38 +83,14 @@ def test_exponent_orderings_raise_typed_value_errors():
     assert issubclass(ExponentOrdering, ValueError)  # so profile exits 2
 
 
-# ---------- forward operator ----------
+def forward_image(f, s, g):
+    """-d h'' + c h' + alpha h at g's points by the centred stencil of model.wave_operator.
 
-def test_apply_delta_constant():
-    g = grid(5.0, 0.05)
-    for s in SPECS:
-        out = apply_delta(GridFunction(g, np.full(g.n, 3.0)), s)
-        assert np.allclose(out.values, 3.0 * s.alpha, atol=1e-9)
-
-
-def test_apply_delta_linear():
-    g = grid(5.0, 0.05)
-    s = SPECS[0]
-    out = apply_delta(GridFunction(g, g.x.copy()), s)
-    assert np.allclose(out.values, s.c + s.alpha * g.x, atol=1e-8)
-
-
-def test_apply_delta_exponential_eigenrelation():
-    # forward image of exp(lam*x) is f_i(lam)*exp(lam*x) up to O(dx^2)
-    g = grid(5.0, 0.01)
-    lam = 0.4
-    h = np.exp(lam * g.x)
-    for s in SPECS:
-        out = apply_delta(GridFunction(g, h, lam, lam), s)
-        expected = s.f(lam) * h
-        err = np.max(np.abs(out.values[1:-1] - expected[1:-1]) / expected[1:-1])
-        assert err < 5e-6
-
-
-def test_apply_delta_needs_five_points():
-    g = Grid(-1.0, 1.0, 4)
-    with pytest.raises(GridTooSmall):
-        apply_delta(GridFunction(g, np.ones(4)), SPECS[0])
+    f is sampled on g extended by one cell at each end, so every point of g is
+    an interior point of the stencil.
+    """
+    h_ext = f(g.x_min + g.dx * np.arange(-1, g.n + 1))
+    return -wave_operator(h_ext, s.d, s.c, g.dx) + s.alpha * h_ext[1:-1]
 
 
 # ---------- inverse operator ----------
@@ -163,11 +138,12 @@ def test_roundtrip_after_forward_operator_is_exact_interior():
     # inverse(forward(h)) returns h to roundoff in the interior; the only
     # residue is the tail-model mismatch decaying in from the edges
     g = grid(20.0, 0.02)
-    h = 1.0 / np.cosh(g.x / 3.0)
-    gf = GridFunction(g, h, 1.0 / 3.0, -1.0 / 3.0)
+    sech = lambda x: 1.0 / np.cosh(x / 3.0)
+    h = sech(g.x)
     margin = int(5.0 / g.dx)
     for s in SPECS:
-        back = apply_delta_inverse(apply_delta(gf, s), s).values
+        invert, _ = inverse_operator(s, g.dx, 1.0 / 3.0, -1.0 / 3.0)
+        back = invert(forward_image(sech, s, g))
         inner = slice(margin, -margin)
         assert np.max(np.abs(back[inner] - h[inner])) < 1e-9
 
@@ -290,11 +266,11 @@ def test_plugging_derivatives_back_recovers_input():
     # -d u'' + c u' + alpha u = h: exact at interior points via the stencil
     g = grid(20.0, 0.02)
     s = SPECS[2]
-    h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), np.inf, -np.inf)
-    u = apply_delta_inverse(h, s)
-    back = apply_delta(u, s).values
-    inner = slice(2, -2)
-    assert np.max(np.abs(back[inner] - h.values[inner])) < 1e-10
+    h = np.exp(-((g.x / 4.0) ** 2))
+    invert, _ = inverse_operator(s, g.dx, np.inf, -np.inf)
+    u = invert(h)
+    back = -wave_operator(u, s.d, s.c, g.dx) + s.alpha * u[1:-1]
+    assert np.max(np.abs(back - h[1:-1])) < 1e-10
 
 
 # ---------- piecewise clipped-exponential domination ----------
@@ -304,7 +280,7 @@ def test_piecewise_g_domination():
     s = SPECS[1]
     out, g_vals, margins = delta_inverse_piecewise_g(s, L0, 0.1, 1.0, g)
     assert np.min(margins) >= -1e-8
-    assert np.all(out.values >= -1e-12)
+    assert np.all(out >= -1e-12)
 
 
 def test_piecewise_g_closed_forms():
@@ -318,7 +294,7 @@ def test_piecewise_g_closed_forms():
     gap = eps / (s.lambda_plus - s.lambda_minus)
     right = x >= x_star + 1.0
     expected_right = gap * np.exp(lam * x_star + s.lambda_minus * (x[right] - x_star))
-    assert np.max(np.abs(out.values[right] - expected_right)) < 1e-4 * gap
+    assert np.max(np.abs(out[right] - expected_right)) < 1e-4 * gap
     left = (x <= x_star - 1.0) & (x >= x_star - 5.0)
     expected_left = gap * np.exp(lam * x_star + s.lambda_plus * (x[left] - x_star))
     assert np.max(np.abs(margins[left] - expected_left)) < 1e-4 * gap
@@ -337,10 +313,10 @@ def test_alpha_doubling_leaves_identities_intact():
     # rerunning with 4x shift constants must not change what the operators compute
     specs4 = [ResolventSpec.build(s.index, s.d, s.c, 4.0 * s.alpha) for s in SPECS]
     g = grid(20.0, 0.02)
-    h = GridFunction(g, np.exp(-((g.x / 4.0) ** 2)), np.inf, -np.inf)
+    gauss = lambda x: np.exp(-((x / 4.0) ** 2))
     for s1, s4 in zip(SPECS, specs4):
         assert s4.alpha >= s1.alpha
-        u1 = apply_delta_inverse(apply_delta(h, s1), s1).values
-        u4 = apply_delta_inverse(apply_delta(h, s4), s4).values
+        u1 = inverse_operator(s1, g.dx, np.inf, -np.inf)[0](forward_image(gauss, s1, g))
+        u4 = inverse_operator(s4, g.dx, np.inf, -np.inf)[0](forward_image(gauss, s4, g))
         inner = slice(5, -5)
         assert np.max(np.abs(u1[inner] - u4[inner])) < 1e-9

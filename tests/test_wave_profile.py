@@ -615,6 +615,12 @@ def test_wave_window_sizes_from_both_decay_rates():
         wave_window(dataclasses.replace(P0, beta=1.01), 1.0)  # refused before any solve
 
 
+@pytest.mark.parametrize("dx", [0.0, -0.05, float("nan"), float("inf")])
+def test_wave_window_needs_a_finite_positive_spacing(dx):
+    with pytest.raises(ValueError, match="grid spacing"):
+        wave_window(P0, C, dx)
+
+
 def test_near_c_star_converges_fast():
     rep = solve_fixed_point(P0, 2.001, Grid.symmetric(60.0, 0.05), tol=1e-8)
     assert rep.converged and rep.iterations == 1 and rep.newton_steps <= 16
