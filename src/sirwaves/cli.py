@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .model import Grid, ModelParams, r_naught
+from .model import Grid, ModelParams, check_spacing, r_naught
 from .linear_analysis import (
     ComplexRoots,
     SubThreshold,
@@ -433,6 +435,12 @@ def _sweep_one(job):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     p = params_from_config(cfg)
+    if args.dx is not None:
+        try:  # once, before any job: every point would fail on it
+            check_spacing(args.dx)
+        except ValueError as exc:
+            print(f"sweep: {exc}", file=sys.stderr)
+            return 2
     out = _out_dir(args)
     if not 1 <= len(args.vary) <= 2:
         raise ConfigInvalid("sweep varies exactly one or two keys")
@@ -467,10 +475,11 @@ def cmd_sweep(args) -> int:
             if k not in columns:
                 columns.append(k)
     path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) if k in row else "" for k in columns) + "\n")
+    with open(path, "w", newline="") as fh:
+        # minimal quoting: only a text field that needs it, an error message with a comma say
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[k]) if k in row else "" for k in columns] for row in rows)
     write_manifest(out, "sweep", {**cfg, "vary": args.vary}, {"rows": len(rows)})
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -493,7 +502,9 @@ def cmd_verify(args) -> int:
     return 0 if verification.suite_passed(results) else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it unchanged and returns a new namespace."""
     ap = argparse.ArgumentParser(
         prog="sirwaves",
         description="Traveling-wave laboratory for the diffusive SIR model with standard incidence",

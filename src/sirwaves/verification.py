@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -125,6 +125,26 @@ ORACLE_FUNCTIONS = (
 )
 
 
+# Grid of the inversion identity check; its dx is pinned by TOL_INVERSION.
+ORACLE_GRID = Grid.symmetric(20.0, 0.01)
+
+
+@lru_cache(maxsize=1)
+def _oracle_samples(grid: Grid):
+    """(name, h, h', h'', left rate, right rate) of each oracle function on grid, arrays read-only.
+
+    Kept for the last grid asked for, so a process samples ORACLE_GRID once.
+    """
+    x = grid.x
+    samples = []
+    for name, f0, f1, f2, lt, rt in ORACLE_FUNCTIONS:
+        h, hp, hpp = f0(x), f1(x), f2(x)
+        for a in (h, hp, hpp):
+            a.flags.writeable = False
+        samples.append((name, h, hp, hpp, lt, rt))
+    return tuple(samples)
+
+
 def inversion_errors(specs, grid: Grid):
     """Worst error, more than 5 from either edge, of inverse(analytic forward image) minus the function.
 
@@ -137,8 +157,7 @@ def inversion_errors(specs, grid: Grid):
     x = grid.x
     inner = (x >= grid.x_min + 5.0) & (x <= grid.x_max - 5.0)
     errors = {}
-    for name, f0, f1, f2, lt, rt in ORACLE_FUNCTIONS:
-        h, hp, hpp = f0(x), f1(x), f2(x)
+    for name, h, hp, hpp, lt, rt in _oracle_samples(grid):
         for spec in specs:
             try:
                 invert, _ = inverse_operator(spec, grid.dx, lt, rt)
@@ -155,15 +174,16 @@ class _Skip(Exception):
 
 @dataclass
 class _Context:
-    """Inputs the checks share; each derived one is computed once, on first use."""
+    """Inputs the checks share, each computed once per suite, on first use.
+
+    The solve and the checks share one construction: the alpha specs, the
+    bound set, the Γ set and the map inverses are read off the fixed-point
+    report, and built here only when the solve raised.
+    """
 
     p: ModelParams
     c: float
     c_star: float
-
-    @cached_property
-    def specs(self):
-        return choose_alphas(self.p, self.c)
 
     @cached_property
     def l0(self) -> float:
@@ -174,23 +194,51 @@ class _Context:
         return wave_window(self.p, self.c)
 
     @cached_property
-    def bounds(self):
-        return make_bound_set(self.p, self.c)
-
-    @cached_property
-    def fixed_point(self):
-        """The solve's report, or the Newton error it raised, kept so that the solve runs once."""
+    def _solve(self):
+        """The solve's report or the exception it raised, kept so that the solve runs once."""
         try:
             return solve_fixed_point(self.p, self.c, self.wave_grid, tol=TOL_FIXED_POINT)
-        except (NotConverged, SingularJacobian) as exc:
+        except (ValueError, RuntimeError) as exc:  # fixed_point raises it again for the checks that need the profile
             return exc
+
+    @property
+    def _report(self):
+        """The solve's report, or None when the solve raised."""
+        return None if isinstance(self._solve, Exception) else self._solve
+
+    @property
+    def fixed_point(self):
+        """The solve's report or the Newton error it raised; any other error of the solve is raised again."""
+        out = self._solve
+        if isinstance(out, Exception) and not isinstance(out, (NotConverged, SingularJacobian)):
+            raise out
+        return out
+
+    @cached_property
+    def specs(self):
+        rep = self._report
+        return rep.specs if rep else choose_alphas(self.p, self.c)
+
+    @cached_property
+    def bounds(self):
+        rep = self._report
+        return rep.gamma_set.bounds if rep else make_bound_set(self.p, self.c)
+
+    @cached_property
+    def gamma_set(self):
+        rep = self._report
+        return rep.gamma_set if rep else make_gamma_set(self.p, self.c, self.wave_grid, self.bounds)
+
+    @cached_property
+    def inverses(self):
+        rep = self._report
+        return rep.inverses if rep else map_inverses(self.specs, self.p, self.wave_grid.dx)
 
 
 # Each check returns (worst margin, tolerance, details) or raises _Skip.
 
 def _resolvent_inversion(ctx: _Context):
-    # dx pinned by TOL_INVERSION
-    errs = inversion_errors(ctx.specs, Grid.symmetric(20.0, 0.01))
+    errs = inversion_errors(ctx.specs, ORACLE_GRID)
     worst = max(errs.values())
     arg = max(errs, key=errs.get)
     details = f"worst {worst:.3e} at {arg}"
@@ -218,8 +266,7 @@ def _sub_solution_inequalities(ctx: _Context):
 
 
 def _gamma_invariance(ctx: _Context):
-    gset = make_gamma_set(ctx.p, ctx.c, ctx.wave_grid, ctx.bounds)
-    margin, species, side = gset.image_margin(ctx.p, map_inverses(ctx.specs, ctx.p, ctx.wave_grid.dx))
+    margin, species, side = ctx.gamma_set.image_margin(ctx.p, ctx.inverses)
     return margin, TOL_GAMMA, f"exact over the set from six corner images: worst {species}, {side} envelope"
 
 

@@ -174,6 +174,7 @@ class FixedPointReport:
     gamma_set: GammaSet
     gamma_margin: float  # gamma_set.membership_margin(profile); negative means outside the envelopes
     specs: tuple
+    inverses: tuple  # map_inverses(specs, p, grid.dx): the map F the profile is a step of
     mu: float
     lambda0: float
     c: float
@@ -475,6 +476,7 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
         gamma_set=gamma_set,
         gamma_margin=gamma_set.membership_margin(profile),
         specs=specs,
+        inverses=inverses,
         mu=mu,
         lambda0=roots.lambda0,
         c=c,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import sirwaves.cli
 from sirwaves.cli import main
 
 P0_CONFIG = {
@@ -556,6 +558,60 @@ def test_sweep_default_spacing_fits_a_slow_removed_diffusion(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
     assert [(float(r["c"]), r["outcome"]) for r in rows] == [(2.5, "wave"), (6.0, "wave")]
+
+
+@pytest.mark.parametrize("dx", ["0", "-1", "nan"])
+def test_sweep_bad_spacing_exits_2_with_one_line(config_path, tmp_path, capsys, dx):
+    # refused once, before any point is solved, not written as one error row per point
+    out = tmp_path / "out"
+    assert main(["sweep", config_path, "--vary", "c=2.5:3:2", "--dx", dx, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sweep: ") and "grid spacing" in err[0]
+    assert not out.exists()
+
+
+def test_sweep_csv_quotes_text_fields(tmp_path, monkeypatch):
+    # an error message with a comma stays one field under the header
+    def failing(*args, **kwargs):
+        raise ValueError("window [-60, 70] at dx = 1e-05 has 13000001 points, over 50001")
+
+    monkeypatch.setattr(sirwaves.cli, "solve_fixed_point", failing)
+    path = write_config(tmp_path, P0_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--vary", "c=2.5:3:2", "--dx", "0.1", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    rows = [dict(zip(header, row)) for row in rows]
+    assert [r["outcome"] for r in rows] == ["error", "error"]
+    assert rows[0]["error"] == "window [-60, 70] at dx = 1e-05 has 13000001 points, over 50001"
+
+
+def test_reused_parser_keeps_nothing_between_calls(tmp_path):
+    # main parses with one parser per process; no value of one call reaches the next
+    path = write_config(tmp_path, P0_CONFIG)
+    out = tmp_path / "out"
+    assert main(["analyze", path, "--c", "2", "--c", "3", "--out", str(out)]) == 0
+    table = json.loads((out / "analysis.json").read_text())["lambda0_table"]
+    assert [e["c"] for e in table] == [2.0, 3.0]
+    assert main(["analyze", path, "--out", str(out)]) == 0
+    table = json.loads((out / "analysis.json").read_text())["lambda0_table"]
+    assert [e["c"] for e in table] == [2.5]  # the config's c
+
+    parse = sirwaves.cli.build_parser().parse_args
+    assert sirwaves.cli.build_parser() is sirwaves.cli.build_parser()
+    tuned = parse(["profile", path, "--dx", "0.1", "--tol", "1e-6"])
+    assert (tuned.dx, tuned.tol) == (0.1, 1e-6)
+    bare = parse(["profile", path])
+    assert (bare.dx, bare.tol, bare.c, bare.solver) == (None, 1e-8, None, "picard")
+
+    assert parse(["sweep", path, "--vary", "c=2.5:3:2"]).vary == ["c=2.5:3:2"]
+    assert parse(["sweep", path, "--vary", "beta=1:2:2"]).vary == ["beta=1:2:2"]
+    assert main(["sweep", path, "--vary", "c=2.5:3:2", "--dx", "0.2", "--tol", "1e-6", "--out", str(out)]) == 0
+    assert main(["sweep", path, "--vary", "beta=1.5:2:2", "--dx", "0.2", "--tol", "1e-6", "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[0].startswith("beta,")  # one axis, two points
+    assert json.loads((out / "manifest.json").read_text())["config"]["vary"] == ["beta=1.5:2:2"]
 
 
 def test_sweep_rejects_bad_vary(config_path, tmp_path):

@@ -19,7 +19,16 @@ from sirwaves import (
     suite_passed,
     wave_window,
 )
-from sirwaves.verification import CheckResult, _Context, _result, _subthreshold_decay
+from sirwaves.resolvent import TailIncompatible, inverse_operator
+from sirwaves.verification import (
+    ORACLE_FUNCTIONS,
+    ORACLE_GRID,
+    CheckResult,
+    _Context,
+    _result,
+    _subthreshold_decay,
+    inversion_errors,
+)
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 
@@ -119,6 +128,51 @@ def test_gamma_invariance_applies_the_map_at_most_seven_times(monkeypatch):
     results = run_suite(P0, 2.5, level="quick")
     assert suite_passed(results)
     assert 1 <= len(calls) <= 7  # the solve's step shows the counter is hooked
+
+
+def test_quick_suite_builds_each_shared_input_once(monkeypatch):
+    # the checks read the specs, the bound set, the Γ set and the map inverses
+    # off the solve's report instead of building them a second time
+    calls = {}
+    for name in ("choose_alphas", "make_bound_set", "make_gamma_set", "map_inverses"):
+        original = getattr(sirwaves.wave_profile, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in (sirwaves.wave_profile, sirwaves.verification):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert suite_passed(run_suite(P0, 2.5, level="quick"))
+    assert calls == {"choose_alphas": 1, "make_bound_set": 1, "make_gamma_set": 1, "map_inverses": 1}
+
+
+def test_oracle_samples_are_cached_read_only_and_give_fresh_errors():
+    specs = choose_alphas(P0, 2.5)
+    cached = inversion_errors(specs, ORACLE_GRID)
+    hits = sirwaves.verification._oracle_samples.cache_info().hits
+    assert inversion_errors(specs, ORACLE_GRID) == cached
+    assert sirwaves.verification._oracle_samples.cache_info().hits == hits + 1
+    for _, *arrays, _, _ in sirwaves.verification._oracle_samples(ORACLE_GRID):
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    # the same errors from samples taken afresh, outside the cache
+    x = ORACLE_GRID.x
+    inner = (x >= ORACLE_GRID.x_min + 5.0) & (x <= ORACLE_GRID.x_max - 5.0)
+    fresh = {}
+    for name, f0, f1, f2, lt, rt in ORACLE_FUNCTIONS:
+        h = f0(x)
+        for spec in specs:
+            try:
+                invert, _ = inverse_operator(spec, ORACLE_GRID.dx, lt, rt)
+            except TailIncompatible:
+                continue
+            back = invert(-spec.d * f2(x) + spec.c * f1(x) + spec.alpha * h)
+            fresh[(name, spec.index)] = float(np.max(np.abs(back[inner] - h[inner])))
+    assert cached == fresh
 
 
 def test_envelopes_hold_near_c_star_with_s_minus_inf_below_one():
