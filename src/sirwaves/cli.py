@@ -376,12 +376,18 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_vary(spec: str):
+    """key, lo, hi, n of a key=lo:hi:n spec: n >= 1 points from lo to hi, both finite."""
     try:
         key, rng = spec.split("=", 1)
         lo, hi, num = rng.split(":")
-        return key.strip(), float(lo), float(hi), int(num)
+        key, lo, hi, num = key.strip(), float(lo), float(hi), int(num)
     except ValueError as exc:
         raise ConfigInvalid(f"bad --vary spec {spec!r}; expected key=lo:hi:n") from exc
+    if num < 1:
+        raise ConfigInvalid(f"bad --vary spec {spec!r}; the count n must be at least 1")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigInvalid(f"bad --vary spec {spec!r}; the bounds lo and hi must be finite")
+    return key, lo, hi, num
 
 
 def _sweep_one(job):
@@ -441,13 +447,13 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"sweep: {exc}", file=sys.stderr)
             return 2
-    out = _out_dir(args)
     if not 1 <= len(args.vary) <= 2:
         raise ConfigInvalid("sweep varies exactly one or two keys")
     axes = [_parse_vary(v) for v in args.vary]
     for key, *_ in axes:
         if key != "c" and key not in PARAM_KEYS:
             raise ConfigInvalid(f"cannot vary unknown key {key!r}")
+    out = _out_dir(args)
 
     grids = [np.linspace(lo, hi, num) for _, lo, hi, num in axes]
     combos = []

@@ -30,7 +30,9 @@ from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 # Sub- and super-diagonals of the point-ordered Newton Jacobian: each wave row
-# reaches the same species one point either way, three unknowns off.
+# reaches the same species one point either way, three unknowns off. The
+# points run from x_max to x_min, so that the smaller, downwind stencil weight
+# sits below the diagonal and dgbtrf keeps its diagonal pivots.
 BAND_KL, BAND_KU = 3, 3
 # Most points wave_window may size; wider windows are refused before any solve.
 MAX_WINDOW_POINTS = 50_001
@@ -206,7 +208,12 @@ def select_epsilons(p: ModelParams, c: float):
 
 
 def _smallest_m(ineq, lo: float = 1.0, hi_cap: float = 1e12) -> float:
-    """Smallest M >= lo with ineq(M) >= 0, by doubling then bisection."""
+    """Smallest M >= lo with ineq(M) >= 0, by doubling then bisection.
+
+    The bisection takes at most 200 halvings and stops early once the
+    midpoint equals an end of the bracket: the bracket is then two adjacent
+    floats, and no further halving can move b.
+    """
     if ineq(lo) >= 0:
         return lo
     hi = max(2.0, 2.0 * lo)
@@ -217,6 +224,8 @@ def _smallest_m(ineq, lo: float = 1.0, hi_cap: float = 1e12) -> float:
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         if ineq(mid) >= 0:
             b = mid
         else:
@@ -487,40 +496,69 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     )
 
 
-def _bvp_residual(u: np.ndarray, p: ModelParams, c: float, dx: float, bc_left, edge) -> np.ndarray:
+def _bvp_residual(u: np.ndarray, p: ModelParams, c: float, dx: float, bc_left, edge, out: np.ndarray) -> np.ndarray:
     """Residual of the boundary-value problem solve_bvp_newton solves, as a (3, n) array.
 
     The left edge carries the Dirichlet values bc_left and every other point
     the wave equations; at the last point the value one cell past the window
     is F's tail closure gain*u[:, -1] + weight*f(u[:, -1]), edge = (gain, weight)
-    over S, I, R from map_inverses.
+    over S, I, R from map_inverses. The residual is written into out, a (3, n)
+    array or view, and returned.
     """
     gain, weight = edge
     beyond = gain[:, None] * u[:, -1:] + weight[:, None] * np.array(reaction_terms(*u[:, -1:], p))
-    out = np.empty_like(u)
     out[:, 1:] = _wave_residual(np.hstack([u, beyond]), p, c, dx)
     out[:, 0] = u[:, 0] - bc_left
     return out
 
 
-def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, edge) -> np.ndarray:
-    """Jacobian of _bvp_residual at u in LAPACK band storage.
+def _stencil_weights(p: ModelParams, c: float, dx: float) -> np.ndarray:
+    """(3, 3) weights of the centred wave stencil: row k holds species k's weights of u[j-1], u[j], u[j+1]."""
+    d = np.array([p.d1, p.d2, p.d3])[:, None, None]
+    return wave_operator(np.eye(3), d, c, dx)[..., 0]
 
-    Unknowns and equations are ordered point by point (3*j + k for species k at
-    point j), so entry (row, col) sits at ab[BAND_KL + BAND_KU + row - col, col];
-    the top BAND_KL rows are room for the fill-in of dgbtrf.
+
+def _stencil_band(p: ModelParams, c: float, dx: float, n: int) -> np.ndarray:
+    """The part of _band_jacobian's band that does not depend on u: the stencils and the Dirichlet rows.
+
+    Built once per solve in the order of _band_jacobian, where species k sits
+    at slot 2 - k of its point. The neighbour towards x_min is the next point
+    in that order (above the diagonal) and the neighbour towards x_max the
+    previous one (below it); the point at x_max has none below, since its
+    right neighbour is F's closure.
     """
-    n = u.shape[1]
-    # Fortran order is the layout dgbtrf factors in place; a C-ordered array is
-    # copied and transposed on every call
     ab = np.zeros((2 * BAND_KL + BAND_KU + 1, 3 * n), order="F")
     mid = BAND_KL + BAND_KU
+    for k, (w_lo, w_mid, w_hi) in enumerate(_stencil_weights(p, c, dx)):
+        ab[mid - 3, 5 - k::3] = w_lo
+        ab[mid, 2 - k:3 * (n - 1):3] = w_mid
+        ab[mid + 3, 2 - k:3 * (n - 2):3] = w_hi
+    ab[mid, 3 * (n - 1):] = 1.0  # Dirichlet rows at x_min, the last point in the order
+    return ab
 
-    def add(k: int, offset: int, vals):
-        # equation k at points 1..n-1, unknown offset columns to the right
-        ab[mid - offset, 3 + k + offset:3 * n + k + offset:3] += vals
 
-    s, i, r = u[:, 1:]
+def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, edge, stencil, ab) -> np.ndarray:
+    """Jacobian of _bvp_residual at u in LAPACK band storage.
+
+    Unknowns and equations are ordered from x_max to x_min: the point-by-point
+    vector (3*j + k for species k at point j) reversed, so that species k at
+    point j is 3*n - 1 - (3*j + k). Entry (row, col) sits at
+    ab[BAND_KL + BAND_KU + row - col, col]; the top BAND_KL rows are room for
+    the fill-in of dgbtrf. In this order the stencil weight below the
+    diagonal is the downwind d/dx^2 - c/(2*dx), smaller than the diagonal
+    entry it competes with for the pivot, so partial pivoting keeps the
+    diagonal pivot wherever the reaction terms do not outweigh the stencil.
+    Ordered from x_min, the upwind weight d/dx^2 + c/(2*dx) sat below the
+    diagonal, at least the size of the eliminated pivot, and dgbtrf swapped
+    rows in 7201 of the 7203 columns at P0, c = 2.5, n = 2401.
+    stencil is _stencil_band(p, c, dx, n); the band is written into ab, an
+    array of stencil's shape, and returned. Fortran order is the layout dgbtrf
+    factors in place; a C-ordered ab is copied and transposed on every call.
+    """
+    n = u.shape[1]
+    np.copyto(ab, stencil)
+    mid = BAND_KL + BAND_KU
+    s, i, r = u[:, :0:-1]  # points n-1 down to 1, the wave rows in the solve's order
     ntot = s + i + r
     ok = ntot > ETA_DEFAULT
     safe = np.where(ok, ntot, 1.0)
@@ -531,16 +569,12 @@ def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, edge) -> 
     df[1, 1] -= p.gamma + p.delta
     df[2, 1] = p.gamma
     gain, weight = edge
-    beyond = np.diag(gain) + weight[:, None] * df[:, :, -1]  # d u_n / d u_{n-1} through F's closure
-    for k, d in enumerate((p.d1, p.d2, p.d3)):
-        w_lo, w_mid, w_hi = wave_operator(np.eye(3), d, c, dx)[:, 0]
-        add(k, -3, w_lo)
-        add(k, 0, w_mid)
-        add(k, 3, w_hi)  # stops short of the last point, whose right neighbour is u_n
+    beyond = np.diag(gain) + weight[:, None] * df[:, :, 0]  # d u_n / d u_{n-1} through F's closure
+    w_hi = _stencil_weights(p, c, dx)[:, 2]
+    for k in range(3):  # equation k at slot 2 - k, unknown m at slot 2 - m of the same point
         for m in range(3):
-            add(k, m - k, df[k, m])
-            ab[mid + k - m, 3 * (n - 1) + m] += w_hi * beyond[k, m]
-    ab[mid, :3] = 1.0  # Dirichlet rows on the left
+            ab[mid + m - k, 2 - m:3 * (n - 1):3] += df[k, m]
+            ab[mid + m - k, 2 - m] += w_hi[k] * beyond[k, m]  # the point at x_max comes first
     return ab
 
 
@@ -555,7 +589,12 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     one cell past the window is F's tail closure, taken from inverses (built by
     map_inverses on grid.dx), so a root is a fixed point of F. Each step solves
     J step = -G on the banded Jacobian (dgbtrf/dgbtrs) and clips the iterate
-    at zero. From the start solve_fixed_point gives, inside the a priori
+    at zero. The linear system is ordered from x_max to x_min, the order in
+    which dgbtrf keeps the diagonal pivots (see _band_jacobian): the residual
+    is written reversed into the right-hand side and the step is read back
+    in grid order. The stencil part of the band is built once per solve, and
+    one band buffer and one residual buffer serve every step. From the start
+    solve_fixed_point gives, inside the a priori
     bounds, no globalization is needed: every tested configuration, down to
     1.0005*c* and d3 = 0.02*d2, settles within 10 steps.
     The loop stops once a step starts and ends at a residual of at most
@@ -574,26 +613,32 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     NEWTON_MAX_ITER steps or on a non-finite residual, SingularJacobian on a
     zero pivot or a non-finite step.
     """
-    dx, x0 = grid.dx, grid.x_min
+    dx, x0, n = grid.dx, grid.x_min, grid.n
     bc_left = np.array([bounds.s_minus(x0), bounds.i_plus(x0), bounds.r_minus(x0)])
     edge = np.array([closure for _, _, closure in inverses]).T
     settle = max(NEWTON_TOL, 4.0 * np.finfo(float).eps * max(p.d1, p.d2, p.d3) / dx**2 * p.s_minus_inf)
+    stencil = _stencil_band(p, c, dx, n)
+    ab = np.empty_like(stencil)  # Fortran order like stencil; the band, then its factors, at every step
+    rhs = np.empty(3 * n)  # in the solve's order, the reverse of res.T.ravel()
+    res = rhs[::-1].reshape(n, 3).T  # the same buffer as a (3, n) array on the grid
     u = np.array(init, dtype=float)
-    res = _bvp_residual(u, p, c, dx, bc_left, edge)
+    _bvp_residual(u, p, c, dx, bc_left, edge, res)
     norms = [float(np.max(np.abs(res)))]
     lu = None
     while len(norms) < 2 or max(norms[-2:]) > settle:
         if len(norms) > NEWTON_MAX_ITER:
             raise NotConverged(f"{NEWTON_MAX_ITER} steps ended at residual {norms[-1]:.2e}, not settled at {settle:.2e}")
         if lu is None or norms[-1] > settle:
-            lu, piv, info = dgbtrf(_band_jacobian(u, p, c, dx, edge), BAND_KL, BAND_KU, overwrite_ab=1)
+            lu, piv, info = dgbtrf(_band_jacobian(u, p, c, dx, edge, stencil, ab), BAND_KL, BAND_KU, overwrite_ab=1)
             if info != 0:
                 raise SingularJacobian(f"dgbtrf info {info} at step {len(norms)}")
-        step, info = dgbtrs(lu, BAND_KL, BAND_KU, -res.T.ravel(), piv)
-        if info != 0 or not np.all(np.isfinite(step)):
+        # J (-step) = G, solved in place of the residual
+        neg_step, info = dgbtrs(lu, BAND_KL, BAND_KU, rhs, piv, overwrite_b=1)
+        if info != 0 or not np.all(np.isfinite(neg_step)):
             raise SingularJacobian(f"step {len(norms)} is not finite")
-        u = np.maximum(u + step.reshape(-1, 3).T, 0.0)
-        res = _bvp_residual(u, p, c, dx, bc_left, edge)
+        u -= neg_step[::-1].reshape(n, 3).T
+        np.maximum(u, 0.0, out=u)
+        _bvp_residual(u, p, c, dx, bc_left, edge, res)
         norms.append(float(np.max(np.abs(res))))
         if not np.isfinite(norms[-1]):
             raise NotConverged(f"residual is not finite at step {len(norms) - 1}")

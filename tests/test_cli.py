@@ -621,6 +621,21 @@ def test_sweep_rejects_bad_vary(config_path, tmp_path):
                  "--vary", "gamma=1:2:2", "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("spec,reason", [
+    ("c=2.5:3:-1", "count n must be at least 1"),
+    ("c=2.5:3:0", "count n must be at least 1"),
+    ("c=2.5:nan:2", "bounds lo and hi must be finite"),
+    ("beta=-inf:2:2", "bounds lo and hi must be finite"),
+])
+def test_sweep_refuses_an_empty_or_unbounded_axis(config_path, tmp_path, capsys, spec, reason):
+    # a config error in one line, before the output directory exists
+    out = tmp_path / "out"
+    assert main(["sweep", config_path, "--vary", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and reason in err[0]
+    assert not out.exists()
+
+
 def test_rerun_reproduces_output_hashes(tmp_path):
     # the manifest pins content hashes; re-running the same resolved config
     # must reproduce them all

@@ -23,15 +23,15 @@ C = 2.5
 CASES = {
     "p0": (
         P0,
-        "c3c208819fc8265b27accc39dda7282382bafe07b0be209d522d52fe74b8b75d",
-        "fbdd656544864a77060cf910ce80426c2e81d0d1298f10a09aeed3d72052e834",
-        "5badd3c7f4df8cef91e0770efcbe346285546bb549b0b52bae71b2a653325d19",
+        "15057a6f6dee413a37427a37a22fc00d1fbbbe94979254e711ce0affec2e2a8b",
+        "be68dd4545069c446dfa40c2b1277916e43b84cf9926e6bff58e2f099018d155",
+        "6c3d7ad39587e87fae31dcade8eddb4697fd98127d02d954e973d36c2739adb8",
     ),
     "d=(0.7,1,1.3)": (
         dataclasses.replace(P0, d1=0.7, d3=1.3),
-        "e10800b5b48cea79a24561f2fb4150388401a20ec8e4e737b2e5022dd092340c",
-        "764717ef62de337ec5ea0d1bf2fb7b589c860e832e1a61a99a8f588bee7b54ae",
-        "8b632ae18973480d3e7ca2f36c6a20d65e1f8a93024bf99238b25d5e145a23bf",
+        "fb28f4abe79ac86a5a30934a223c512aa740720a0b88075c9ef5252fb7d086a6",
+        "359b97bee7f67f772463c294f38b9f9b6d322399564ab8c7e21952f8592e0c4d",
+        "b39b6346d0231e2204462ccc0fcfcf5b3972a2611956d46bdd106e1154b543b3",
     ),
 }
 

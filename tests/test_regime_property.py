@@ -10,7 +10,23 @@ SingularJacobian) fails the draw. A second suite redraws the speed in
 suite checks the envelope construction itself, with no solve: on the bound
 set make_bound_set builds, all three sub-solution inequalities hold, for
 S(-inf) on both sides of 1 and speeds in both bands. The examples are
-derandomized, so every run draws the same configurations.
+derandomized, so every run of the same selection on the same tree draws the
+same configurations.
+
+The draws still change with the test selection and with any numeric literal
+in src/ or bench/. Hypothesis (6.155) draws each float with probability
+0.15, and each integer with probability 0.05, from a pool of constants
+(HypothesisProvider._maybe_draw_constant in
+hypothesis/internal/conjecture/providers.py). Half of those draws take the
+local pool: the literals of every loaded module that Hypothesis counts as
+local, that is outside the standard library and site-packages and not a
+test file (_get_local_constants there, is_local_module_file in
+hypothesis/internal/constants_ast.py). The pool grows as modules load.
+tests/test_api_surface.py imports sirwaves.cli and bench/run.py,
+spans.py and workloads.py, which adds their literals: run after it,
+test_every_regime_solve_certifies drew a different point from its fifth
+example on. An unused float literal (0.51) added to sirwaves/model.py moved
+the third and fifth examples of the envelope test (delta 1.0 became 0.999).
 """
 
 import numpy as np

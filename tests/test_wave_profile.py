@@ -79,6 +79,34 @@ def test_select_ms_against_scalar_oracle():
     assert m1 / 1.1 == pytest.approx(scan, abs=1e-5)
 
 
+def _smallest_m_all_halvings(ineq, lo=1.0, hi_cap=1e12):
+    # the amplitude rule with every one of its 200 halvings taken
+    if ineq(lo) >= 0:
+        return lo
+    hi = max(2.0, 2.0 * lo)
+    while ineq(hi) < 0:
+        hi *= 2.0
+        assert hi <= hi_cap
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if ineq(mid) >= 0:
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+@pytest.mark.parametrize("p,c", [(P0, 2.05), (P0, 2.5), (P0, 4.0), (dataclasses.replace(P0, d1=0.5), 2.5)])
+def test_bisection_stop_keeps_the_amplitudes(p, c, monkeypatch):
+    # once the bracket is two adjacent floats no halving moves its upper end,
+    # so stopping there returns the amplitudes of all 200 halvings, bit for bit
+    eps = select_epsilons(p, c)
+    early = select_Ms(p, c, eps)
+    monkeypatch.setattr(sirwaves.wave_profile, "_smallest_m", _smallest_m_all_halvings)
+    assert select_Ms(p, c, eps) == early
+
+
 def test_select_ms_raises_a_typed_error_for_d3_at_or_above_2_d2():
     # beyond d3 < 2*d2 the removed envelope has no positive scale near c*
     from sirwaves import EnvelopeConditionFailed
@@ -564,7 +592,7 @@ def _band_to_dense(ab, kl, ku):
 
 
 def test_band_jacobian_matches_directional_differences():
-    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _bvp_residual
+    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _bvp_residual, _stencil_band
 
     assert BAND_KL == BAND_KU == 3
     p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.3, s_minus_inf=1.0)
@@ -575,9 +603,12 @@ def test_band_jacobian_matches_directional_differences():
     bc_left = np.array([0.9, 1e-3, 1e-4])
     edge = np.array([closure for _, _, closure in map_inverses(choose_alphas(p, c), p, dx)]).T
     h = 1e-6
-    fd = (_bvp_residual(u + h * v, p, c, dx, bc_left, edge) - _bvp_residual(u - h * v, p, c, dx, bc_left, edge)) / (2 * h)
-    jac = _band_to_dense(_band_jacobian(u, p, c, dx, edge), BAND_KL, BAND_KU)
-    jv = (jac @ v.T.ravel()).reshape(n, 3).T  # unknowns point by point
+    fd = (_bvp_residual(u + h * v, p, c, dx, bc_left, edge, np.empty((3, n)))
+          - _bvp_residual(u - h * v, p, c, dx, bc_left, edge, np.empty((3, n)))) / (2 * h)
+    stencil = _stencil_band(p, c, dx, n)
+    jac = _band_to_dense(_band_jacobian(u, p, c, dx, edge, stencil, np.empty_like(stencil)), BAND_KL, BAND_KU)
+    # unknowns and equations run from x_max to x_min: the point-by-point vector reversed
+    jv = (jac @ v.T.ravel()[::-1])[::-1].reshape(n, 3).T
     assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
     # the last point's rows on their own, where F's closure stands in for u_n
     assert np.max(np.abs(jv[:, -1] - fd[:, -1])) <= 1e-6 * np.max(np.abs(fd[:, -1]))
@@ -587,18 +618,38 @@ def test_band_jacobian_is_factored_in_place():
     # Fortran order is dgbtrf's own layout, so no copy is made, and the
     # factors are bit for bit those of a C-ordered copy
     from scipy.linalg.lapack import dgbtrf
-    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian
+    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _stencil_band
 
     grid = wave_window(P0, C)
     rep = solve_fixed_point(P0, C, grid, tol=1e-4)
     edge = np.array([closure for _, _, closure in map_inverses(rep.specs, P0, grid.dx)]).T
-    ab = _band_jacobian(rep.profile, P0, C, grid.dx, edge)
+    stencil = _stencil_band(P0, C, grid.dx, grid.n)
+    ab = _band_jacobian(rep.profile, P0, C, grid.dx, edge, stencil, np.empty_like(stencil))  # as the solve does
     assert ab.flags.f_contiguous
     c_lu, c_piv, c_info = dgbtrf(np.ascontiguousarray(ab), BAND_KL, BAND_KU)
     lu, piv, info = dgbtrf(ab, BAND_KL, BAND_KU, overwrite_ab=1)
     assert np.shares_memory(lu, ab)  # factored where it was assembled
     assert info == c_info == 0
     assert np.array_equal(lu, c_lu) and np.array_equal(piv, c_piv)
+
+
+@pytest.mark.parametrize("c", [2.05, 2.5, 4.0])
+def test_newton_factorization_keeps_every_diagonal_pivot(c, monkeypatch):
+    # ordered from x_max, the stencil weight below the diagonal is the
+    # smaller, downwind one, so dgbtrf swaps no rows in any Newton step
+    pivots = []
+    original = sirwaves.wave_profile.dgbtrf
+
+    def recorded(*args, **kwargs):
+        lu, piv, info = original(*args, **kwargs)
+        pivots.append(piv.copy())
+        return lu, piv, info
+
+    monkeypatch.setattr(sirwaves.wave_profile, "dgbtrf", recorded)
+    rep = solve_fixed_point(P0, c, wave_window(P0, c), tol=1e-8)
+    assert rep.converged and len(pivots) == rep.newton_steps - 1
+    for piv in pivots:
+        assert np.array_equal(piv, np.arange(piv.size))
 
 
 def test_wave_window_sizes_from_both_decay_rates():
