@@ -31,7 +31,14 @@ from .linear_analysis import (
     lambda0,
     minimal_speed,
 )
-from .wave_profile import NotConverged, SingularJacobian, profile_diagnostics, solve_fixed_point, wave_window
+from .wave_profile import (
+    NotConverged,
+    SingularJacobian,
+    check_tolerance,
+    profile_diagnostics,
+    solve_fixed_point,
+    wave_window,
+)
 from . import pde_sim
 from . import verification
 
@@ -101,6 +108,12 @@ def grid_from_config(cfg: dict) -> Grid | None:
         return Grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
     except (KeyError, ValueError) as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
+
+
+def check_speed(c) -> None:
+    """Raise ValueError unless the speed c, from --c or the config, is a finite number."""
+    if isinstance(c, bool) or not isinstance(c, (int, float)) or not np.isfinite(c):
+        raise ValueError(f"speed c must be a finite number, got {c!r}")
 
 
 def _out_dir(args) -> str:
@@ -224,6 +237,12 @@ def cmd_profile(args) -> int:
     c = args.c if args.c is not None else cfg.get("c")
     if c is None:
         raise ConfigInvalid("profile needs a speed: pass --c or put 'c' in the config")
+    try:  # before any output: every solve would fail or mislabel on them
+        check_speed(c)
+        check_tolerance(args.tol)
+    except ValueError as exc:
+        print(f"profile: {exc}", file=sys.stderr)
+        return 2
     out = _out_dir(args)
 
     grid = grid_from_config(cfg)
@@ -441,12 +460,15 @@ def _sweep_one(job):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     p = params_from_config(cfg)
-    if args.dx is not None:
-        try:  # once, before any job: every point would fail on it
+    try:  # once, before any job: every point would fail or be mislabelled on them
+        if args.dx is not None:
             check_spacing(args.dx)
-        except ValueError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
+        if cfg.get("c") is not None:
+            check_speed(cfg["c"])
+        check_tolerance(args.tol)
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     if not 1 <= len(args.vary) <= 2:
         raise ConfigInvalid("sweep varies exactly one or two keys")
     axes = [_parse_vary(v) for v in args.vary]
@@ -497,6 +519,10 @@ def cmd_verify(args) -> int:
     c = args.c if args.c is not None else cfg.get("c")
     if c is None:
         raise ConfigInvalid("verify needs a speed: pass --c or put 'c' in the config")
+    try:
+        check_speed(c)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
     out = _out_dir(args)
     results = verification.run_suite(p, c, level=args.level)
     timings = {r.name: r.seconds for r in results}

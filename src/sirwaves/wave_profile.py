@@ -397,13 +397,47 @@ def apply_F(u: np.ndarray, p: ModelParams, inverses) -> np.ndarray:
     return np.array([invert(g) for (_, invert, _), g in zip(inverses, _integrands(u, p, inverses))])
 
 
+def _wave_rows(y: np.ndarray, d: np.ndarray, c: float, dx: float, f, out, lap: np.ndarray, adv: np.ndarray):
+    """out = d*y'' - c*y' + f at the interior points of the C-contiguous (3, w) array y, in place.
+
+    The stencil takes model.wave_operator's operations in its order, so the
+    rows are bit for bit wave_operator(y, d, c, dx) + f. d is the (3, 1)
+    column of diffusion rates, f the three reaction rows at the w - 2
+    interior points, out any (3, w - 2) array or view, and lap and adv
+    zeroed C-contiguous (3, w) scratch. Each operation is one pass over the
+    flattened arrays; where one row meets the next it mixes two species,
+    in the first and last columns of lap and adv, which out never reads.
+    """
+    y1, lap1, adv1 = y.reshape(-1), lap.reshape(-1), adv.reshape(-1)
+    inner = lap1[1:-1]
+    np.multiply(y1[1:-1], 2.0, out=inner)
+    np.subtract(y1[2:], inner, out=inner)
+    inner += y1[:-2]
+    lap *= d
+    lap /= dx**2
+    np.subtract(y1[2:], y1[:-2], out=adv1[1:-1])
+    adv *= c
+    adv /= 2.0 * dx
+    lap -= adv
+    for k in range(3):
+        np.add(lap[k, 1:-1], f[k], out=out[k])
+    return out
+
+
 def _wave_residual(u: np.ndarray, p: ModelParams, c: float, dx: float) -> np.ndarray:
     """Centred-difference residual d*u'' - c*u' + f(u) of the wave equations, interior points only.
 
     Rows are S, I, R. Newton drives it to zero; the fixed point reports its sup norm.
     """
-    d = np.array([[p.d1], [p.d2], [p.d3]])
-    return wave_operator(u, d, c, dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
+    y = np.ascontiguousarray(u, dtype=float)
+    out = np.empty((3, y.shape[1] - 2))
+    return _wave_rows(y, _diffusion(p), c, dx, reaction_terms(*y[:, 1:-1], p), out, *np.zeros((2, *y.shape)))
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless the certification tolerance tol is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"certification tolerance tol must be finite and positive, got {tol}")
 
 
 def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -> FixedPointReport:
@@ -429,7 +463,9 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     be slightly negative (a root dipping up to 1e-5 below a lower envelope on
     a coarse grid). NotConverged and SingularJacobian from the Newton solve
     propagate; so does the ValueError of a point outside the wave regime.
+    A tol that is not finite and positive raises ValueError before any work.
     """
+    check_tolerance(tol)
     roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
     if not p.wave_regime:
         raise ValueError("parameters outside the wave regime (need R0 > 1 and d3 < 2*d2)")
@@ -496,36 +532,24 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     )
 
 
-def _bvp_residual(u: np.ndarray, p: ModelParams, c: float, dx: float, bc_left, edge, out: np.ndarray) -> np.ndarray:
-    """Residual of the boundary-value problem solve_bvp_newton solves, as a (3, n) array.
-
-    The left edge carries the Dirichlet values bc_left and every other point
-    the wave equations; at the last point the value one cell past the window
-    is F's tail closure gain*u[:, -1] + weight*f(u[:, -1]), edge = (gain, weight)
-    over S, I, R from map_inverses. The residual is written into out, a (3, n)
-    array or view, and returned.
-    """
-    gain, weight = edge
-    beyond = gain[:, None] * u[:, -1:] + weight[:, None] * np.array(reaction_terms(*u[:, -1:], p))
-    out[:, 1:] = _wave_residual(np.hstack([u, beyond]), p, c, dx)
-    out[:, 0] = u[:, 0] - bc_left
-    return out
+def _diffusion(p: ModelParams) -> np.ndarray:
+    """The diffusion rates d1, d2, d3 as a (3, 1) column, one per species row."""
+    return np.array([[p.d1], [p.d2], [p.d3]])
 
 
 def _stencil_weights(p: ModelParams, c: float, dx: float) -> np.ndarray:
     """(3, 3) weights of the centred wave stencil: row k holds species k's weights of u[j-1], u[j], u[j+1]."""
-    d = np.array([p.d1, p.d2, p.d3])[:, None, None]
-    return wave_operator(np.eye(3), d, c, dx)[..., 0]
+    return wave_operator(np.eye(3), _diffusion(p)[:, :, None], c, dx)[..., 0]
 
 
 def _stencil_band(p: ModelParams, c: float, dx: float, n: int) -> np.ndarray:
-    """The part of _band_jacobian's band that does not depend on u: the stencils and the Dirichlet rows.
+    """The part of the Newton band that does not depend on u: the stencils and the Dirichlet rows.
 
-    Built once per solve in the order of _band_jacobian, where species k sits
-    at slot 2 - k of its point. The neighbour towards x_min is the next point
-    in that order (above the diagonal) and the neighbour towards x_max the
-    previous one (below it); the point at x_max has none below, since its
-    right neighbour is F's closure.
+    Built once per solve in the order of _NewtonSystem.jacobian, where
+    species k sits at slot 2 - k of its point. The neighbour towards x_min
+    is the next point in that order (above the diagonal) and the neighbour
+    towards x_max the previous one (below it); the point at x_max has none
+    below, since its right neighbour is F's closure.
     """
     ab = np.zeros((2 * BAND_KL + BAND_KU + 1, 3 * n), order="F")
     mid = BAND_KL + BAND_KU
@@ -537,66 +561,150 @@ def _stencil_band(p: ModelParams, c: float, dx: float, n: int) -> np.ndarray:
     return ab
 
 
-def _band_jacobian(u: np.ndarray, p: ModelParams, c: float, dx: float, edge, stencil, ab) -> np.ndarray:
-    """Jacobian of _bvp_residual at u in LAPACK band storage.
+class _NewtonSystem:
+    """The boundary-value problem solve_bvp_newton solves, with every buffer its steps write.
 
-    Unknowns and equations are ordered from x_max to x_min: the point-by-point
-    vector (3*j + k for species k at point j) reversed, so that species k at
-    point j is 3*n - 1 - (3*j + k). Entry (row, col) sits at
-    ab[BAND_KL + BAND_KU + row - col, col]; the top BAND_KL rows are room for
-    the fill-in of dgbtrf. In this order the stencil weight below the
-    diagonal is the downwind d/dx^2 - c/(2*dx), smaller than the diagonal
-    entry it competes with for the pivot, so partial pivoting keeps the
-    diagonal pivot wherever the reaction terms do not outweigh the stencil.
-    Ordered from x_min, the upwind weight d/dx^2 + c/(2*dx) sat below the
-    diagonal, at least the size of the eliminated pivot, and dgbtrf swapped
-    rows in 7201 of the 7203 columns at P0, c = 2.5, n = 2401.
-    stencil is _stencil_band(p, c, dx, n); the band is written into ab, an
-    array of stencil's shape, and returned. Fortran order is the layout dgbtrf
-    factors in place; a C-ordered ab is copied and transposed on every call.
+    The left edge carries the Dirichlet values bc_left and every other point
+    the wave equations; at the last point the value one cell past the window
+    is F's tail closure gain*u[:, -1] + weight*f(u[:, -1]), edge = (gain,
+    weight) over S, I, R from map_inverses. Built once per solve: the
+    (3, n + 1) array whose first n columns are the iterate u and whose last
+    holds the closure value, the diffusion column, the stencil band, the
+    band and right-hand-side buffers LAPACK works in, and scratch for the
+    stencil and the incidence partials. A step then writes the residual
+    and the band in place: of the grid's size it allocates only the
+    reaction rows of reaction_terms, which it calls in its allocating form
+    so that a replaced model.incidence still reaches it, and dgbtrf's pivot
+    indices.
     """
-    n = u.shape[1]
-    np.copyto(ab, stencil)
-    mid = BAND_KL + BAND_KU
-    s, i, r = u[:, :0:-1]  # points n-1 down to 1, the wave rows in the solve's order
-    ntot = s + i + r
-    ok = ntot > ETA_DEFAULT
-    safe = np.where(ok, ntot, 1.0)
-    # derivatives of the incidence in S, I and R, then df[k, m] = d f_k / d u_m
-    dinc = [np.where(ok, g / safe**2, 0.0) for g in (p.beta * i * (i + r), p.beta * s * (s + r), -p.beta * s * i)]
-    df = np.zeros((3, 3, n - 1))
-    df[0], df[1] = np.negative(dinc), dinc
-    df[1, 1] -= p.gamma + p.delta
-    df[2, 1] = p.gamma
-    gain, weight = edge
-    beyond = np.diag(gain) + weight[:, None] * df[:, :, 0]  # d u_n / d u_{n-1} through F's closure
-    w_hi = _stencil_weights(p, c, dx)[:, 2]
-    for k in range(3):  # equation k at slot 2 - k, unknown m at slot 2 - m of the same point
-        for m in range(3):
-            ab[mid + m - k, 2 - m:3 * (n - 1):3] += df[k, m]
-            ab[mid + m - k, 2 - m] += w_hi[k] * beyond[k, m]  # the point at x_max comes first
-    return ab
+
+    def __init__(self, p: ModelParams, c: float, dx: float, n: int, bc_left, edge):
+        self.p, self.c, self.dx, self.bc_left = p, c, dx, bc_left
+        self.gain, self.weight = edge
+        self.ext = np.empty((3, n + 1))
+        self.u = self.ext[:, :n]
+        self.d = _diffusion(p)
+        mid = BAND_KL + BAND_KU
+        self.fixed = _stencil_band(p, c, dx, n)  # and gamma, the one constant reaction partial, in the R rows
+        self.fixed[mid - 1, 1:3 * (n - 1):3] = p.gamma
+        self.ab = np.empty_like(self.fixed)  # Fortran order like fixed; the band, then its factors
+        # the point at x_max: where its nine (k, m) entries sit in ab, d f_k / d u_m there, and the
+        # weight of its right neighbour, F's closure, in each equation
+        k, m = np.divmod(np.arange(9), 3)
+        self.corner = (mid + m - k, 2 - m)
+        self.df = np.zeros((3, 3))
+        self.df[2, 1] = p.gamma
+        self.w_hi = _stencil_weights(p, c, dx)[:, 2:]
+        self.rhs = np.empty(3 * n)  # in the solve's order, the reverse of res.T.ravel()
+        self.res = self.rhs[::-1].reshape(n, 3).T  # the same buffer as a (3, n) array on the grid
+        self.size = np.empty(3 * n)  # |rhs|
+        self.finite = np.empty(3 * n, dtype=bool)
+        self.lap, self.adv = np.zeros((2, 3, n + 1))
+        self.dinc = np.empty((3, n - 1))
+        self.total, self.square, self.scratch = np.empty((3, n - 1))
+        self.extinct = np.empty(n - 1, dtype=bool)
+
+    def residual(self) -> float:
+        """Write the residual at u into rhs, reversed (res on the grid); return its sup norm."""
+        p, u, beyond = self.p, self.u, self.ext[:, -1]
+        f = reaction_terms(*u[:, 1:], p)
+        for k in range(3):
+            beyond[k] = self.gain[k] * u[k, -1] + self.weight[k] * f[k][-1]
+        _wave_rows(self.ext, self.d, self.c, self.dx, f, self.res[:, 1:], self.lap, self.adv)
+        np.subtract(u[:, 0], self.bc_left, out=self.res[:, 0])
+        return float(np.abs(self.rhs, out=self.size).max())
+
+    def jacobian(self) -> np.ndarray:
+        """Jacobian of the residual at u in LAPACK band storage, written into ab and returned.
+
+        Unknowns and equations are ordered from x_max to x_min: the
+        point-by-point vector (3*j + k for species k at point j) reversed, so
+        that species k at point j is 3*n - 1 - (3*j + k). Entry (row, col)
+        sits at ab[BAND_KL + BAND_KU + row - col, col]; the top BAND_KL rows
+        are room for the fill-in of dgbtrf. In this order the stencil weight
+        below the diagonal is the downwind d/dx^2 - c/(2*dx), smaller than
+        the diagonal entry it competes with for the pivot, so partial
+        pivoting keeps the diagonal pivot wherever the reaction terms do not
+        outweigh the stencil. Ordered from x_min, the upwind weight
+        d/dx^2 + c/(2*dx) sat below the diagonal, at least the size of the
+        eliminated pivot, and dgbtrf swapped rows in 7201 of the 7203
+        columns at P0, c = 2.5, n = 2401. Fortran order is the layout dgbtrf
+        factors in place; a C-ordered ab would be copied and transposed on
+        every call.
+
+        The reaction part is the three partials of the incidence
+        beta*S*I/(S+I+R) at points 1 to n-1, subtracted in the S rows and
+        added in the I rows, with -(gamma+delta) folded into the I diagonal
+        and gamma added in the R rows. Where S+I+R is not above ETA_DEFAULT
+        the partials are 0, as incidence pins its value there.
+        """
+        p, ab, n1 = self.p, self.ab, self.total.size
+        s, i, r = self.u[:, 1:]
+        total, square, scratch, extinct = self.total, self.square, self.scratch, self.extinct
+        np.add(s, i, out=total)
+        total += r
+        np.multiply(total, total, out=square)
+        guarded = not total.min() > ETA_DEFAULT
+        if guarded:  # extinct: S+I+R not above the guard, nan included
+            np.greater(total, ETA_DEFAULT, out=extinct)
+            np.logical_not(extinct, out=extinct)
+            square[extinct] = 1.0
+        d_s, d_i, d_r = self.dinc  # the incidence's derivatives in S, I and R
+        np.add(i, r, out=scratch)
+        np.multiply(i, p.beta, out=d_s)
+        d_s *= scratch
+        d_s /= square
+        np.add(s, r, out=scratch)
+        np.multiply(s, p.beta, out=d_i)
+        d_i *= scratch
+        d_i /= square
+        np.multiply(s, -p.beta, out=d_r)
+        d_r *= i
+        d_r /= square
+        if guarded:
+            self.dinc[:, extinct] = 0.0
+        np.subtract(d_i, p.gamma + p.delta, out=scratch)  # the I equation's own partial, added as one value
+
+        np.copyto(ab, self.fixed)
+        mid = BAND_KL + BAND_KU
+        for m, (partial, own) in enumerate(zip(self.dinc, (d_s, scratch, d_r))):
+            # equation k at slot 2 - k, unknown m at slot 2 - m of the same point; points n-1 down to 1
+            cols = slice(2 - m, 3 * n1, 3)
+            s_row, i_row = ab[mid + m, cols][::-1], ab[mid + m - 1, cols][::-1]
+            np.subtract(s_row, partial, out=s_row)
+            np.add(i_row, own, out=i_row)
+        df = self.df
+        np.negative(self.dinc[:, -1], out=df[0])
+        df[1] = self.dinc[:, -1]
+        df[1, 1] = scratch[-1]
+        beyond = np.diag(self.gain) + self.weight[:, None] * df  # d u_n / d u_{n-1} through F's closure
+        ab[self.corner] += (self.w_hi * beyond).ravel()
+        return ab
 
 
 def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bounds: BoundSet, inverses):
     """Newton on the integral map's own discrete problem, clipped at zero.
 
-    Starts from a copy of the (3, n) array init. Every point but the first
-    carries the centred-difference wave equations, which are F = u at interior
-    points. Left boundary: Dirichlet values S-, I+ and R- of the envelopes in
-    bounds, with the infected value pinning the phase and the other two fixing
-    the scale of the degree-one homogeneous system. Right boundary: the value
-    one cell past the window is F's tail closure, taken from inverses (built by
-    map_inverses on grid.dx), so a root is a fixed point of F. Each step solves
-    J step = -G on the banded Jacobian (dgbtrf/dgbtrs) and clips the iterate
-    at zero. The linear system is ordered from x_max to x_min, the order in
-    which dgbtrf keeps the diagonal pivots (see _band_jacobian): the residual
-    is written reversed into the right-hand side and the step is read back
-    in grid order. The stencil part of the band is built once per solve, and
-    one band buffer and one residual buffer serve every step. From the start
-    solve_fixed_point gives, inside the a priori
-    bounds, no globalization is needed: every tested configuration, down to
-    1.0005*c* and d3 = 0.02*d2, settles within 10 steps.
+    Starts from the (3, n) array init. Every point but the first carries the
+    centred-difference wave equations, which are F = u at interior points.
+    Left boundary: Dirichlet values S-, I+ and R- of the envelopes in
+    bounds, with the infected value pinning the phase and the other two
+    fixing the scale of the degree-one homogeneous system. Right boundary:
+    the value one cell past the window is F's tail closure, taken from
+    inverses (built by map_inverses on grid.dx), so a root is a fixed point
+    of F. Each step solves J step = -G on the banded Jacobian
+    (dgbtrf/dgbtrs) and clips the iterate at zero. The linear system is
+    ordered from x_max to x_min, the order in which dgbtrf keeps the
+    diagonal pivots (see _NewtonSystem.jacobian): the residual is written
+    reversed into the right-hand side and the step is read back in grid
+    order. A _NewtonSystem holds every buffer, built once per solve with
+    the stencil band and the diffusion column, so a step is one residual
+    pass, one band update and the two LAPACK calls, and of the grid's size
+    allocates only the reaction rows of reaction_terms and dgbtrf's pivot
+    indices. From the
+    start solve_fixed_point gives, inside the a priori bounds, no
+    globalization is needed: every tested configuration, down to 1.0005*c*
+    and d3 = 0.02*d2, settles within 10 steps.
     The loop stops once a step starts and ends at a residual of at most
     the settle tolerance max(NEWTON_TOL, 4*eps*max(d1, d2, d3)/dx^2*S(-inf)):
     the second term is the residual's roundoff floor, the second difference
@@ -608,41 +716,37 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     to roundoff. That settling step reuses the previous step's factors
     (one chord step), since the Jacobian has not moved at that scale.
 
-    Returns (root, residuals): the root as a (3, n) array and the residual
-    sup norm at the start and after each step. Raises NotConverged after
-    NEWTON_MAX_ITER steps or on a non-finite residual, SingularJacobian on a
-    zero pivot or a non-finite step.
+    Returns (root, residuals): the root as a new C-contiguous (3, n) array
+    and the residual sup norm at the start and after each step. Raises
+    NotConverged after NEWTON_MAX_ITER steps or on a non-finite residual,
+    SingularJacobian on a zero pivot or a non-finite step.
     """
     dx, x0, n = grid.dx, grid.x_min, grid.n
     bc_left = np.array([bounds.s_minus(x0), bounds.i_plus(x0), bounds.r_minus(x0)])
     edge = np.array([closure for _, _, closure in inverses]).T
     settle = max(NEWTON_TOL, 4.0 * np.finfo(float).eps * max(p.d1, p.d2, p.d3) / dx**2 * p.s_minus_inf)
-    stencil = _stencil_band(p, c, dx, n)
-    ab = np.empty_like(stencil)  # Fortran order like stencil; the band, then its factors, at every step
-    rhs = np.empty(3 * n)  # in the solve's order, the reverse of res.T.ravel()
-    res = rhs[::-1].reshape(n, 3).T  # the same buffer as a (3, n) array on the grid
-    u = np.array(init, dtype=float)
-    _bvp_residual(u, p, c, dx, bc_left, edge, res)
-    norms = [float(np.max(np.abs(res)))]
+    system = _NewtonSystem(p, c, dx, n, bc_left, edge)
+    u = system.u
+    u[...] = init
+    norms = [system.residual()]
     lu = None
     while len(norms) < 2 or max(norms[-2:]) > settle:
         if len(norms) > NEWTON_MAX_ITER:
             raise NotConverged(f"{NEWTON_MAX_ITER} steps ended at residual {norms[-1]:.2e}, not settled at {settle:.2e}")
         if lu is None or norms[-1] > settle:
-            lu, piv, info = dgbtrf(_band_jacobian(u, p, c, dx, edge, stencil, ab), BAND_KL, BAND_KU, overwrite_ab=1)
+            lu, piv, info = dgbtrf(system.jacobian(), BAND_KL, BAND_KU, overwrite_ab=1)
             if info != 0:
                 raise SingularJacobian(f"dgbtrf info {info} at step {len(norms)}")
         # J (-step) = G, solved in place of the residual
-        neg_step, info = dgbtrs(lu, BAND_KL, BAND_KU, rhs, piv, overwrite_b=1)
-        if info != 0 or not np.all(np.isfinite(neg_step)):
+        neg_step, info = dgbtrs(lu, BAND_KL, BAND_KU, system.rhs, piv, overwrite_b=1)
+        if info != 0 or not np.isfinite(neg_step, out=system.finite).all():
             raise SingularJacobian(f"step {len(norms)} is not finite")
         u -= neg_step[::-1].reshape(n, 3).T
         np.maximum(u, 0.0, out=u)
-        _bvp_residual(u, p, c, dx, bc_left, edge, res)
-        norms.append(float(np.max(np.abs(res))))
+        norms.append(system.residual())
         if not np.isfinite(norms[-1]):
             raise NotConverged(f"residual is not finite at step {len(norms) - 1}")
-    return u, tuple(norms)
+    return u.copy(), tuple(norms)
 
 
 def outflow_rate(p: ModelParams, c: float) -> float:

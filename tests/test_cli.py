@@ -310,6 +310,49 @@ def test_profile_bad_spacing_exits_2_with_one_line(config_path, tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("solve failed: ") and "grid spacing" in err[0]
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_profile_bad_tolerance_exits_2_before_any_output(config_path, tmp_path, capsys, tol):
+    # an infinite tol would certify any root, and nan or a tol <= 0 could certify none
+    out = tmp_path / "out"
+    assert main(["profile", config_path, "--tol", tol, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("profile: ") and "tolerance" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,c", [(["--c", "nan"], 2.5), (["--c", "inf"], 2.5), ([], float("nan"))])
+def test_profile_non_finite_speed_exits_2_before_any_output(tmp_path, capsys, flags, c):
+    path = write_config(tmp_path, {**P0_CONFIG, "c": c})
+    out = tmp_path / "out"
+    assert main(["profile", path, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("profile: ") and "speed c must be a finite number" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,c", [(["--c", "nan"], 2.5), (["--c", "inf"], 2.5), ([], float("nan"))])
+def test_verify_non_finite_speed_is_a_config_error(tmp_path, capsys, flags, c):
+    # no check can run at a speed that is not a finite number
+    path = write_config(tmp_path, {**P0_CONFIG, "c": c})
+    out = tmp_path / "out"
+    assert main(["verify", path, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "speed c must be a finite number" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,c", [(["--tol", "inf"], 2.5), (["--tol", "0"], 2.5), ([], float("inf"))])
+def test_sweep_bad_tolerance_or_speed_exits_2_before_any_output(tmp_path, capsys, flags, c):
+    # refused once, before any job: an infinite tol would label every row a wave
+    path = write_config(tmp_path, {**P0_CONFIG, "c": c})
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--vary", "beta=1.5:2.0:2", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sweep: ")
+    assert ("tolerance" if flags else "speed c must be a finite number") in err[0]
+    assert not out.exists()
+
+
 def test_analyze_writes_the_phi_samples_as_csv(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", config_path, "--phi-samples", "7", "--out", str(out)]) == 0

@@ -303,7 +303,7 @@ def test_wave_residual_matches_componentwise_reference():
     # one residual serves Newton (as is) and the fixed point (its sup norm);
     # it keeps the arithmetic of the per-component loop, so the sup norm is
     # bitwise that of the fixed-point sign convention
-    from sirwaves.model import incidence
+    from sirwaves.model import incidence, reaction_terms, wave_operator
     from sirwaves.wave_profile import _wave_residual
 
     p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
@@ -318,6 +318,10 @@ def test_wave_residual_matches_componentwise_reference():
         assert np.array_equal(_wave_residual(u, p, c, dx)[k], -res)
         worst = max(worst, float(np.max(np.abs(res))))
     assert float(np.max(np.abs(_wave_residual(u, p, c, dx)))) == worst
+    # the in-place stencil is model.wave_operator's, operation for operation
+    d = np.array([[p.d1], [p.d2], [p.d3]])
+    reference = wave_operator(u, d, c, dx) + np.array(reaction_terms(*u, p))[:, 1:-1]
+    assert np.array_equal(_wave_residual(u, p, c, dx), reference)
 
 
 # ---------- Newton cross-check ----------
@@ -591,8 +595,16 @@ def _band_to_dense(ab, kl, ku):
     return dense
 
 
+def _system(p, c, dx, n):
+    """A _NewtonSystem with made-up left values and the closures of p and c on spacing dx."""
+    from sirwaves.wave_profile import _NewtonSystem
+
+    edge = np.array([closure for _, _, closure in map_inverses(choose_alphas(p, c), p, dx)]).T
+    return _NewtonSystem(p, c, dx, n, np.array([0.9, 1e-3, 1e-4]), edge)
+
+
 def test_band_jacobian_matches_directional_differences():
-    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _bvp_residual, _stencil_band
+    from sirwaves.wave_profile import BAND_KL, BAND_KU
 
     assert BAND_KL == BAND_KU == 3
     p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.3, s_minus_inf=1.0)
@@ -600,13 +612,17 @@ def test_band_jacobian_matches_directional_differences():
     rng = np.random.default_rng(12)
     u = rng.uniform(0.1, 1.0, size=(3, n))
     v = rng.uniform(-1.0, 1.0, size=(3, n))
-    bc_left = np.array([0.9, 1e-3, 1e-4])
-    edge = np.array([closure for _, _, closure in map_inverses(choose_alphas(p, c), p, dx)]).T
+    system = _system(p, c, dx, n)
+
+    def residual(w):
+        system.u[...] = w
+        system.residual()
+        return system.res.copy()
+
     h = 1e-6
-    fd = (_bvp_residual(u + h * v, p, c, dx, bc_left, edge, np.empty((3, n)))
-          - _bvp_residual(u - h * v, p, c, dx, bc_left, edge, np.empty((3, n)))) / (2 * h)
-    stencil = _stencil_band(p, c, dx, n)
-    jac = _band_to_dense(_band_jacobian(u, p, c, dx, edge, stencil, np.empty_like(stencil)), BAND_KL, BAND_KU)
+    fd = (residual(u + h * v) - residual(u - h * v)) / (2 * h)
+    system.u[...] = u
+    jac = _band_to_dense(system.jacobian(), BAND_KL, BAND_KU)
     # unknowns and equations run from x_max to x_min: the point-by-point vector reversed
     jv = (jac @ v.T.ravel()[::-1])[::-1].reshape(n, 3).T
     assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -618,19 +634,103 @@ def test_band_jacobian_is_factored_in_place():
     # Fortran order is dgbtrf's own layout, so no copy is made, and the
     # factors are bit for bit those of a C-ordered copy
     from scipy.linalg.lapack import dgbtrf
-    from sirwaves.wave_profile import BAND_KL, BAND_KU, _band_jacobian, _stencil_band
+    from sirwaves.wave_profile import BAND_KL, BAND_KU
 
     grid = wave_window(P0, C)
     rep = solve_fixed_point(P0, C, grid, tol=1e-4)
-    edge = np.array([closure for _, _, closure in map_inverses(rep.specs, P0, grid.dx)]).T
-    stencil = _stencil_band(P0, C, grid.dx, grid.n)
-    ab = _band_jacobian(rep.profile, P0, C, grid.dx, edge, stencil, np.empty_like(stencil))  # as the solve does
+    system = _system(P0, C, grid.dx, grid.n)
+    system.u[...] = rep.profile
+    ab = system.jacobian()  # as the solve does
     assert ab.flags.f_contiguous
     c_lu, c_piv, c_info = dgbtrf(np.ascontiguousarray(ab), BAND_KL, BAND_KU)
     lu, piv, info = dgbtrf(ab, BAND_KL, BAND_KU, overwrite_ab=1)
     assert np.shares_memory(lu, ab)  # factored where it was assembled
     assert info == c_info == 0
     assert np.array_equal(lu, c_lu) and np.array_equal(piv, c_piv)
+
+
+EXTINCT = (9, 17)  # grid points of extinct_state whose S+I+R is not above ETA_DEFAULT
+
+
+def extinct_state(n):
+    """A random (3, n) state in [0, 1) with two extinct points, one at 0 and one at 6e-13."""
+    u = np.random.default_rng(7).uniform(0.0, 1.0, size=(3, n))
+    u[:, EXTINCT[0]] = 0.0
+    u[:, EXTINCT[1]] = [2e-13, 3e-13, 1e-13]
+    return u
+
+
+def test_newton_residual_matches_componentwise_reference():
+    # the residual a step writes in place keeps the arithmetic of the
+    # allocating formulas, at the extinct points and in the closure row at x_max
+    from sirwaves.model import ETA_DEFAULT, incidence
+
+    p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.3, s_minus_inf=1.0)
+    c, dx, n = 2.5, 0.1, 40
+    u = extinct_state(n)
+    assert all(u[:, j].sum() <= ETA_DEFAULT for j in EXTINCT)
+    system = _system(p, c, dx, n)
+    system.u[...] = u
+    norm = system.residual()
+    s, i, r = u
+    inc = incidence(s, i, r, p.beta)
+    assert all(inc[j] == 0.0 for j in EXTINCT)
+    gain, weight = system.gain, system.weight
+    for k, (d, f) in enumerate(((p.d1, -inc), (p.d2, inc - (p.gamma + p.delta) * i), (p.d3, p.gamma * i))):
+        y = np.append(u[k], gain[k] * u[k, -1] + weight[k] * f[-1])  # F's closure one cell past x_max
+        ref = d * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2 - c * (y[2:] - y[:-2]) / (2.0 * dx) + f[1:]
+        assert np.array_equal(system.res[k, 1:], ref)
+        assert system.res[k, 0] == u[k, 0] - system.bc_left[k]
+    assert np.array_equal(system.rhs, system.res.T.ravel()[::-1])  # the solve's order, x_max first
+    assert norm == float(np.max(np.abs(system.res)))
+
+
+def test_band_has_no_incidence_partials_at_an_extinct_point():
+    # where S+I+R is not above the guard the incidence is pinned to 0, and so
+    # are its partials: those columns are the stencil band's, plus only the
+    # linear partials -(gamma+delta) (I on I) and gamma (R on I)
+    from sirwaves.wave_profile import BAND_KL, BAND_KU, _stencil_band
+
+    p = ModelParams(d1=0.7, d2=1.0, d3=1.3, beta=2.0, gamma=0.5, delta=0.3, s_minus_inf=1.0)
+    c, dx, n = 2.5, 0.1, 40
+    system = _system(p, c, dx, n)
+    system.u[...] = extinct_state(n)
+    ab = system.jacobian()
+    stencil = _stencil_band(p, c, dx, n)
+    mid = BAND_KL + BAND_KU
+    for j in EXTINCT:
+        cols = 3 * (n - 1 - j) + np.arange(3)  # the point's unknowns R, I, S in the solve's order
+        expected = stencil[:, cols].copy()
+        expected[mid, 1] += 0.0 - (p.gamma + p.delta)
+        expected[mid - 1, 1] += p.gamma
+        assert np.array_equal(ab[:, cols], expected)
+    assert np.all(np.isfinite(ab))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_solves_on_three_and_four_point_grids_return_a_report(n):
+    rep = solve_fixed_point(P0, C, Grid(-0.2, 0.1, n), tol=1e-8)
+    assert not rep.converged and rep.newton.shape == rep.profile.shape == (3, n)
+    assert any("left window too short" in w for w in rep.warnings)
+
+
+def test_newton_roots_own_their_memory(solved):
+    # the root is copied out of the solve's buffers, which hold F's closure in an extra column
+    first, _ = newton_from(solved, P0, solved.profile)
+    second, _ = newton_from(solved, P0, solved.profile)
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
+    for root in (first, second, solved.newton):
+        assert root.flags.c_contiguous and root.flags.owndata
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+def test_solve_refuses_a_bad_tolerance_before_any_work(tol, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(sirwaves.wave_profile, "make_gamma_set", refuse)
+    with pytest.raises(ValueError, match="tolerance tol must be finite and positive"):
+        solve_fixed_point(P0, C, Grid.symmetric(60.0, 0.05), tol=tol)
 
 
 @pytest.mark.parametrize("c", [2.05, 2.5, 4.0])
