@@ -184,8 +184,13 @@ def _write_csv(path: str, header: str, columns):
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     p = params_from_config(cfg)
-    out = _out_dir(args)
     c_values = list(args.c) if args.c else ([cfg["c"]] if "c" in cfg else [])
+    try:  # before any output: a non-finite speed would be written as invalid JSON
+        for c in c_values:
+            check_speed(c)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
+    out = _out_dir(args)
 
     payload: dict = {"r0": r_naught(p)}
     derived: dict = {"r0": r_naught(p)}

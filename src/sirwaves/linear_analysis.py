@@ -205,15 +205,20 @@ def minimal_speed(p: ModelParams, n_samples: int = 0) -> SpeedAnalysis:
     c_star = 2.0 * np.sqrt(p.d2 * q)
     lam_star = np.sqrt(q / p.d2)
 
-    lam_hi = 10.0 * max(1.0, lam_star)  # the quotient blows up at 0 and infinity
+    # the quotient blows up at 0 and infinity; every branch's minimizer is at
+    # least lam_star*sqrt(d2/max(d1, d2, d3)), so the bracket and the
+    # tolerance shrink with it when R0 is close to 1
+    lam_hi = 10.0 * max(1.0, lam_star)
+    lam_lo = min(1e-6, 0.1 * lam_star * np.sqrt(p.d2 / max(p.d1, p.d2, p.d3)))
+    tol = min(1e-12, 1e-6 * lam_lo)
     i_branch = lambda lam: (p.d2 * lam * lam + q) / lam
-    _, gs_min = golden_section(i_branch, 1e-6, lam_hi)
+    _, gs_min = golden_section(i_branch, lam_lo, lam_hi, tol)
     if abs(gs_min - c_star) > 1e-8 * c_star:
         raise CrossCheckFailed(
             f"golden-section minimum {gs_min} disagrees with closed form {c_star}"
         )
 
-    full_argmin, full_min = golden_section(lambda lam: phi(lam, p), 1e-6, lam_hi)
+    full_argmin, full_min = golden_section(lambda lam: phi(lam, p), lam_lo, lam_hi, tol)
     active = abs(phi(lam_star, p) - i_branch(lam_star)) <= 1e-12 * max(1.0, c_star)
 
     samples = None

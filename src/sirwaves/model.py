@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 # Guard level below which the total population counts as extinct and the
-# incidence is pinned to its physical limit 0 (SI/N <= min(S, I)).
+# incidence and its partials are pinned to 0, its physical limit (SI/N <= min(S, I)).
 ETA_DEFAULT = 1e-12
 
 
@@ -87,6 +87,8 @@ class Grid:
     def symmetric(cls, half_width: float, dx: float) -> "Grid":
         """Window [-half_width, half_width] with spacing as close to dx as possible."""
         check_spacing(dx)
+        if not np.isfinite(half_width):
+            raise ValueError(f"grid half-width must be finite, got {half_width}")
         n = int(round(2.0 * half_width / dx)) + 1
         return cls(-half_width, half_width, n)
 
@@ -128,26 +130,60 @@ def incidence(s, i, r, beta: float, out=None):
     """Standard incidence beta*S*I/(S+I+R), pinned to 0 where the population is extinct.
 
     Works elementwise on arrays; scalars in give a scalar out. out, an array of
-    the broadcast shape, receives the values and is returned. When every total
-    is above the guard (no extinct point, no nan), the pinning is skipped: the
-    values are the same, without the two masked passes. The total is the one
-    temporary array.
+    the broadcast shape, receives the values and is returned. The total is the
+    one temporary array.
     """
     s = np.asarray(s, dtype=float)
     i = np.asarray(i, dtype=float)
     r = np.asarray(r, dtype=float)
-    n = s + i
+    n = np.asarray(s + i)
     n += r
     if out is None:
         out = np.empty(n.shape)
-    if n.size and n.min() > ETA_DEFAULT:
-        np.multiply(s, beta, out=out)
-        out *= i
-        out /= n
-    else:
-        safe = np.where(n > ETA_DEFAULT, n, 1.0)
-        out[...] = np.where(n > ETA_DEFAULT, beta * s * i / safe, 0.0)
+    extinct = _guard(n)
+    np.multiply(s, beta, out=out)
+    out *= i
+    out /= n
+    if extinct is not None:
+        out[extinct] = 0.0
     return out if out.ndim else float(out)
+
+
+def incidence_partials(s, i, r, beta: float, out: np.ndarray) -> np.ndarray:
+    """Partials of the incidence in S, I and R, written into the rows of the (3, n) out and returned.
+
+    With N = S+I+R they are beta*I*(I+R)/N^2, beta*S*(S+R)/N^2 and -beta*S*I/N^2:
+    at nonnegative states 0 <= d/dS <= beta, 0 <= d/dI <= beta and -beta <= d/dR <= 0.
+    They are 0 where incidence is pinned to 0. N^2 is the one temporary array.
+    """
+    d_s, d_i, d_r = out
+    square = s + i
+    square += r
+    extinct = _guard(square)
+    square *= square
+    np.add(i, r, out=d_r)  # scratch until the last partial
+    np.multiply(i, beta, out=d_s)
+    d_s *= d_r
+    d_s /= square
+    np.add(s, r, out=d_r)
+    np.multiply(s, beta, out=d_i)
+    d_i *= d_r
+    d_i /= square
+    np.multiply(s, -beta, out=d_r)
+    d_r *= i
+    d_r /= square
+    if extinct is not None:
+        out[:, extinct] = 0.0
+    return out
+
+
+def _guard(total: np.ndarray):
+    """Mask of the totals S+I+R not above ETA_DEFAULT (nan included), set to 1 in place; None if there is none."""
+    if total.size and total.min() > ETA_DEFAULT:
+        return None
+    extinct = ~(total > ETA_DEFAULT)
+    total[extinct] = 1.0
+    return extinct
 
 
 def reaction_terms(s, i, r, p: ModelParams, out=None):

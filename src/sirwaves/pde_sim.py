@@ -47,6 +47,8 @@ SAMPLE_BLOCK = 16
 # the level at one of this many points nearest the right edge. Otherwise the
 # front lies left of x[n - EDGE_POINTS] = x_max - 11*dx, short of x_max - 10*dx.
 EDGE_POINTS = 12
+# Front speeds are fitted over the last FIT_WINDOW fraction of the usable trace.
+FIT_WINDOW = 0.5
 
 # TR-BDF2 stage fraction: a trapezoid stage over TRBDF2_GAMMA of the step, then
 # BDF2 over the rest. With this choice both stages solve with the same matrix
@@ -155,7 +157,6 @@ class FrontTrace:
     threshold: float
     speed_fit: float
     speed_stderr: float
-    fit_window: float = 0.5
     hit_boundary: bool = False
     pulled_front_speed: float = np.nan
 
@@ -321,17 +322,17 @@ def front_position(x: np.ndarray, i_vals: np.ndarray, threshold):
     return pos.reshape(i_vals.shape[:-1] + levels.shape)
 
 
-def _fit_window(times: np.ndarray, positions: np.ndarray, fit_window: float):
-    """The finite samples over the last fit_window fraction of the usable trace."""
+def _fit_window(times: np.ndarray, positions: np.ndarray):
+    """The finite samples over the last FIT_WINDOW fraction of the usable trace."""
     ok = np.isfinite(positions)
     t, xp = times[ok], positions[ok]
-    start = int(np.floor((1.0 - fit_window) * len(t)))
+    start = int(np.floor((1.0 - FIT_WINDOW) * len(t)))
     return t[start:], xp[start:]
 
 
-def _fit_speed(times: np.ndarray, positions: np.ndarray, fit_window: float):
-    """Least-squares slope over the last fit_window fraction of the usable trace."""
-    t, xp = _fit_window(times, positions, fit_window)
+def _fit_speed(times: np.ndarray, positions: np.ndarray):
+    """Least-squares slope over the last FIT_WINDOW fraction of the usable trace."""
+    t, xp = _fit_window(times, positions)
     if len(t) < 4 or np.ptp(t) == 0:
         return np.nan, np.nan
     tbar = t - np.mean(t)
@@ -360,13 +361,13 @@ def _pulled_front_speed(p: ModelParams, t: np.ndarray) -> float:
     return float(speed.c_star - 1.5 / speed.lambda_star * np.log(t2 / t1) / (t2 - t1))
 
 
-def run(cfg: SimConfig, fit_window: float = 0.5) -> SimResult:
+def run(cfg: SimConfig) -> SimResult:
     """Integrate to t_end from the configured pulse, tracking fronts, mass budget and snapshots.
 
     Raises FrontHitBoundary (carrying the partial result) if the front comes
     within 10*dx of the right edge: speed fits from such a run are unusable.
     """
-    result = _simulate(cfg, cfg.initial_state(), fit_window, stop_at_boundary=True)
+    result = _simulate(cfg, cfg.initial_state(), stop_at_boundary=True)
     if result.trace.hit_boundary:
         raise FrontHitBoundary(
             f"front reached x_max - 10*dx before t_end = {cfg.t_end}", result=result
@@ -374,7 +375,7 @@ def run(cfg: SimConfig, fit_window: float = 0.5) -> SimResult:
     return result
 
 
-def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boundary: bool) -> SimResult:
+def _simulate(cfg: SimConfig, state: np.ndarray, stop_at_boundary: bool) -> SimResult:
     """The stepping loop of every simulation: split steps from state to t_end at cfg's step size.
 
     Roundoff negatives are clipped to zero after each step and their mass is
@@ -383,14 +384,11 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     the full fields likewise every ceil(n_steps/(n_snapshots - 1)) steps, at
     most n_snapshots + 1 times. With stop_at_boundary the run ends
     as soon as a sample finds the front within 10*dx of the right edge.
-    A fit_window outside (0, 1] raises ValueError before the first step.
 
     A sample copies only the I row and the S+I+R row into a block of
     SAMPLE_BLOCK rows; fronts, masses and max I are computed once per block,
     each bitwise what the sample alone gives.
     """
-    if not 0.0 < fit_window <= 1.0:
-        raise ValueError(f"fit_window must lie in (0, 1], got {fit_window!r}")
     p, grid = cfg.params, cfg.grid
     x, dx = grid.x, grid.dx
     dt, n_steps = cfg.time_steps()
@@ -462,18 +460,17 @@ def _simulate(cfg: SimConfig, state: np.ndarray, fit_window: float, stop_at_boun
     times = np.asarray(times)
     positions, masses, infected, imax = (np.concatenate(parts) for parts in zip(*blocks))
     fronts, *aux_fronts = np.ascontiguousarray(positions.T)
-    speed, stderr = _fit_speed(times, fronts, fit_window)
+    speed, stderr = _fit_speed(times, fronts)
     trace = FrontTrace(
         times=times,
         positions=fronts,
         threshold=cfg.threshold,
         speed_fit=speed,
         speed_stderr=stderr,
-        fit_window=fit_window,
         hit_boundary=hit_boundary,
-        pulled_front_speed=_pulled_front_speed(p, _fit_window(times, fronts, fit_window)[0]),
+        pulled_front_speed=_pulled_front_speed(p, _fit_window(times, fronts)[0]),
     )
-    thr_speeds = {key: _fit_speed(times, vals, fit_window)[0] for key, vals in zip(thresholds, aux_fronts)}
+    thr_speeds = {key: _fit_speed(times, vals)[0] for key, vals in zip(thresholds, aux_fronts)}
     return SimResult(
         config=cfg,
         final=state,
@@ -563,7 +560,7 @@ class FalsificationReport:
     outcome: str  # 'relaxed_to_minimal_speed' or 'extinction'
 
 
-def subcritical_falsification(cfg: SimConfig, c_target: float, fit_window: float = 0.5) -> FalsificationReport:
+def subcritical_falsification(cfg: SimConfig, c_target: float) -> FalsificationReport:
     """Seed a front shaped for a forbidden speed and report what actually happens.
 
     Below the minimal speed no real decay rate exists (the characteristic
@@ -589,7 +586,7 @@ def subcritical_falsification(cfg: SimConfig, c_target: float, fit_window: float
     x0 = cfg.ic_center
     i0 = amp * np.minimum(1.0, np.exp(-lam_seed * (x - x0)))
     s0 = np.maximum(p.s_minus_inf - i0, 0.0)
-    result = _simulate(cfg, np.array([s0, i0, np.zeros_like(x)]), fit_window, stop_at_boundary=False)
+    result = _simulate(cfg, np.array([s0, i0, np.zeros_like(x)]), stop_at_boundary=False)
     imax = result.i_max_trace
     late = imax[len(imax) // 2 :]
     extinct = imax[-1] < 1e-3 * imax[0] and bool(np.all(np.diff(late) <= 1e-15))

@@ -103,7 +103,8 @@ def choose_alphas(p: ModelParams, c: float):
     a_i = 2*max(floor_i, d_i lambda0^2 + c lambda0) with floors (beta,
     gamma+delta, 1); doubling guarantees |lambda_i^-| > lambda0 strictly, and
     the floors keep the integrands of the fixed-point map monotone in each
-    component.
+    component: the incidence's partials are at most beta in size
+    (model.incidence_partials).
     """
     roots = lambda0(c, p)
     l0 = roots.lambda0

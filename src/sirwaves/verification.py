@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .model import Grid, ModelParams
-from .linear_analysis import lambda0, minimal_speed
+from .linear_analysis import SubThreshold, lambda0, minimal_speed
 from .resolvent import TailIncompatible, choose_alphas, delta_inverse_piecewise_g, inverse_operator
 from .wave_profile import (
     NotConverged,
@@ -389,18 +389,21 @@ def run_suite(p: ModelParams, c: float, level: str = "quick") -> list:
     """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
+    broken = None  # why the minimal speed could not be computed inside the wave regime
     try:
         c_star = minimal_speed(p).c_star
-        wave_ok = p.wave_regime and c > c_star
-    except Exception:
+    except SubThreshold:
         c_star = float("nan")
-        wave_ok = False
+    except Exception as exc:  # a failed cross-check, say: every check that needs a wave fails with it
+        c_star, broken = float("nan"), f"minimal_speed: {type(exc).__name__}: {exc}"
+    wave_ok = p.wave_regime and c > c_star
     ctx = _Context(p, c, c_star)
 
     results: list[CheckResult] = []
     for name, claim, needs_wave, compute in QUICK_CHECKS + (FULL_CHECKS if level == "full" else ()):
         if needs_wave and not wave_ok:
-            results.append(_skipped(name, claim, "outside the wave regime"))
+            results.append(_result(name, claim, -1.0, 0.0, broken) if broken
+                           else _skipped(name, claim, "outside the wave regime"))
             continue
         start = time.perf_counter()
         try:

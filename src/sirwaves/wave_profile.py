@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 # checks that the name resolves and spares it the unused-import check.
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from .model import ETA_DEFAULT, Grid, ModelParams, check_spacing, edge_difference, reaction_terms, wave_operator
+from .model import Grid, ModelParams, check_spacing, edge_difference, incidence_partials, reaction_terms, wave_operator
 from .linear_analysis import characteristic_f, envelope_image, lambda0, stencil_roots, symbol_roots
 from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
@@ -124,7 +124,8 @@ class GammaSet:
           - dH_1/dS >= alpha_1 - beta > 0 and dH_2/dI >= alpha_2 - (gamma+delta) > 0,
             floors that choose_alphas enforces;
           - the cross terms follow from the incidence h = beta*S*I/(S+I+R), with
-            dh/dS >= 0, dh/dI >= 0 and dh/dR <= 0: H_1 = alpha_1*S - h falls in I
+            dh/dS >= 0, dh/dI >= 0 and dh/dR <= 0 (model.incidence_partials,
+            each at most beta in size): H_1 = alpha_1*S - h falls in I
             and rises in R, H_2 = alpha_2*I + h - (gamma+delta)*I rises in S and
             falls in R, and H_3 = alpha_3*R + gamma*I rises in both;
           - D_k^{-1} is a positive map: discrete_kernel (dx < 2d/c) keeps both
@@ -571,11 +572,10 @@ class _NewtonSystem:
     (3, n + 1) array whose first n columns are the iterate u and whose last
     holds the closure value, the diffusion column, the stencil band, the
     band and right-hand-side buffers LAPACK works in, and scratch for the
-    stencil and the incidence partials. A step then writes the residual
-    and the band in place: of the grid's size it allocates only the
-    reaction rows of reaction_terms, which it calls in its allocating form
-    so that a replaced model.incidence still reaches it, and dgbtrf's pivot
-    indices.
+    stencil, the reaction rows and the incidence partials. A step then
+    writes the residual and the band in place: of the grid's size it
+    allocates only incidence's total, incidence_partials' N^2 and dgbtrf's
+    pivot indices.
     """
 
     def __init__(self, p: ModelParams, c: float, dx: float, n: int, bc_left, edge):
@@ -600,14 +600,13 @@ class _NewtonSystem:
         self.size = np.empty(3 * n)  # |rhs|
         self.finite = np.empty(3 * n, dtype=bool)
         self.lap, self.adv = np.zeros((2, 3, n + 1))
-        self.dinc = np.empty((3, n - 1))
-        self.total, self.square, self.scratch = np.empty((3, n - 1))
-        self.extinct = np.empty(n - 1, dtype=bool)
+        self.f, self.dinc = np.empty((2, 3, n - 1))
+        self.own = np.empty(n - 1)  # the I equation's own partial
 
     def residual(self) -> float:
         """Write the residual at u into rhs, reversed (res on the grid); return its sup norm."""
         p, u, beyond = self.p, self.u, self.ext[:, -1]
-        f = reaction_terms(*u[:, 1:], p)
+        f = reaction_terms(*u[:, 1:], p, out=self.f)
         for k in range(3):
             beyond[k] = self.gain[k] * u[k, -1] + self.weight[k] * f[k][-1]
         _wave_rows(self.ext, self.d, self.c, self.dx, f, self.res[:, 1:], self.lap, self.adv)
@@ -625,58 +624,26 @@ class _NewtonSystem:
         below the diagonal is the downwind d/dx^2 - c/(2*dx), smaller than
         the diagonal entry it competes with for the pivot, so partial
         pivoting keeps the diagonal pivot wherever the reaction terms do not
-        outweigh the stencil. Ordered from x_min, the upwind weight
-        d/dx^2 + c/(2*dx) sat below the diagonal, at least the size of the
-        eliminated pivot, and dgbtrf swapped rows in 7201 of the 7203
-        columns at P0, c = 2.5, n = 2401. Fortran order is the layout dgbtrf
-        factors in place; a C-ordered ab would be copied and transposed on
-        every call.
+        outweigh the stencil. Fortran order is the layout dgbtrf factors in
+        place; a C-ordered ab would be copied and transposed on every call.
 
-        The reaction part is the three partials of the incidence
-        beta*S*I/(S+I+R) at points 1 to n-1, subtracted in the S rows and
-        added in the I rows, with -(gamma+delta) folded into the I diagonal
-        and gamma added in the R rows. Where S+I+R is not above ETA_DEFAULT
-        the partials are 0, as incidence pins its value there.
+        The reaction part is model.incidence_partials at points 1 to n-1, subtracted in
+        the S rows and added in the I rows, with -(gamma+delta) folded into the I
+        diagonal and gamma added in the R rows.
         """
-        p, ab, n1 = self.p, self.ab, self.total.size
-        s, i, r = self.u[:, 1:]
-        total, square, scratch, extinct = self.total, self.square, self.scratch, self.extinct
-        np.add(s, i, out=total)
-        total += r
-        np.multiply(total, total, out=square)
-        guarded = not total.min() > ETA_DEFAULT
-        if guarded:  # extinct: S+I+R not above the guard, nan included
-            np.greater(total, ETA_DEFAULT, out=extinct)
-            np.logical_not(extinct, out=extinct)
-            square[extinct] = 1.0
-        d_s, d_i, d_r = self.dinc  # the incidence's derivatives in S, I and R
-        np.add(i, r, out=scratch)
-        np.multiply(i, p.beta, out=d_s)
-        d_s *= scratch
-        d_s /= square
-        np.add(s, r, out=scratch)
-        np.multiply(s, p.beta, out=d_i)
-        d_i *= scratch
-        d_i /= square
-        np.multiply(s, -p.beta, out=d_r)
-        d_r *= i
-        d_r /= square
-        if guarded:
-            self.dinc[:, extinct] = 0.0
-        np.subtract(d_i, p.gamma + p.delta, out=scratch)  # the I equation's own partial, added as one value
-
+        p, ab, own = self.p, self.ab, self.own
+        d_s, d_i, d_r = incidence_partials(*self.u[:, 1:], p.beta, self.dinc)
+        np.subtract(d_i, p.gamma + p.delta, out=own)  # the I equation's own partial, added as one value
         np.copyto(ab, self.fixed)
         mid = BAND_KL + BAND_KU
-        for m, (partial, own) in enumerate(zip(self.dinc, (d_s, scratch, d_r))):
+        for m, (partial, i_partial) in enumerate(zip(self.dinc, (d_s, own, d_r))):
             # equation k at slot 2 - k, unknown m at slot 2 - m of the same point; points n-1 down to 1
-            cols = slice(2 - m, 3 * n1, 3)
+            cols = slice(2 - m, 3 * own.size, 3)
             s_row, i_row = ab[mid + m, cols][::-1], ab[mid + m - 1, cols][::-1]
             np.subtract(s_row, partial, out=s_row)
-            np.add(i_row, own, out=i_row)
-        df = self.df
-        np.negative(self.dinc[:, -1], out=df[0])
-        df[1] = self.dinc[:, -1]
-        df[1, 1] = scratch[-1]
+            np.add(i_row, i_partial, out=i_row)
+        df, last = self.df, self.dinc[:, -1]
+        df[0], df[1], df[1, 1] = -last, last, own[-1]
         beyond = np.diag(self.gain) + self.weight[:, None] * df  # d u_n / d u_{n-1} through F's closure
         ab[self.corner] += (self.w_hi * beyond).ravel()
         return ab
@@ -699,9 +666,7 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     reversed into the right-hand side and the step is read back in grid
     order. A _NewtonSystem holds every buffer, built once per solve with
     the stencil band and the diffusion column, so a step is one residual
-    pass, one band update and the two LAPACK calls, and of the grid's size
-    allocates only the reaction rows of reaction_terms and dgbtrf's pivot
-    indices. From the
+    pass, one band update and the two LAPACK calls. From the
     start solve_fixed_point gives, inside the a priori bounds, no
     globalization is needed: every tested configuration, down to 1.0005*c*
     and d3 = 0.02*d2, settles within 10 steps.

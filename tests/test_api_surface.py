@@ -98,3 +98,20 @@ def test_traced_import_probe_finds_both_modules(monkeypatch):
     found = _bench_module("run").probe_imports()
     assert sorted(found) == ["scipy.signal", "sirwaves"]
     assert all(v > 0.0 for v in found.values())
+
+
+def test_only_model_reads_the_extinction_guard():
+    # the incidence and its partials are pinned to 0 below ETA_DEFAULT in one
+    # place, model.py; no other module keeps a copy of that guard
+    readers = set()
+    for path in (ROOT / "src" / "sirwaves").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if "ETA_DEFAULT" in names:
+                readers.add(path.name)
+    assert readers == {"model.py"}

@@ -276,6 +276,8 @@ def test_simulate_bad_dt_exits_2_with_one_line(config_path, tmp_path, capsys, dt
     (["--dx", "nan"], "grid spacing"),
     (["--L", "-5"], "grid window"),
     (["--t-end", "nan"], "t_end"),
+    (["--L", "inf"], "half-width must be finite"),
+    (["--L", "nan"], "half-width must be finite"),
 ])
 def test_simulate_bad_grid_or_t_end_exits_2_with_one_line(config_path, tmp_path, capsys, flags, message):
     out = str(tmp_path / "out")
@@ -353,6 +355,45 @@ def test_sweep_bad_tolerance_or_speed_exits_2_before_any_output(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,c", [(["--c", "inf", "--c", "nan"], 2.5), (["--c", "2.5", "--c=-inf"], 2.5),
+                                     ([], float("nan"))])
+def test_analyze_non_finite_speed_is_a_config_error(tmp_path, capsys, flags, c):
+    # json.dump would write Infinity and NaN, which are not JSON
+    path = write_config(tmp_path, {**P0_CONFIG, "c": c})
+    out = tmp_path / "out"
+    assert main(["analyze", path, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "speed c must be a finite number" in err[0]
+    assert not out.exists()
+
+
+# R0 - 1 = 1e-13: lambda* = 3.2e-7, below the golden-section bracket end 1e-6 minimal_speed once used
+NEAR_ONE = {"params": {"d1": 1, "d2": 1, "d3": 1, "beta": 1.0000000000001, "gamma": 0.5, "delta": 0.5,
+                       "s_minus_inf": 1}}
+NEAR_ONE_C_STAR = 6.322027276634105e-07
+
+
+def test_analyze_and_simulate_just_above_r0_one(tmp_path):
+    path = write_config(tmp_path, NEAR_ONE)
+    assert main(["analyze", path, "--out", str(tmp_path / "a")]) == 0
+    payload = json.loads((tmp_path / "a" / "analysis.json").read_text())
+    assert payload["c_star"] == pytest.approx(NEAR_ONE_C_STAR, rel=1e-12) and payload["i_branch_active"]
+    assert main(["simulate", path, "--L", "40", "--t-end", "5", "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["c_star"] == pytest.approx(NEAR_ONE_C_STAR, rel=1e-12)
+
+
+def test_verify_just_above_r0_one_fails_on_the_window(tmp_path):
+    # c = 1e-3 is above c* = 6.3e-7: the wave checks run and fail, since the
+    # window the left tail needs is far over the point limit; none is skipped
+    path = write_config(tmp_path, NEAR_ONE)
+    assert main(["verify", path, "--c", "1e-3", "--out", str(tmp_path / "v")]) == 3
+    checks = json.loads((tmp_path / "v" / "verify_report.json").read_text())["checks"]
+    assert not [c["name"] for c in checks if c["status"] == "skipped"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert failed and all("over 50001" in c["details"] for c in failed)
+
+
 def test_analyze_writes_the_phi_samples_as_csv(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", config_path, "--phi-samples", "7", "--out", str(out)]) == 0
@@ -400,10 +441,15 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     import sirwaves.model as model
 
     original = model.incidence
-    monkeypatch.setattr(
-        "sirwaves.model.incidence",
-        lambda s, i, r, beta: -original(s, i, r, beta),
-    )
+
+    def flipped(s, i, r, beta, out=None):
+        value = -original(s, i, r, beta)
+        if out is None:
+            return value
+        out[...] = value
+        return out
+
+    monkeypatch.setattr("sirwaves.model.incidence", flipped)
     path = write_config(tmp_path, P0_CONFIG)
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())

@@ -149,6 +149,27 @@ def test_minimal_speed_reports_full_quotient():
     assert abs(sp0.full_min - sp0.c_star) <= 1e-8 * sp0.c_star
 
 
+@pytest.mark.parametrize("d2", [1.0, 1e6])
+def test_minimal_speed_just_above_r0_one(d2):
+    # lambda* = sqrt(1e-13/d2) lies far below the old fixed bracket end 1e-6,
+    # where both golden-section searches used to end and the cross-check failed
+    p = ModelParams(d1=1.0, d2=d2, d3=1.0, beta=1.0000000000001, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    q = p.beta - p.gamma - p.delta
+    sp = minimal_speed(p)
+    assert sp.c_star == 2.0 * np.sqrt(d2 * q)
+    assert abs(sp.i_branch_min - sp.c_star) <= 1e-8 * sp.c_star
+    assert sp.i_branch_active_at_minimizer
+    assert sp.full_min == pytest.approx(sp.c_star, rel=1e-8)
+    assert sp.full_argmin == pytest.approx(sp.lambda_star, rel=1e-4)
+
+
+def test_minimal_speed_bracket_keeps_the_usual_searches_bitwise():
+    # away from R0 = 1 the bracket starts at 1e-6 with tolerance 1e-12, as before
+    assert minimal_speed(P0).full_argmin == 0.9999999870951527
+    p = ModelParams(d1=50.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    assert minimal_speed(p).full_min == 7.1428571428649015
+
+
 def test_f_concavity():
     rng = np.random.default_rng(8)
     for _ in range(100):

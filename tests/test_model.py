@@ -12,7 +12,7 @@ from sirwaves import (
     reaction_terms,
     wave_operator,
 )
-from sirwaves.model import ETA_DEFAULT
+from sirwaves.model import ETA_DEFAULT, incidence_partials
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 
@@ -97,6 +97,83 @@ def test_reaction_terms_into_a_buffer_match_the_allocating_form():
     assert all(isinstance(v, float) for v in reaction_terms(0.6, 0.3, 0.1, P0))
 
 
+def partials(s, i, r, beta):
+    return incidence_partials(s, i, r, beta, np.full((3, len(s)), np.nan))
+
+
+def test_incidence_partials_match_central_differences():
+    rng = np.random.default_rng(21)
+    u = rng.uniform(0.05, 2.0, size=(3, 60))
+    beta, h = 1.7, 1e-6
+    d = partials(*u, beta)
+    for m in range(3):
+        step = np.zeros((3, 1))
+        step[m] = h
+        fd = (incidence(*(u + step), beta) - incidence(*(u - step), beta)) / (2 * h)
+        assert np.max(np.abs(d[m] - fd)) <= 1e-8
+
+
+def test_incidence_partials_keep_the_signs_and_bounds_the_fixed_point_map_needs():
+    # 0 <= d/dS <= beta, 0 <= d/dI <= beta and -beta <= d/dR <= 0 at nonnegative
+    # states, zeros included; where S (or I) is 0 the bound is met with equality
+    # and the rounded quotient may land one ulp above beta
+    rng = np.random.default_rng(22)
+    u = rng.uniform(0.0, 2.0, size=(3, 2000))
+    u[rng.random(u.shape) < 0.2] = 0.0
+    u[:, 0] = [0.0, 0.7, 0.0]  # I alone: d/dS is beta exactly
+    for beta in (0.3, 2.0, 7.0):
+        d_s, d_i, d_r = partials(*u, beta)
+        top = beta * (1.0 + 4.0 * np.finfo(float).eps)
+        assert np.all((0.0 <= d_s) & (d_s <= top)) and np.all((0.0 <= d_i) & (d_i <= top))
+        assert np.all((-top <= d_r) & (d_r <= 0.0))
+        assert d_s[0] == pytest.approx(beta)
+
+
+def test_incidence_partials_are_zero_where_the_incidence_is_pinned():
+    rng = np.random.default_rng(23)
+    u = rng.uniform(0.0, 1.0, size=(3, 30))
+    u[:, 4] = 0.0
+    u[:, 9] = [0.0, ETA_DEFAULT, 0.0]  # exactly at the guard
+    u[:, 15] = [2e-13, 3e-13, 1e-13]
+    u[2, 21] = np.nan
+    with np.errstate(all="raise"):
+        d = partials(*u, 2.0)
+    for j in (4, 9, 15, 21):
+        assert d[:, j].tolist() == [0.0, 0.0, 0.0] and incidence(*u[:, j], 2.0) == 0.0
+    live = np.setdiff1d(np.arange(30), [4, 9, 15, 21])
+    assert np.array_equal(d[:, live], partials(*u[:, live], 2.0))  # the same values on the unmasked path
+
+
+def banded_partials(s, i, r, beta):
+    """The partials as the Newton band wrote them before they moved into model."""
+    total = s + i
+    total += r
+    square = total * total
+    extinct = ~(total > ETA_DEFAULT)
+    square[extinct] = 1.0
+    d_s = i * beta
+    d_s *= i + r
+    d_s /= square
+    d_i = s * beta
+    d_i *= s + r
+    d_i /= square
+    d_r = s * -beta
+    d_r *= i
+    d_r /= square
+    out = np.array([d_s, d_i, d_r])
+    out[:, extinct] = 0.0
+    return out
+
+
+def test_incidence_partials_are_bitwise_the_old_band_formulas():
+    rng = np.random.default_rng(24)
+    u = rng.uniform(0.0, 3.0, size=(3, 500))
+    for beta in (0.945, 2.0):
+        assert np.array_equal(partials(*u, beta), banded_partials(*u, beta))
+        u[:, 7] = 0.0  # the masked path
+        assert np.array_equal(partials(*u, beta), banded_partials(*u, beta))
+
+
 def test_incidence_monotone_in_s():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -165,6 +242,12 @@ def test_grid_requires_interior_origin():
 def test_symmetric_grid_needs_a_finite_positive_spacing(dx):
     with pytest.raises(ValueError, match="grid spacing"):
         Grid.symmetric(10.0, dx)
+
+
+@pytest.mark.parametrize("half_width", [float("inf"), float("nan"), -float("inf")])
+def test_symmetric_grid_needs_a_finite_half_width(half_width):
+    with pytest.raises(ValueError, match="half-width must be finite"):
+        Grid.symmetric(half_width, 0.1)
 
 
 def test_grid_function_validation():

@@ -284,18 +284,6 @@ def test_snapshots_at_most_n_snapshots_plus_one_evenly_spaced_but_the_last(t_end
     assert 0.0 < gaps[-1] <= gaps[0] * (1.0 + 1e-9)
 
 
-def test_fit_window_outside_the_unit_interval_is_refused():
-    # 1.5 used to fit the same last half as 0.5; 0 and -0.5 gave nan
-    cfg = config(L=40.0, t_end=4.0)
-    for fit_window in (1.5, 0.0, -0.5, float("nan")):
-        with pytest.raises(ValueError, match="fit_window"):
-            run(cfg, fit_window=fit_window)
-        with pytest.raises(ValueError, match="fit_window"):
-            subcritical_falsification(cfg, c_target=1.0, fit_window=fit_window)
-    trace = run(cfg, fit_window=1.0).trace  # the whole trace
-    assert trace.fit_window == 1.0 and np.isfinite(trace.speed_fit)
-
-
 @pytest.mark.parametrize("name", ["n_outputs", "n_snapshots"])
 @pytest.mark.parametrize("count", [0, -3, 2.5, True, None])
 def test_sample_counts_must_be_positive_integers(name, count):

@@ -102,7 +102,7 @@ def test_fixed_point_profile_advects_at_its_design_speed():
 
     # the stepping loop of every simulation, from the solved wave instead of a pulse
     cfg = SimConfig(params=p, grid=sim, t_end=20.0, n_outputs=100)
-    res = _simulate(cfg, np.array([s0, i0, r0]), fit_window=0.7, stop_at_boundary=False)
+    res = _simulate(cfg, np.array([s0, i0, r0]), stop_at_boundary=False)
     assert res.trace.threshold == 1e-4
     assert res.trace.speed_fit == pytest.approx(c, rel=0.02)
     assert res.trace.speed_stderr < 0.01

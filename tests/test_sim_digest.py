@@ -51,7 +51,7 @@ def dipped_run():
     cfg = config(P0, t_end=2.0)
     state = cfg.initial_state()
     state[2, 300:310] = -1e-6  # negative removed density ahead of the pulse, clipped after the first step
-    res = _simulate(cfg, state, 0.5, stop_at_boundary=True)
+    res = _simulate(cfg, state, stop_at_boundary=True)
     assert res.clipped_mass > 0.0
     assert res.min_value < 0.0  # the first step still carries the dip
     return res
