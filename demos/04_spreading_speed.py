@@ -23,7 +23,7 @@ p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_
 c_star = minimal_speed(p).c_star
 print(f"prediction: fronts spread at c* = {c_star}")
 
-cfg = SimConfig(params=p, grid=Grid.symmetric(120.0, 0.2), t_end=45.0, n_outputs=180, n_snapshots=12)
+cfg = SimConfig(params=p, grid=Grid.symmetric(120.0, 0.2), t_end=45.0, n_outputs=180)
 res = run(cfg)
 print(f"measured speed: {res.trace.speed_fit:.4f} +/- {res.trace.speed_stderr:.4f}")
 print(f"front-threshold sensitivity: {res.threshold_speeds}")

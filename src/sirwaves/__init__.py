@@ -14,8 +14,6 @@ from .model import (
     Grid,
     GridFunction,
     ModelParams,
-    centered_difference,
-    edge_difference,
     incidence,
     r_naught,
     reaction_terms,

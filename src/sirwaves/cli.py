@@ -95,7 +95,7 @@ def load_config(path: str) -> dict:
 def params_from_config(cfg: dict) -> ModelParams:
     try:
         return ModelParams(**{k: float(cfg["params"][k]) for k in PARAM_KEYS})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"params: {exc}") from exc
 
 
@@ -105,8 +105,11 @@ def grid_from_config(cfg: dict) -> Grid | None:
         return None
     g = cfg["grid"]
     try:
-        return Grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
-    except (KeyError, ValueError) as exc:
+        n = float(g["n"])
+        if not n.is_integer():
+            raise ValueError(f"n must be a whole number, got {g['n']!r}")
+        return Grid(float(g["x_min"]), float(g["x_max"]), int(n))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
 
 
@@ -248,9 +251,9 @@ def cmd_profile(args) -> int:
     except ValueError as exc:
         print(f"profile: {exc}", file=sys.stderr)
         return 2
+    grid = grid_from_config(cfg)
     out = _out_dir(args)
 
-    grid = grid_from_config(cfg)
     timings = {}
     try:  # ComplexRoots, SubThreshold and an oversized window are ValueErrors
         with _timed(timings, "solve"):
@@ -329,23 +332,21 @@ def cmd_simulate(args) -> int:
     sim_block = cfg.get("sim", {})
     dt = args.dt if args.dt is not None else sim_block.get("dt")
 
-    def optional(key):
-        return None if sim_block.get(key) is None else float(sim_block[key])
+    def given(**keys):
+        # the sim block's values as floats, by argument name, for the keys it has;
+        # PulseIC and SimConfig supply the defaults of the others
+        return {name: float(sim_block[key]) for name, key in keys.items() if key in sim_block}
 
     try:  # a bad spacing, window or sim value fails here, with one line
         grid = grid or Grid.symmetric(args.L, args.dx)
         t_end = args.t_end if args.t_end is not None else float(sim_block.get("t_end", 80.0))
-        ic = pde_sim.PulseIC(
-            center=optional("pulse_center"),
-            width=float(sim_block.get("pulse_width", 2.0)),
-            amplitude=optional("pulse_amplitude"),
-        )
+        ic = pde_sim.PulseIC(**given(center="pulse_center", width="pulse_width", amplitude="pulse_amplitude"))
         sim_cfg = pde_sim.SimConfig(
             params=p, grid=grid, t_end=t_end,
             dt=float(dt) if dt is not None else None,
-            ic=ic, front_threshold=float(sim_block.get("front_threshold", 1e-4)),
+            ic=ic, **given(front_threshold="front_threshold"),
         )
-    except ValueError as exc:  # includes StabilityViolated
+    except (TypeError, ValueError) as exc:  # ValueError includes StabilityViolated
         print(f"simulate: {exc}", file=sys.stderr)
         return 2
     out = _out_dir(args)

@@ -114,17 +114,18 @@ def envelope_image(x, lam: float, eps: float, m: float, d: float, c: float, a: f
 
 
 def characteristic_f(lam: float, c: float, p: ModelParams) -> float:
-    """f(lambda) = -d2*lambda^2 + c*lambda - (beta - gamma - delta)."""
-    return symbol(lam, p.d2, c, -(p.beta - p.gamma - p.delta))
+    """f(lambda) = -d2*lambda^2 + c*lambda - q, q = p.growth_rate = beta - gamma - delta."""
+    return symbol(lam, p.d2, c, -p.growth_rate)
 
 
 def lambda0(c: float, p: ModelParams) -> CharRoots:
     """Both positive roots of f at speed c; raises ComplexRoots below the minimal speed.
 
-    The smaller root is the conjugate form of symbol_roots, free of
-    cancellation for c much larger than the minimal speed.
+    Raises SubThreshold unless p.growth_rate > 0 (R0 > 1). The smaller root is the
+    conjugate form of symbol_roots, free of cancellation for c much larger than
+    the minimal speed.
     """
-    q = p.beta - p.gamma - p.delta
+    q = p.growth_rate
     if q <= 0:
         raise SubThreshold("beta <= gamma + delta: no wave decay rate exists")
     lam_small, lam_large, s = symbol_roots(p.d2, c, -q)
@@ -137,7 +138,7 @@ def jacobian_dfe(p: ModelParams) -> np.ndarray:
     return np.array(
         [
             [0.0, -p.beta, 0.0],
-            [0.0, p.beta - p.gamma - p.delta, 0.0],
+            [0.0, p.growth_rate, 0.0],
             [0.0, p.gamma, 0.0],
         ]
     )
@@ -156,8 +157,7 @@ def a_lambda_eigenvalues(lam: float, p: ModelParams):
     """
     if lam < 0:
         raise NonPositiveLambda("lambda must be >= 0")
-    q = p.beta - p.gamma - p.delta
-    return (p.d1 * lam * lam, p.d2 * lam * lam + q, p.d3 * lam * lam)
+    return (p.d1 * lam * lam, p.d2 * lam * lam + p.growth_rate, p.d3 * lam * lam)
 
 
 def phi(lam: float, p: ModelParams) -> float:
@@ -190,14 +190,14 @@ def golden_section(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int =
 
 
 def minimal_speed(p: ModelParams, n_samples: int = 0) -> SpeedAnalysis:
-    """Minimal front speed c* = 2*sqrt(d2*(beta-gamma-delta)) with numerical cross-checks.
+    """Minimal front speed c* = 2*sqrt(d2*q), q = p.growth_rate, with numerical cross-checks.
 
-    Golden-section minimization of the infected branch must agree with the
-    closed form to 1e-8 relative; the full three-branch quotient is minimized as well
-    and reported separately, since a dominant d1 or d3 branch can push the full
-    minimum above the infected-branch value.
+    Raises SubThreshold unless q > 0 (R0 > 1). Golden-section minimization of the
+    infected branch must agree with the closed form to 1e-8 relative; the full
+    three-branch quotient is minimized as well and reported separately, since a
+    dominant d1 or d3 branch can push the full minimum above the infected-branch value.
     """
-    q = p.beta - p.gamma - p.delta
+    q = p.growth_rate
     if q <= 0:
         raise SubThreshold(
             f"beta - gamma - delta = {q} <= 0 (R0 <= 1): no minimal wave speed"
@@ -206,10 +206,11 @@ def minimal_speed(p: ModelParams, n_samples: int = 0) -> SpeedAnalysis:
     lam_star = np.sqrt(q / p.d2)
 
     # the quotient blows up at 0 and infinity; every branch's minimizer is at
-    # least lam_star*sqrt(d2/max(d1, d2, d3)), so the bracket and the
-    # tolerance shrink with it when R0 is close to 1
+    # least lam_star*sqrt(d2/max(d1, d2, d3)), so the bracket, the tolerance
+    # and the first sample shrink with it when R0 is close to 1
     lam_hi = 10.0 * max(1.0, lam_star)
-    lam_lo = min(1e-6, 0.1 * lam_star * np.sqrt(p.d2 / max(p.d1, p.d2, p.d3)))
+    lam_floor = 0.1 * lam_star * np.sqrt(p.d2 / max(p.d1, p.d2, p.d3))
+    lam_lo = min(1e-6, lam_floor)
     tol = min(1e-12, 1e-6 * lam_lo)
     i_branch = lambda lam: (p.d2 * lam * lam + q) / lam
     _, gs_min = golden_section(i_branch, lam_lo, lam_hi, tol)
@@ -223,7 +224,7 @@ def minimal_speed(p: ModelParams, n_samples: int = 0) -> SpeedAnalysis:
 
     samples = None
     if n_samples > 0:
-        lams = np.geomspace(1e-3, lam_hi, n_samples)
+        lams = np.geomspace(min(1e-3, lam_floor), lam_hi, n_samples)
         samples = tuple((float(l), float(phi(l, p))) for l in lams)
 
     return SpeedAnalysis(

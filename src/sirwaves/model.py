@@ -1,4 +1,4 @@
-"""Model parameters, grids, grid functions with their tail rates, the standard-incidence reaction terms and the stencils.
+"""Model parameters, grids, grid functions with their tail rates, the standard-incidence reaction terms and the wave stencil.
 
 Everything here is an immutable value object; the other modules build on these
 without mutating them, so instances are safe to share across workers.
@@ -44,9 +44,14 @@ class ModelParams:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
     @property
+    def growth_rate(self) -> float:
+        """q = beta - gamma - delta, the linearization's one number at the disease-free state; R0 > 1 iff q > 0."""
+        return self.beta - self.gamma - self.delta
+
+    @property
     def wave_regime(self) -> bool:
-        """True iff fronts can exist: R0 > 1 together with d3 < 2*d2."""
-        return self.beta / (self.gamma + self.delta) > 1.0 and self.d3 < 2.0 * self.d2
+        """True iff fronts can exist: R0 > 1 (growth_rate > 0) together with d3 < 2*d2."""
+        return self.growth_rate > 0 and self.d3 < 2.0 * self.d2
 
 
 def check_spacing(dx: float) -> None:
@@ -208,34 +213,11 @@ def reaction_terms(s, i, r, p: ModelParams, out=None):
     return out
 
 
-def centered_difference(y: np.ndarray, order: int) -> np.ndarray:
-    """Interior centred difference y[j+1] - 2y[j] + y[j-1] (order 2) or y[j+1] - y[j-1] (order 1).
-
-    Taken along the last axis for j = 1..n-2, it is dx^2 or 2*dx times the derivative;
-    edge_difference closes the ends. On the rows of np.eye(3) it gives the weights.
-    """
-    if order == 2:
-        return y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2]
-    if order == 1:
-        return y[..., 2:] - y[..., :-2]
-    raise ValueError(f"centred differences have order 1 or 2, not {order}")
-
-
 def wave_operator(y: np.ndarray, d, c: float, dx: float) -> np.ndarray:
     """Centred discretization of the linear wave operator d*y'' - c*y' at j = 1..n-2 of the last axis.
 
     d broadcasts against y[..., 1:-1], so a (3, 1) column gives one rate per species; c = 0
     gives diffusion. On the rows of np.eye(3) it gives the weights of y[j-1], y[j], y[j+1].
     """
-    return d * centered_difference(y, 2) / dx**2 - c * centered_difference(y, 1) / (2.0 * dx)
-
-
-def edge_difference(y: np.ndarray, dx: float):
-    """Second-order one-sided first derivatives (y'(x_0), y'(x_{n-1})) along the last axis.
-
-    These close the wave operator at the two ends of the window. On the rows of
-    np.eye(3) they give the weights of (y[0], y[1], y[2]) and of (y[-3], y[-2], y[-1]).
-    """
-    left = (-3.0 * y[..., 0] + 4.0 * y[..., 1] - y[..., 2]) / (2.0 * dx)
-    right = (3.0 * y[..., -1] - 4.0 * y[..., -2] + y[..., -3]) / (2.0 * dx)
-    return left, right
+    return (d * (y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2]) / dx**2
+            - c * (y[..., 2:] - y[..., :-2]) / (2.0 * dx))

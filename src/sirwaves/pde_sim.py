@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import Grid, ModelParams, r_naught, reaction_terms, wave_operator
+from .model import Grid, ModelParams, reaction_terms, wave_operator
 from .linear_analysis import SubThreshold, lambda0, minimal_speed
 
 
@@ -49,6 +49,8 @@ SAMPLE_BLOCK = 16
 EDGE_POINTS = 12
 # Front speeds are fitted over the last FIT_WINDOW fraction of the usable trace.
 FIT_WINDOW = 0.5
+# Full fields are stored evenly over a run, at most N_SNAPSHOTS + 1 times.
+N_SNAPSHOTS = 9
 
 # TR-BDF2 stage fraction: a trapezoid stage over TRBDF2_GAMMA of the step, then
 # BDF2 over the rest. With this choice both stages solve with the same matrix
@@ -78,15 +80,13 @@ class SimConfig:
     ic: PulseIC = field(default_factory=PulseIC)
     front_threshold: float = 1e-4  # tracking level as a fraction of S_-inf
     n_outputs: int = 200  # front-trace samples over the run
-    n_snapshots: int = 9  # stored full fields
 
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        for name in ("n_outputs", "n_snapshots"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValueError(f"{name} must be a positive integer, got {count!r}")
+        count = self.n_outputs
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"n_outputs must be a positive integer, got {count!r}")
         if self.dt is not None:
             if not self.dt > 0:
                 raise ValueError(f"dt must be positive, got {self.dt}")
@@ -179,7 +179,7 @@ class SimResult:
 
     @property
     def outcome(self) -> str:
-        if r_naught(self.config.params) <= 1.0 or not np.isfinite(self.trace.speed_fit):
+        if self.config.params.growth_rate <= 0 or not np.isfinite(self.trace.speed_fit):
             return "extinction" if self.i_max_trace[-1] < self.i_max_trace[0] else "no_front"
         return "front"
 
@@ -349,13 +349,15 @@ def _pulled_front_speed(p: ModelParams, t: np.ndarray) -> float:
     Such a front sits at c*t - (3/(2*lambda*))*ln(t) + const at late times,
     lambda* = sqrt((beta-gamma-delta)/d2) (Bramson; van Saarloos 2003, Phys.
     Rep. 386), so the window [t1, t2] sees c* - (3/(2*lambda*))*ln(t2/t1)/(t2-t1),
-    short of c*. nan when R0 <= 1 or there is no window after t = 0 to fit.
+    short of c*. That lag holds only after the relaxation time 1/(d2*lambda*^2) = 1/q,
+    q = beta - gamma - delta: nan when R0 <= 1, when there is no window after t = 0
+    to fit, or when the window starts before 1/q.
     """
     try:
         speed = minimal_speed(p)
     except SubThreshold:
         return np.nan
-    if len(t) < 4 or not 0.0 < t[0] < t[-1]:
+    if len(t) < 4 or not 0.0 < t[0] < t[-1] or p.growth_rate * t[0] < 1.0:
         return np.nan
     t1, t2 = t[0], t[-1]
     return float(speed.c_star - 1.5 / speed.lambda_star * np.log(t2 / t1) / (t2 - t1))
@@ -381,8 +383,8 @@ def _simulate(cfg: SimConfig, state: np.ndarray, stop_at_boundary: bool) -> SimR
     Roundoff negatives are clipped to zero after each step and their mass is
     counted. Fronts, mass budget and max I are sampled at t = 0, every
     ceil(n_steps/n_outputs) steps and at t_end, so at most n_outputs + 1 times;
-    the full fields likewise every ceil(n_steps/(n_snapshots - 1)) steps, at
-    most n_snapshots + 1 times. With stop_at_boundary the run ends
+    the full fields likewise every ceil(n_steps/(N_SNAPSHOTS - 1)) steps, at
+    most N_SNAPSHOTS + 1 times. With stop_at_boundary the run ends
     as soon as a sample finds the front within 10*dx of the right edge.
 
     A sample copies only the I row and the S+I+R row into a block of
@@ -394,7 +396,7 @@ def _simulate(cfg: SimConfig, state: np.ndarray, stop_at_boundary: bool) -> SimR
     dt, n_steps = cfg.time_steps()
     step = _strang_step(p, dx, grid.n, dt)
     sample_every = -(-n_steps // cfg.n_outputs)  # ceil: at most n_outputs samples after t = 0
-    snap_every = -(-n_steps // max(cfg.n_snapshots - 1, 1))  # ceil: at most n_snapshots + 1 fields
+    snap_every = -(-n_steps // (N_SNAPSHOTS - 1))  # ceil: at most N_SNAPSHOTS + 1 fields
     thresholds = {
         "1e-3": 1e-3 * p.s_minus_inf,
         "1e-4": 1e-4 * p.s_minus_inf,
@@ -533,10 +535,13 @@ def traveling_frame_check(result: SimResult) -> FrameCheck:
     else:
         slope = np.nan
     try:
-        c_star = minimal_speed(p).c_star
-        expected = lambda0(max(c_hat, c_star), p).lambda0
-    except Exception:
+        speed = minimal_speed(p)
+    except SubThreshold:
         expected = np.nan
+    else:
+        # at or below c* the rate is the double root lambda*, where lambda0(c*)
+        # can find the discriminant a rounding below 0 and raise ComplexRoots
+        expected = lambda0(c_hat, p).lambda0 if c_hat > speed.c_star else speed.lambda_star
     rel = abs(slope - expected) / expected if np.isfinite(slope) and np.isfinite(expected) else np.nan
     return FrameCheck(
         speed=c_hat,

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 # checks that the name resolves and spares it the unused-import check.
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from .model import Grid, ModelParams, check_spacing, edge_difference, incidence_partials, reaction_terms, wave_operator
+from .model import Grid, ModelParams, check_spacing, incidence_partials, reaction_terms, wave_operator
 from .linear_analysis import characteristic_f, envelope_image, lambda0, stencil_roots, symbol_roots
 from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
@@ -354,14 +354,14 @@ def discrete_decay_rate(p: ModelParams, c: float, dx: float) -> float:
     """Decay rate actually propagated by the centered stencil: log(z_lo)/dx.
 
     z_lo is the smaller stencil root of the infected equation linearized at
-    the disease-free state, the symbol with d = d2 and a = -(beta-gamma-delta);
+    the disease-free state, the symbol with d = d2 and a = -p.growth_rate;
     the rate sits O(dx^2) from the continuum rate lambda0 and is independent
     of the shift constants, so tail closures keyed to it keep the fixed point
     free of the shift-constant bookkeeping. Raises ComplexRoots below the
     minimal speed, where the stencil roots can still be real.
     """
     lambda0(c, p)  # the continuum roots decide whether a decay rate exists
-    z_lo, _, _ = stencil_roots(p.d2, c, -(p.beta - p.gamma - p.delta), dx)
+    z_lo, _, _ = stencil_roots(p.d2, c, -p.growth_rate, dx)
     return float(np.log(z_lo) / dx)
 
 
@@ -825,8 +825,6 @@ class ProfileDiagnostics:
     j_min_increment: float
     j_bound_overshoot: float  # j_max - (S(-inf) - S(x_max)); <= ~0 certifies j_max <= drop
     i_le_j_margin: float
-    i_prime_left: float
-    i_prime_right: float
 
 
 def profile_diagnostics(u: np.ndarray, grid: Grid, p: ModelParams, c: float) -> ProfileDiagnostics:
@@ -874,8 +872,6 @@ def profile_diagnostics(u: np.ndarray, grid: Grid, p: ModelParams, c: float) -> 
     j_overshoot = float(j_max - (p.s_minus_inf - s[-1]))
     i_le_j = float(np.min(j - i))
 
-    i_prime_left, i_prime_right = (float(v) for v in edge_difference(i, dx))
-
     return ProfileDiagnostics(
         s_inf=s_inf,
         s_at_right=float(s[-1]),
@@ -899,6 +895,4 @@ def profile_diagnostics(u: np.ndarray, grid: Grid, p: ModelParams, c: float) -> 
         j_min_increment=j_incr,
         j_bound_overshoot=j_overshoot,
         i_le_j_margin=i_le_j,
-        i_prime_left=i_prime_left,
-        i_prime_right=i_prime_right,
     )

@@ -12,6 +12,7 @@ those windows to wave_profile.wave_window.
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -115,3 +116,19 @@ def test_only_model_reads_the_extinction_guard():
             if "ETA_DEFAULT" in names:
                 readers.add(path.name)
     assert readers == {"model.py"}
+
+
+# the growth rate beta - gamma - delta and R0 = beta/(gamma + delta), formed from attributes
+RATE_FORMS = re.compile(r"[\w.]+\.beta - [\w.]+\.gamma - [\w.]+\.delta|[\w.]+\.beta / \([\w.]+\.gamma \+ [\w.]+\.delta\)")
+
+
+def test_only_model_forms_the_growth_rate_and_r0():
+    # ModelParams.growth_rate and model.r_naught are the one place each is
+    # formed; every other module reads them, so R0 > 1 is decided one way
+    formers = {
+        path.name
+        for path in (ROOT / "src" / "sirwaves").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and RATE_FORMS.fullmatch(ast.unparse(node))
+    }
+    assert formers == {"model.py"}

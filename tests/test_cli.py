@@ -82,6 +82,22 @@ def test_config_invalid_value_message(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,block,values,message", [
+    ("analyze", "params", {"s_minus_inf": None}, "params: "),
+    ("analyze", "params", {"beta": [2.0]}, "params: "),
+    ("profile", "grid", {"n": 4.5}, "n must be a whole number"),
+    ("profile", "grid", {"n": None}, "grid: "),
+    ("profile", "grid", {"x_min": None}, "grid: "),
+])
+def test_config_null_list_or_fractional_value_is_a_config_error(tmp_path, capsys, command, block, values, message):
+    cfg = {**P0_CONFIG, "grid": GRID_40}
+    cfg[block] = {**cfg[block], **values}
+    assert main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_profile_refuses_subcritical_speed(config_path, tmp_path, capsys):
     rc = main(["profile", config_path, "--c", "1.9", "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -257,6 +273,14 @@ def test_simulate_extinction_outcome(tmp_path):
     assert "pulled_front_speed" not in summary  # R0 <= 1: no front to pull
 
 
+def test_simulate_omits_the_pulled_front_speed_before_the_relaxation_time(tmp_path):
+    # R0 = 1 + 1e-13: the Bramson lag needs t >> 1/q = 1e13, far past t_end = 5
+    cfg = {"params": {**P0_CONFIG["params"], "beta": 1.0000000000001}}
+    out = tmp_path / "out"
+    assert main(["simulate", write_config(tmp_path, cfg), "--L", "40", "--t-end", "5", "--out", str(out)]) == 0
+    assert "pulled_front_speed" not in json.loads((out / "summary.json").read_text())
+
+
 @pytest.mark.parametrize("dt,message", [
     ("-1", "dt must be positive"),
     ("0", "dt must be positive"),
@@ -294,6 +318,9 @@ def test_simulate_bad_grid_or_t_end_exits_2_with_one_line(config_path, tmp_path,
     ({"pulse_width": "x"}, "could not convert"),
     ({"pulse_center": "left"}, "could not convert"),
     ({"t_end": float("nan")}, "t_end"),
+    ({"pulse_width": None}, "not 'NoneType'"),
+    ({"front_threshold": None}, "not 'NoneType'"),
+    ({"pulse_center": [1]}, "not 'list'"),
 ])
 def test_simulate_rejects_bad_sim_values_with_one_line(tmp_path, capsys, sim, message):
     path = write_config(tmp_path, {"params": P0_CONFIG["params"], "sim": sim})

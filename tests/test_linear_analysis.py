@@ -163,6 +163,15 @@ def test_minimal_speed_just_above_r0_one(d2):
     assert sp.full_argmin == pytest.approx(sp.lambda_star, rel=1e-4)
 
 
+def test_phi_samples_reach_below_the_minimizer_near_r0_one():
+    # lambda* = 3.2e-7: the samples start at 0.1*lambda* as the bracket does, not at 1e-3
+    p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0000000000001, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    sp = minimal_speed(p, n_samples=3)
+    assert sp.phi_samples[0][0] < sp.lambda_star < 1e-3
+    # away from R0 = 1 they start at 1e-3
+    assert minimal_speed(P0, n_samples=3).phi_samples[0][0] == 1e-3
+
+
 def test_minimal_speed_bracket_keeps_the_usual_searches_bitwise():
     # away from R0 = 1 the bracket starts at 1e-6 with tolerance 1e-12, as before
     assert minimal_speed(P0).full_argmin == 0.9999999870951527

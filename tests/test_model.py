@@ -5,8 +5,6 @@ from sirwaves import (
     Grid,
     GridFunction,
     ModelParams,
-    centered_difference,
-    edge_difference,
     incidence,
     r_naught,
     reaction_terms,
@@ -270,26 +268,20 @@ def test_tail_models():
 
 
 def test_centered_difference_weights_and_exactness():
-    assert centered_difference(np.eye(3), 2)[:, 0].tolist() == [1.0, -2.0, 1.0]
-    assert centered_difference(np.eye(3), 1)[:, 0].tolist() == [-1.0, 0.0, 1.0]
+    # wave_operator's two centred differences: d = 1, c = 0 gives the second
+    # over dx^2 and d = 0, c = -1 the first over 2*dx
+    assert wave_operator(np.eye(3), 1.0, 0.0, 1.0)[:, 0].tolist() == [1.0, -2.0, 1.0]
+    assert wave_operator(np.eye(3), 0.0, -1.0, 0.5)[:, 0].tolist() == [-1.0, 0.0, 1.0]
     # d = 1.5, c = 2, dx = 0.5: d/dx^2 = 6 and c/(2*dx) = 2, exact in binary
     assert wave_operator(np.eye(3), 1.5, 2.0, 0.5)[:, 0].tolist() == [8.0, -12.0, 4.0]
-    left, right = edge_difference(np.eye(3), 0.5)
-    assert left.tolist() == [-3.0, 4.0, -1.0]  # weights of y[0], y[1], y[2]
-    assert right.tolist() == [1.0, -4.0, 3.0]  # weights of y[-3], y[-2], y[-1]
-    with pytest.raises(ValueError):
-        centered_difference(np.eye(3), 3)
     # exact on quadratics, row by row along the last axis
     g = Grid(-1.0, 1.0, 21)
     y = np.array([g.x**2, 3.0 * g.x - 1.0])
-    second, first = centered_difference(y, 2), centered_difference(y, 1)
+    second, first = wave_operator(y, 1.0, 0.0, g.dx), wave_operator(y, 0.0, -1.0, g.dx)
     assert second.shape == first.shape == (2, g.n - 2)
-    assert np.allclose(second / g.dx**2, [[2.0], [0.0]], atol=1e-10)
-    assert np.allclose(first / (2.0 * g.dx), [2.0 * g.x[1:-1], np.full(g.n - 2, 3.0)], atol=1e-12)
-    # d*y'' - c*y' with one rate per row, and the one-sided first derivatives at both ends
+    assert np.allclose(second, [[2.0], [0.0]], atol=1e-10)
+    assert np.allclose(first, [2.0 * g.x[1:-1], np.full(g.n - 2, 3.0)], atol=1e-12)
+    # d*y'' - c*y' with one rate per row
     wave = wave_operator(y, np.array([[0.7], [1.3]]), 2.5, g.dx)
     assert np.allclose(wave, [1.4 - 5.0 * g.x[1:-1], np.full(g.n - 2, -7.5)], atol=1e-10)
-    left, right = edge_difference(y, g.dx)
-    assert np.allclose(left, [2.0 * g.x[0], 3.0], atol=1e-12)
-    assert np.allclose(right, [2.0 * g.x[-1], 3.0], atol=1e-12)
 

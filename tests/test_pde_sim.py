@@ -17,7 +17,7 @@ from sirwaves import (
     traveling_frame_check,
 )
 from sirwaves.model import incidence, reaction_terms
-from sirwaves.pde_sim import _diffusion_bands, _reaction_rk4, _strang_step
+from sirwaves.pde_sim import N_SNAPSHOTS, _diffusion_bands, _reaction_rk4, _strang_step
 
 P0 = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
 SUB = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.8, gamma=1.0, delta=1.0, s_minus_inf=1.0)
@@ -215,6 +215,13 @@ def test_pulled_front_speed_reported_beside_the_fit():
     assert np.isnan(run(config(p=SUB, L=40.0, dx=0.25, t_end=5.0)).trace.pulled_front_speed)
 
 
+def test_pulled_front_speed_nan_before_the_relaxation_time():
+    # R0 = 1 + 1e-13: the Bramson lag holds only after 1/q = 1e13, so a fit
+    # window over t in [2.5, 5] reports no pulled-front speed
+    p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0000000000001, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    assert np.isnan(run(config(p=p, L=40.0, t_end=5.0)).trace.pulled_front_speed)
+
+
 def test_pulse_must_sit_inside_window():
     with pytest.raises(ValueError):
         config(ic=PulseIC(center=49.0, width=2.0))
@@ -275,16 +282,16 @@ def test_samples_at_most_n_outputs_evenly_spaced_but_the_last(n_outputs):
 @pytest.mark.parametrize("t_end,n_steps", [(15.0, 300), (0.75, 15)])
 def test_snapshots_at_most_n_snapshots_plus_one_evenly_spaced_but_the_last(t_end, n_steps):
     cfg = config(L=50.0, dx=0.25, t_end=t_end, dt=0.05)
-    assert cfg.time_steps()[1] == n_steps and cfg.n_snapshots == 9
+    assert cfg.time_steps()[1] == n_steps and N_SNAPSHOTS == 9
     t = np.array([ts for ts, _ in run(cfg).snapshots])
-    assert len(t) <= cfg.n_snapshots + 1
+    assert len(t) <= N_SNAPSHOTS + 1
     assert t[0] == 0.0 and t[-1] == pytest.approx(t_end)
     gaps = np.diff(t)
     assert np.allclose(gaps[:-1], gaps[0], rtol=1e-9)
     assert 0.0 < gaps[-1] <= gaps[0] * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("name", ["n_outputs", "n_snapshots"])
+@pytest.mark.parametrize("name", ["n_outputs"])
 @pytest.mark.parametrize("count", [0, -3, 2.5, True, None])
 def test_sample_counts_must_be_positive_integers(name, count):
     with pytest.raises(ValueError, match=name):
@@ -304,9 +311,9 @@ def test_times_widths_and_levels_must_be_finite_and_positive(settings, message):
 
 
 def test_sample_counts_accept_numpy_integers():
-    cfg = config(L=40.0, t_end=2.0, n_outputs=np.int64(4), n_snapshots=np.int32(3))
+    cfg = config(L=40.0, t_end=2.0, n_outputs=np.int64(4))
     res = run(cfg)
-    assert len(res.mass_times) <= 5 and len(res.snapshots) <= 4
+    assert len(res.mass_times) <= 5 and len(res.snapshots) <= N_SNAPSHOTS + 1
 
 
 def test_result_records_step_size_and_steps_taken():
@@ -398,7 +405,7 @@ def test_speed_measurement_coarse():
 
 
 def test_traveling_frame_check_coarse():
-    cfg = config(L=100.0, dx=0.25, t_end=35.0, n_outputs=150, n_snapshots=12)
+    cfg = config(L=100.0, dx=0.25, t_end=35.0, n_outputs=150)
     res = run(cfg)
     frame = traveling_frame_check(res)
     assert frame.max_misalignment < 0.05

@@ -10,6 +10,7 @@ import sirwaves.wave_profile
 from sirwaves import (
     ModelParams,
     choose_alphas,
+    lambda0,
     make_gamma_set,
     map_inverses,
     minimal_speed,
@@ -264,3 +265,15 @@ def test_oversized_window_fails_the_wave_checks():
     failed = {r.name: r.details for r in results if r.status == "fail"}
     assert list(failed) == ["sub_solution_inequalities", "gamma_invariance", "fixed_point", "profile_diagnostics"]
     assert all("103201 points" in d for d in failed.values())
+
+
+def test_r0_edge_point_is_in_the_wave_regime_everywhere():
+    # beta > gamma + delta exactly here (q = 2.8e-17), though beta/(gamma + delta)
+    # rounds to 1; the regime flag, the decay rates, c* and the suite all agree on R0 > 1
+    p = ModelParams(1, 1, 1, beta=0.30000000000000004, gamma=0.1, delta=0.2, s_minus_inf=1)
+    assert p.growth_rate > 0 and p.wave_regime
+    roots = lambda0(1e-6, p)
+    assert 0.0 < roots.lambda0 < roots.lambda0_plus
+    assert 0.0 < minimal_speed(p).c_star < 1e-6
+    results = run_suite(p, 1e-6)
+    assert all(r.details != "outside the wave regime" for r in results)

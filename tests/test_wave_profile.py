@@ -827,4 +827,8 @@ def test_profile_diagnostics(solved):
     assert d.j_min_increment >= -1e-8
     assert d.j_bound_overshoot <= 1e-8
     assert d.i_le_j_margin >= -1e-12
-    assert abs(d.i_prime_left) < 1e-6 and abs(d.i_prime_right) < 1e-6
+    # I is flat at both window edges: second-order one-sided first derivatives
+    i, dx = solved.profile[1], solved.grid.dx
+    i_prime_left = (-3.0 * i[0] + 4.0 * i[1] - i[2]) / (2.0 * dx)
+    i_prime_right = (3.0 * i[-1] - 4.0 * i[-2] + i[-3]) / (2.0 * dx)
+    assert abs(i_prime_left) < 1e-6 and abs(i_prime_right) < 1e-6
