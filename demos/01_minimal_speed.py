@@ -17,7 +17,8 @@ print(f"reproduction number R0 = {r_naught(p)}")
 speed = minimal_speed(p, n_samples=9)
 print(f"minimal speed  c* = {speed.c_star}")
 print(f"minimizing decay rate = {speed.lambda_star}")
-print(f"golden-section check  = {speed.i_branch_min!r}")
+print(f"full-quotient minimum = {speed.full_min} at lambda = {speed.full_argmin}")
+print(f"infected branch active at the minimizer: {speed.i_branch_active_at_minimizer}")
 
 print("\nspeed quotient along the decay-rate axis (minimum at lambda = 1):")
 for lam, val in speed.phi_samples:
@@ -29,7 +30,7 @@ for c in (2.05, 2.5, 3.0, 4.0):
     roots = lambda0(c, p)
     print(f"  c = {c:4.2f}: slow rate {roots.lambda0:.4f}, fast rate {roots.lambda0_plus:.4f}")
 
-print("\nat c = c* the two rates collide (degenerate front):")
+print("\nat c = c* the two rates collide at lambda* (degenerate front), for any parameters:")
 roots = lambda0(speed.c_star, p)
 print(f"  c = {speed.c_star}: rate {roots.lambda0} (degenerate = {roots.degenerate})")
 

@@ -22,7 +22,6 @@ from .model import (
 from .linear_analysis import (
     CharRoots,
     ComplexRoots,
-    CrossCheckFailed,
     D3Report,
     NonPositiveLambda,
     SpeedAnalysis,

@@ -92,9 +92,17 @@ def load_config(path: str) -> dict:
     return raw
 
 
+def _number(block: dict, key: str) -> float:
+    """block[key] as a float; a value float() refuses raises ValueError naming the key."""
+    try:
+        return float(block[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def params_from_config(cfg: dict) -> ModelParams:
     try:
-        return ModelParams(**{k: float(cfg["params"][k]) for k in PARAM_KEYS})
+        return ModelParams(**{k: _number(cfg["params"], k) for k in PARAM_KEYS})
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"params: {exc}") from exc
 
@@ -105,10 +113,10 @@ def grid_from_config(cfg: dict) -> Grid | None:
         return None
     g = cfg["grid"]
     try:
-        n = float(g["n"])
+        n = _number(g, "n")
         if not n.is_integer():
             raise ValueError(f"n must be a whole number, got {g['n']!r}")
-        return Grid(float(g["x_min"]), float(g["x_max"]), int(n))
+        return Grid(_number(g, "x_min"), _number(g, "x_max"), int(n))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
 
@@ -330,21 +338,20 @@ def cmd_simulate(args) -> int:
     p = params_from_config(cfg)
     grid = grid_from_config(cfg)
     sim_block = cfg.get("sim", {})
-    dt = args.dt if args.dt is not None else sim_block.get("dt")
 
     def given(**keys):
         # the sim block's values as floats, by argument name, for the keys it has;
         # PulseIC and SimConfig supply the defaults of the others
-        return {name: float(sim_block[key]) for name, key in keys.items() if key in sim_block}
+        return {name: _number(sim_block, key) for name, key in keys.items() if key in sim_block}
 
     try:  # a bad spacing, window or sim value fails here, with one line
         grid = grid or Grid.symmetric(args.L, args.dx)
-        t_end = args.t_end if args.t_end is not None else float(sim_block.get("t_end", 80.0))
+        t_end = args.t_end if args.t_end is not None else given(t_end="t_end").get("t_end", 80.0)
+        dt = args.dt if args.dt is not None else given(dt="dt").get("dt")
         ic = pde_sim.PulseIC(**given(center="pulse_center", width="pulse_width", amplitude="pulse_amplitude"))
         sim_cfg = pde_sim.SimConfig(
             params=p, grid=grid, t_end=t_end,
-            dt=float(dt) if dt is not None else None,
-            ic=ic, **given(front_threshold="front_threshold"),
+            dt=dt, ic=ic, **given(front_threshold="front_threshold"),
         )
     except (TypeError, ValueError) as exc:  # ValueError includes StabilityViolated
         print(f"simulate: {exc}", file=sys.stderr)

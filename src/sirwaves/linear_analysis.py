@@ -19,7 +19,7 @@ from .model import ModelParams, wave_operator
 
 
 class ComplexRoots(ValueError):
-    """Speed below the minimal one: the characteristic roots are complex."""
+    """Speed below the minimal one: no front decays at a positive real rate."""
 
 
 class SubThreshold(ValueError):
@@ -30,10 +30,6 @@ class NonPositiveLambda(ValueError):
     """The speed quotient is only defined for decay rates lambda > 0."""
 
 
-class CrossCheckFailed(ValueError):
-    """Two independent computations of one quantity disagree beyond their tolerance."""
-
-
 @dataclass(frozen=True)
 class CharRoots:
     """Positive roots of the characteristic function at a given speed."""
@@ -41,23 +37,19 @@ class CharRoots:
     c: float
     lambda0: float
     lambda0_plus: float
-    degenerate: bool = False  # True exactly at c = c*, where the roots coincide
+    degenerate: bool = False  # True at c = c*, where both roots are lambda*
 
 
 @dataclass(frozen=True)
 class SpeedAnalysis:
-    """Minimal speed and minimizer, with a full-quotient cross-check.
+    """Minimal speed c_star at lambda_star, the infected branch's minimum, and phi's minimum full_min at full_argmin.
 
-    c_star / lambda_star come from the closed form for the infected branch.
-    full_min / full_argmin minimize the quotient over all three eigenvalue
-    branches; they coincide with the closed form whenever the infected branch
-    is the active maximum at the minimizer, and the discrepancy is reported
-    (never hidden) when another branch dominates.
+    The two minima coincide when the infected branch is active there; a
+    dominant d1 or d3 branch gives a larger full_min, reported, never hidden.
     """
 
     c_star: float
     lambda_star: float
-    i_branch_min: float
     full_min: float
     full_argmin: float
     i_branch_active_at_minimizer: bool
@@ -80,16 +72,12 @@ def symbol(lam, d: float, c: float, a: float):
 
 
 def symbol_roots(d: float, c: float, a: float):
-    """Roots lo <= hi of the symbol and s = sqrt(c*c + 4*d*a); raises ComplexRoots when c*c + 4*d*a < 0.
+    """Roots lo < hi of the symbol and s = sqrt(c*c + 4*d*a), for c*c + 4*d*a > 0.
 
     lo = -2a/(c + s) is the conjugate form of (c - s)/(2d), free of cancellation
     when c*c dominates 4*d*|a|; hi = (c + s)/(2d).
     """
-    disc = c * c + 4.0 * d * a
-    if disc < 0:
-        raise ComplexRoots(f"c = {c} is below the minimal speed {np.sqrt(-4.0 * d * a)}: "
-                           "characteristic roots are complex")
-    s = np.sqrt(disc)
+    s = np.sqrt(c * c + 4.0 * d * a)
     return -2.0 * a / (c + s), (c + s) / (2.0 * d), s
 
 
@@ -119,18 +107,21 @@ def characteristic_f(lam: float, c: float, p: ModelParams) -> float:
 
 
 def lambda0(c: float, p: ModelParams) -> CharRoots:
-    """Both positive roots of f at speed c; raises ComplexRoots below the minimal speed.
+    """Both positive roots of f at speed c, decided against minimal_speed(p)'s c* and lambda*.
 
-    Raises SubThreshold unless p.growth_rate > 0 (R0 > 1). The smaller root is the
-    conjugate form of symbol_roots, free of cancellation for c much larger than
-    the minimal speed.
+    Raises SubThreshold unless p.growth_rate > 0 (R0 > 1) and ComplexRoots for c < c*.
+    At c = c*, and above it where c*c - 4*d2*q rounds to <= 0, both roots are lambda*
+    (degenerate); otherwise symbol_roots gives them, the smaller free of cancellation.
     """
+    speed = minimal_speed(p)
+    if c < speed.c_star:
+        raise ComplexRoots(f"c = {c} is below the minimal speed {speed.c_star}")
     q = p.growth_rate
-    if q <= 0:
-        raise SubThreshold("beta <= gamma + delta: no wave decay rate exists")
-    lam_small, lam_large, s = symbol_roots(p.d2, c, -q)
-    degenerate = bool(s <= 1e-13 * max(1.0, c))
-    return CharRoots(c=float(c), lambda0=float(lam_small), lambda0_plus=float(lam_large), degenerate=degenerate)
+    if c == speed.c_star or c * c - 4.0 * p.d2 * q <= 0:
+        lam = float(speed.lambda_star)
+        return CharRoots(c=float(c), lambda0=lam, lambda0_plus=lam, degenerate=True)
+    lam_small, lam_large, _ = symbol_roots(p.d2, c, -q)
+    return CharRoots(c=float(c), lambda0=float(lam_small), lambda0_plus=float(lam_large))
 
 
 def jacobian_dfe(p: ModelParams) -> np.ndarray:
@@ -168,7 +159,7 @@ def phi(lam: float, p: ModelParams) -> float:
 
 
 def golden_section(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 400):
-    """Minimize a unimodal scalar function on [lo, hi]; returns (argmin, min)."""
+    """Minimize a unimodal scalar function on [lo, hi]; returns (argmin, min). Used by wave_profile.align_profiles."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
@@ -190,47 +181,37 @@ def golden_section(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int =
 
 
 def minimal_speed(p: ModelParams, n_samples: int = 0) -> SpeedAnalysis:
-    """Minimal front speed c* = 2*sqrt(d2*q), q = p.growth_rate, with numerical cross-checks.
+    """Minimal front speed c* = 2*sqrt(d2*q) at lambda* = sqrt(q/d2), q = p.growth_rate, and phi's minimum.
 
-    Raises SubThreshold unless q > 0 (R0 > 1). Golden-section minimization of the
-    infected branch must agree with the closed form to 1e-8 relative; the full
-    three-branch quotient is minimized as well and reported separately, since a
-    dominant d1 or d3 branch can push the full minimum above the infected-branch value.
+    Raises SubThreshold unless q > 0 (R0 > 1). The one place c* and lambda*
+    are formed: every "is c above c*?" reads them here. phi(l) = max(d1*l,
+    d2*l + q/l, d3*l) and the outer branches rise with l, so with D =
+    max(d1, d3) the infected branch is active at lambda* exactly when
+    D <= 2*d2; otherwise phi is least where D*l meets it, at sqrt(q/(D - d2)).
+    n_samples > 0 adds that many samples of phi, geometrically spaced.
     """
     q = p.growth_rate
     if q <= 0:
-        raise SubThreshold(
-            f"beta - gamma - delta = {q} <= 0 (R0 <= 1): no minimal wave speed"
-        )
+        raise SubThreshold(f"beta - gamma - delta = {q} <= 0 (R0 <= 1): no minimal wave speed")
     c_star = 2.0 * np.sqrt(p.d2 * q)
     lam_star = np.sqrt(q / p.d2)
 
-    # the quotient blows up at 0 and infinity; every branch's minimizer is at
-    # least lam_star*sqrt(d2/max(d1, d2, d3)), so the bracket, the tolerance
-    # and the first sample shrink with it when R0 is close to 1
-    lam_hi = 10.0 * max(1.0, lam_star)
-    lam_floor = 0.1 * lam_star * np.sqrt(p.d2 / max(p.d1, p.d2, p.d3))
-    lam_lo = min(1e-6, lam_floor)
-    tol = min(1e-12, 1e-6 * lam_lo)
-    i_branch = lambda lam: (p.d2 * lam * lam + q) / lam
-    _, gs_min = golden_section(i_branch, lam_lo, lam_hi, tol)
-    if abs(gs_min - c_star) > 1e-8 * c_star:
-        raise CrossCheckFailed(
-            f"golden-section minimum {gs_min} disagrees with closed form {c_star}"
-        )
-
-    full_argmin, full_min = golden_section(lambda lam: phi(lam, p), lam_lo, lam_hi, tol)
-    active = abs(phi(lam_star, p) - i_branch(lam_star)) <= 1e-12 * max(1.0, c_star)
+    outer = max(p.d1, p.d3)
+    active = outer <= 2.0 * p.d2
+    full_argmin = lam_star if active else np.sqrt(q / (outer - p.d2))
+    full_min = c_star if active else outer * full_argmin
 
     samples = None
     if n_samples > 0:
-        lams = np.geomspace(min(1e-3, lam_floor), lam_hi, n_samples)
+        # every branch's minimizer is at least lam_star*sqrt(d2/max(d1, d2, d3)),
+        # so the first sample sits below the minimizer even when R0 is close to 1
+        lam_floor = 0.1 * lam_star * np.sqrt(p.d2 / max(p.d1, p.d2, p.d3))
+        lams = np.geomspace(min(1e-3, lam_floor), 10.0 * max(1.0, lam_star), n_samples)
         samples = tuple((float(l), float(phi(l, p))) for l in lams)
 
     return SpeedAnalysis(
         c_star=c_star,
         lambda_star=lam_star,
-        i_branch_min=gs_min,
         full_min=full_min,
         full_argmin=full_argmin,
         i_branch_active_at_minimizer=bool(active),

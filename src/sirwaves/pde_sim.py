@@ -539,8 +539,8 @@ def traveling_frame_check(result: SimResult) -> FrameCheck:
     except SubThreshold:
         expected = np.nan
     else:
-        # at or below c* the rate is the double root lambda*, where lambda0(c*)
-        # can find the discriminant a rounding below 0 and raise ComplexRoots
+        # below c* no front decays at a rate of its own; a pulled front's
+        # leading edge decays at the double root lambda*, as at c* itself
         expected = lambda0(c_hat, p).lambda0 if c_hat > speed.c_star else speed.lambda_star
     rel = abs(slope - expected) / expected if np.isfinite(slope) and np.isfinite(expected) else np.nan
     return FrameCheck(

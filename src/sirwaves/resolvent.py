@@ -28,7 +28,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .model import Grid, GridFunction, ModelParams
-from .linear_analysis import CrossCheckFailed, envelope_image, lambda0, stencil_roots, symbol, symbol_roots
+from .linear_analysis import envelope_image, lambda0, stencil_roots, symbol, symbol_roots
 
 
 class TailIncompatible(ValueError):
@@ -67,15 +67,9 @@ class ResolventSpec:
     @classmethod
     def build(cls, index: int, d: float, c: float, alpha: float) -> "ResolventSpec":
         lam_minus, lam_plus, s = symbol_roots(d, c, alpha)
-        rho_diff = d * (lam_plus - lam_minus)
-        if abs(rho_diff - s) > 1e-12 * s:
-            raise CrossCheckFailed("the two closed forms of rho disagree")
         if not (lam_minus < 0 < -lam_minus < lam_plus):
             raise ExponentOrdering("kernel exponents lost their ordering")
-        return cls(
-            index=index, d=d, c=c, alpha=alpha,
-            lambda_minus=lam_minus, lambda_plus=lam_plus, rho=s,
-        )
+        return cls(index=index, d=d, c=c, alpha=alpha, lambda_minus=lam_minus, lambda_plus=lam_plus, rho=s)
 
     def f(self, lam: float) -> float:
         """f_i(lambda) = -d lambda^2 + c lambda + alpha; the kernel exponents are its roots."""

@@ -499,8 +499,7 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
         warnings.append(f"not certified at tol {tol:.1e}: one step of F moved the Newton root by {res_m:.2e} "
                         f"and left a wave-equation residual of {ode_res:.2e}")
 
-    n_tail = max(2, int(0.1 * grid.n))
-    s_inf = float(np.mean(u[0, -n_tail:]))
+    s_inf = _s_plus_inf(u[0])
 
     i_vals = u[1]
     mass = _cumulative_integral(i_vals, grid.dx, 0.0)
@@ -733,13 +732,14 @@ def wave_window(p: ModelParams, c: float, dx: float | None = None) -> Grid:
     puts I below exp(-26) at x_min, under the solve's window guard, and lets S,
     which settles at the slower rate, meet the map's constant tail there. The
     right edge max(half, ceil(16.1/kappa/10)*10), kappa = outflow_rate(p, c),
-    lets I fall below exp(-16.1) of its scale by x_max. Raises ValueError above MAX_WINDOW_POINTS
-    or for a spacing that is not finite and positive.
+    lets I fall below exp(-16.1) of its scale by x_max. Raises lambda0's errors first (c < c*,
+    c <= 0 included), then ValueError above MAX_WINDOW_POINTS or for a spacing not finite and positive.
     """
+    l0 = lambda0(c, p).lambda0
     if dx is None:
         dx = min(0.05, 0.9 * 2.0 * min(p.d1, p.d2, p.d3) / c)
     check_spacing(dx)
-    half = max(60.0, np.ceil(26.0 / min(lambda0(c, p).lambda0, c / p.d1) / 10.0) * 10.0)
+    half = max(60.0, np.ceil(26.0 / min(l0, c / p.d1) / 10.0) * 10.0)
     right = max(half, np.ceil(16.1 / outflow_rate(p, c) / 10.0) * 10.0)
     n = int(round((half + right) / dx)) + 1
     if n > MAX_WINDOW_POINTS:
@@ -767,6 +767,12 @@ def align_profiles(a: np.ndarray, b: np.ndarray, grid: Grid):
 
     shift, diff = golden_section(mismatch, -2.0, 2.0, tol=1e-14)
     return shift, diff
+
+
+def _s_plus_inf(s: np.ndarray) -> float:
+    """S(+inf) of a profile's S row, estimated as its mean over the last 10% of the points (at least 2)."""
+    n_tail = max(2, int(0.1 * s.size))
+    return float(np.mean(s[-n_tail:]))
 
 
 def _exp_decay_convolution(psi: np.ndarray, rate: float, dx: float, right_rate: float) -> np.ndarray:
@@ -804,7 +810,6 @@ class ProfileDiagnostics:
     """
 
     s_inf: float
-    s_at_right: float  # S at the last grid point; a certified upper bound on S(inf)
     s_drop: float
     s_max_wrong_increment: float
     r_max_wrong_increment: float
@@ -813,9 +818,6 @@ class ProfileDiagnostics:
     left_decay_rate: float
     left_decay_rel_err: float
     right_decay_rate: float
-    integral_gamma_delta_i: float
-    integral_incidence: float
-    c_times_drop: float
     integral_identity_spread: float
     r_end: float
     r_end_predicted: float
@@ -833,8 +835,7 @@ def profile_diagnostics(u: np.ndarray, grid: Grid, p: ModelParams, c: float) -> 
     s, i, r = u
     l0 = lambda0(c, p).lambda0
 
-    n_tail = max(2, int(0.1 * grid.n))
-    s_inf = float(np.mean(s[-n_tail:]))
+    s_inf = _s_plus_inf(s)
     drop = p.s_minus_inf - s_inf
 
     s_wrong = float(np.max(np.diff(s)))
@@ -874,7 +875,6 @@ def profile_diagnostics(u: np.ndarray, grid: Grid, p: ModelParams, c: float) -> 
 
     return ProfileDiagnostics(
         s_inf=s_inf,
-        s_at_right=float(s[-1]),
         s_drop=drop,
         s_max_wrong_increment=s_wrong,
         r_max_wrong_increment=r_wrong,
@@ -883,9 +883,6 @@ def profile_diagnostics(u: np.ndarray, grid: Grid, p: ModelParams, c: float) -> 
         left_decay_rate=float(left_fit),
         left_decay_rel_err=float(abs(left_fit - l0) / l0),
         right_decay_rate=float(right_fit),
-        integral_gamma_delta_i=int_i,
-        integral_incidence=int_inc,
-        c_times_drop=c_drop,
         integral_identity_spread=spread,
         r_end=r_end,
         r_end_predicted=r_end_pred,

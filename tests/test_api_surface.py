@@ -132,3 +132,33 @@ def test_only_model_forms_the_growth_rate_and_r0():
         if isinstance(node, ast.BinOp) and RATE_FORMS.fullmatch(ast.unparse(node))
     }
     assert formers == {"model.py"}
+
+
+# the minimal speed 2*sqrt(d2*q), formed from a diffusion rate d2
+C_STAR_FORM = re.compile(r"2\.0 \* np\.sqrt\(.*\bd2 \* .*\)")
+
+
+def test_only_linear_analysis_forms_the_minimal_speed():
+    # minimal_speed is the one place c* is formed, so every "is c above c*?"
+    # compares against one number
+    formers = {
+        path.name
+        for path in (ROOT / "src" / "sirwaves").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and C_STAR_FORM.fullmatch(ast.unparse(node))
+    }
+    assert formers == {"linear_analysis.py"}
+
+
+def test_golden_section_serves_only_align_profiles():
+    # the minimal speed and the full quotient's minimum are closed forms; no
+    # numerical speed search may come back beside them
+    callers = set()
+    for path in (ROOT / "src" / "sirwaves").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "golden_section" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}.{owner}")
+    assert callers == {"wave_profile.align_profiles"}

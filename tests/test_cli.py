@@ -95,6 +95,7 @@ def test_config_null_list_or_fractional_value_is_a_config_error(tmp_path, capsys
     assert main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+    assert f"{block}: {next(iter(values))}" in err[0]  # the line names the key
     assert not (tmp_path / "o").exists()
 
 
@@ -110,6 +111,42 @@ def test_profile_at_c_star_exits_2_with_one_line(config_path, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("solve failed: ") and "minimal speed" in err[0]
+
+
+def _c_star_config(tmp_path, beta):
+    """A config of P0 with this beta, and its minimal speed as --c reads it back."""
+    from sirwaves import ModelParams, minimal_speed
+
+    params = {**P0_CONFIG["params"], "beta": beta}
+    return write_config(tmp_path, {"params": params}), repr(float(minimal_speed(ModelParams(**params)).c_star))
+
+
+@pytest.mark.parametrize("beta,c,refusal", [
+    (1.1, "c*", "is the minimal speed"),
+    (1.3, "c*", "is the minimal speed"),
+    (2.0, "0", "is below the minimal speed"),
+    (2.0, "-3", "is below the minimal speed"),
+])
+def test_profile_at_c_star_or_no_speed_exits_2_with_one_line(tmp_path, capsys, beta, c, refusal):
+    # c* itself is refused wherever the discriminant rounds (P0 has its own
+    # test), and a speed of zero or below before the window's spacing divides by it
+    path, c_star = _c_star_config(tmp_path, beta)
+    out = tmp_path / "out"
+    assert main(["profile", path, "--c", c_star if c == "c*" else c, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solve failed: ") and refusal in err[0]
+    assert not (out / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("beta", [1.1, 1.3])
+def test_analyze_at_c_star_reports_the_double_root(tmp_path, beta):
+    path, c_star = _c_star_config(tmp_path, beta)
+    out = tmp_path / "out"
+    assert main(["analyze", path, "--c", c_star, "--out", str(out)]) == 0
+    payload = json.loads((out / "analysis.json").read_text())
+    (entry,) = payload["lambda0_table"]
+    assert entry["degenerate"] is True and "error" not in entry
+    assert entry["lambda0"] == entry["lambda0_plus"] == payload["lambda_star"]
 
 
 def test_refused_solve_clears_the_previous_outputs(config_path, tmp_path, capsys):
@@ -320,6 +357,7 @@ def test_simulate_bad_grid_or_t_end_exits_2_with_one_line(config_path, tmp_path,
     ({"t_end": float("nan")}, "t_end"),
     ({"pulse_width": None}, "not 'NoneType'"),
     ({"front_threshold": None}, "not 'NoneType'"),
+    ({"dt": None}, "not 'NoneType'"),
     ({"pulse_center": [1]}, "not 'list'"),
 ])
 def test_simulate_rejects_bad_sim_values_with_one_line(tmp_path, capsys, sim, message):
@@ -328,6 +366,9 @@ def test_simulate_rejects_bad_sim_values_with_one_line(tmp_path, capsys, sim, me
     assert main(["simulate", path, "--L", "20", "--dx", "0.2", "--out", out]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("simulate: ") and message in err[0]
+    key = next(iter(sim))
+    if not isinstance(sim[key], float):  # a value float() refuses: the line names its key
+        assert err[0].startswith(f"simulate: {key}: ")
     assert not os.path.exists(out)
 
 

@@ -44,6 +44,10 @@ def test_lambda0_degenerate_at_c_star():
 def test_lambda0_complex_below_c_star():
     with pytest.raises(ComplexRoots):
         lambda0(1.9, P0)
+    # c = 0 has complex roots and c = -3 <= -c* two negative ones: neither is a front
+    for c in (0.0, -3.0):
+        with pytest.raises(ComplexRoots, match="below the minimal speed"):
+            lambda0(c, P0)
 
 
 def test_lambda0_stable_for_large_c():
@@ -114,8 +118,13 @@ def test_minimal_speed_closed_forms():
 
 
 def test_minimal_speed_golden_section_agreement():
+    # a numerical minimization of the infected branch reaches the closed form
+    from sirwaves.linear_analysis import golden_section
+
     sp = minimal_speed(P0)
-    assert abs(sp.i_branch_min - sp.c_star) <= 1e-8 * sp.c_star
+    q = P0.growth_rate
+    _, gs_min = golden_section(lambda lam: (P0.d2 * lam * lam + q) / lam, 1e-6, 10.0, 1e-12)
+    assert abs(gs_min - sp.c_star) <= 1e-8 * sp.c_star
 
 
 def test_minimal_speed_brute_force_grid():
@@ -151,16 +160,15 @@ def test_minimal_speed_reports_full_quotient():
 
 @pytest.mark.parametrize("d2", [1.0, 1e6])
 def test_minimal_speed_just_above_r0_one(d2):
-    # lambda* = sqrt(1e-13/d2) lies far below the old fixed bracket end 1e-6,
-    # where both golden-section searches used to end and the cross-check failed
+    # lambda* = sqrt(1e-13/d2) lies far below 1e-6, where a numerical
+    # search on a fixed bracket would end; the closed forms need no bracket
     p = ModelParams(d1=1.0, d2=d2, d3=1.0, beta=1.0000000000001, gamma=0.5, delta=0.5, s_minus_inf=1.0)
     q = p.beta - p.gamma - p.delta
     sp = minimal_speed(p)
     assert sp.c_star == 2.0 * np.sqrt(d2 * q)
-    assert abs(sp.i_branch_min - sp.c_star) <= 1e-8 * sp.c_star
     assert sp.i_branch_active_at_minimizer
-    assert sp.full_min == pytest.approx(sp.c_star, rel=1e-8)
-    assert sp.full_argmin == pytest.approx(sp.lambda_star, rel=1e-4)
+    assert sp.full_min == sp.c_star
+    assert sp.full_argmin == sp.lambda_star
 
 
 def test_phi_samples_reach_below_the_minimizer_near_r0_one():
@@ -172,11 +180,42 @@ def test_phi_samples_reach_below_the_minimizer_near_r0_one():
     assert minimal_speed(P0, n_samples=3).phi_samples[0][0] == 1e-3
 
 
-def test_minimal_speed_bracket_keeps_the_usual_searches_bitwise():
-    # away from R0 = 1 the bracket starts at 1e-6 with tolerance 1e-12, as before
-    assert minimal_speed(P0).full_argmin == 0.9999999870951527
-    p = ModelParams(d1=50.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
-    assert minimal_speed(p).full_min == 7.1428571428649015
+def test_minimal_speed_full_quotient_closed_form():
+    # infected branch active (P0), susceptible-dominated (d1 = 50) and
+    # removed-dominated (d3 = 3 > 2*d2): each closed form is a value of phi
+    # that no point of a fine grid undercuts, and the grid's minimum comes
+    # within its kink error (slope times spacing) of it
+    p_s = ModelParams(d1=50.0, d2=1.0, d3=1.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    p_r = ModelParams(d1=1.0, d2=1.0, d3=3.0, beta=2.0, gamma=0.5, delta=0.5, s_minus_inf=1.0)
+    sp0, sp_s, sp_r = minimal_speed(P0), minimal_speed(p_s), minimal_speed(p_r)
+    assert sp0.full_argmin == 1.0 and sp0.full_min == sp0.c_star
+    assert sp_s.full_argmin == np.sqrt(1 / 49) and sp_s.full_min == 50 * np.sqrt(1 / 49)
+    assert sp_r.full_argmin == np.sqrt(1 / 2) and sp_r.full_min == 3 * np.sqrt(1 / 2)
+    assert not sp_s.i_branch_active_at_minimizer and not sp_r.i_branch_active_at_minimizer
+    lams = np.linspace(1e-4, 10.0, 1_000_000)
+    for p, sp in ((P0, sp0), (p_s, sp_s), (p_r, sp_r)):
+        grid_phi = np.maximum.reduce([p.d1 * lams, p.d2 * lams + p.growth_rate / lams, p.d3 * lams])
+        assert phi(sp.full_argmin, p) == pytest.approx(sp.full_min, rel=1e-15)
+        assert -1e-12 <= np.min(grid_phi) - sp.full_min <= 1e-6 + max(p.d1, p.d3) * (lams[1] - lams[0])
+        assert abs(lams[np.argmin(grid_phi)] - sp.full_argmin) <= 1e-4
+
+
+def test_lambda0_at_the_minimal_speed_over_regime_draws():
+    # c* decides: at c* the roots are lambda* (never a rounding of the
+    # discriminant either side of 0), one ulp below is refused, one ulp above
+    # gives two distinct real roots
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        d1, d2, d3 = rng.uniform(0.05, 5.0, size=3)
+        gamma, delta = rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.0)
+        p = ModelParams(d1, d2, d3, (gamma + delta) * rng.uniform(1.001, 5.0), gamma, delta, 1.0)
+        sp = minimal_speed(p)
+        at = lambda0(sp.c_star, p)
+        assert at.degenerate and at.lambda0 == at.lambda0_plus == sp.lambda_star
+        with pytest.raises(ComplexRoots):
+            lambda0(np.nextafter(sp.c_star, 0.0), p)
+        above = lambda0(np.nextafter(sp.c_star, np.inf), p)
+        assert not above.degenerate and 0.0 < above.lambda0 < above.lambda0_plus
 
 
 def test_f_concavity():

@@ -79,20 +79,6 @@ def test_subthreshold_params_skip_wave_checks():
     assert suite_passed(results)  # skipped is not a failure
 
 
-def test_a_failed_minimal_speed_fails_the_wave_checks(monkeypatch):
-    # only SubThreshold means no wave; any other error is a failure to report, not a skip
-    from sirwaves.linear_analysis import CrossCheckFailed
-
-    def broken(p):
-        raise CrossCheckFailed("golden-section minimum disagrees")
-
-    monkeypatch.setattr(sirwaves.verification, "minimal_speed", broken)
-    results = run_suite(P0, 2.5, level="quick")
-    assert [r.status for r in results] == ["fail"] * 6
-    assert all(r.details == "minimal_speed: CrossCheckFailed: golden-section minimum disagrees" for r in results)
-    assert not suite_passed(results)
-
-
 def test_quick_suite_is_bitwise_deterministic():
     a = report_json(run_suite(P0, 2.5, level="quick"))
     b = report_json(run_suite(P0, 2.5, level="quick"))
