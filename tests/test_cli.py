@@ -357,8 +357,8 @@ def test_simulate_bad_grid_or_t_end_exits_2_with_one_line(config_path, tmp_path,
     ({"t_end": float("nan")}, "t_end"),
     ({"pulse_width": None}, "not 'NoneType'"),
     ({"front_threshold": None}, "not 'NoneType'"),
-    ({"dt": None}, "not 'NoneType'"),
     ({"pulse_center": [1]}, "not 'list'"),
+    ({"dt": None}, "not 'NoneType'"),
 ])
 def test_simulate_rejects_bad_sim_values_with_one_line(tmp_path, capsys, sim, message):
     path = write_config(tmp_path, {"params": P0_CONFIG["params"], "sim": sim})
