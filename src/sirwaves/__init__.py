@@ -23,13 +23,17 @@ from .linear_analysis import (
     CharRoots,
     ComplexRoots,
     D3Report,
+    NoFront,
     NonPositiveLambda,
+    OutsideHypothesis,
     SpeedAnalysis,
     SubThreshold,
     a_lambda_eigenvalues,
     a_lambda_matrix,
     characteristic_f,
     check_d3_condition,
+    envelope,
+    front_roots,
     jacobian_dfe,
     lambda0,
     minimal_speed,
@@ -59,7 +63,6 @@ from .wave_profile import (
     align_profiles,
     apply_F,
     discrete_decay_rate,
-    eval_bounds,
     make_bound_set,
     make_gamma_set,
     map_inverses,

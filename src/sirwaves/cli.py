@@ -26,6 +26,8 @@ from . import __version__
 from .model import Grid, ModelParams, check_spacing, r_naught
 from .linear_analysis import (
     ComplexRoots,
+    NoFront,
+    OutsideHypothesis,
     SubThreshold,
     check_d3_condition,
     lambda0,
@@ -263,7 +265,7 @@ def cmd_profile(args) -> int:
     out = _out_dir(args)
 
     timings = {}
-    try:  # ComplexRoots, SubThreshold and an oversized window are ValueErrors
+    try:  # every NoFront and an oversized window are ValueErrors
         with _timed(timings, "solve"):
             report = solve_fixed_point(p, c, grid or wave_window(p, c, args.dx), tol=args.tol)
     except (ValueError, NotConverged, SingularJacobian) as exc:
@@ -447,15 +449,6 @@ def _sweep_one(job):
         row.update(outcome="no_speed_requested")
         return row
     row["c"] = c
-    if row["c_star"] is None:
-        row.update(outcome="extinction")
-        return row
-    if not p.wave_regime:
-        row.update(outcome="no_wave_regime")
-        return row
-    if c <= row["c_star"]:
-        row.update(outcome="subcritical")
-        return row
     try:
         rep = solve_fixed_point(p, c, wave_window(p, c, dx), tol=tol)
         row.update(
@@ -465,6 +458,12 @@ def _sweep_one(job):
             residual=rep.residual,
             iterations=rep.iterations,
         )
+    except SubThreshold:
+        row.update(outcome="extinction")
+    except OutsideHypothesis:
+        row.update(outcome="no_wave_regime")
+    except NoFront:  # c <= c*
+        row.update(outcome="subcritical")
     except Exception as exc:  # record, never drop
         row.update(outcome="error", error=str(exc))
     return row

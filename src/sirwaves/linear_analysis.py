@@ -18,12 +18,20 @@ import numpy as np
 from .model import ModelParams, wave_operator
 
 
-class ComplexRoots(ValueError):
+class NoFront(ValueError):
+    """The envelope construction does not apply at (p, c), so no front is solved for there; see front_roots."""
+
+
+class ComplexRoots(NoFront):
     """Speed below the minimal one: no front decays at a positive real rate."""
 
 
-class SubThreshold(ValueError):
+class SubThreshold(NoFront):
     """beta <= gamma + delta (R0 <= 1): no positive minimal speed exists."""
+
+
+class OutsideHypothesis(NoFront):
+    """d3 >= 2*d2: the envelope construction's hypothesis d3 < 2*d2 fails."""
 
 
 class NonPositiveLambda(ValueError):
@@ -94,6 +102,12 @@ def stencil_roots(d: float, c: float, a: float, dx: float):
     A, B, E = -w[0], a - w[1], -w[2]
     s = np.sqrt(B * B - 4.0 * A * E)
     return -2.0 * A / (B + s), (B + s) / (-2.0 * E), s
+
+
+def envelope(x, amp: float, lam: float, eps: float, m: float):
+    """The envelope piece max(amp*exp(lam*x)*(1 - m*exp(eps*x)), 0); m = 0 gives amp*exp(lam*x) itself."""
+    cut = 1.0 - m * np.exp(eps * x) if m else 1.0
+    return np.maximum(amp * np.exp(lam * x) * cut, 0.0)
 
 
 def envelope_image(x, lam: float, eps: float, m: float, d: float, c: float, a: float):
@@ -229,3 +243,18 @@ def check_d3_condition(p: ModelParams, c: float) -> D3Report:
         lambda0=roots.lambda0,
         c_minus_d3_lambda0=float(prod),
     )
+
+
+def front_roots(c: float, p: ModelParams) -> CharRoots:
+    """The roots at speed c where the envelope construction applies: the one decision of where a front is solved for.
+
+    Otherwise raises, in this order, SubThreshold (R0 <= 1), ComplexRoots
+    (c < c*), OutsideHypothesis (d3 >= 2*d2) or, at c = c*, a plain NoFront.
+    """
+    roots = lambda0(c, p)
+    if not check_d3_condition(p, c).satisfied:
+        raise OutsideHypothesis(
+            f"d3 = {p.d3} is not below 2*d2 = {2.0 * p.d2}; the envelope construction needs d3 < 2*d2")
+    if roots.degenerate:
+        raise NoFront(f"c = {c} is the minimal speed; the envelope construction needs c > c*")
+    return roots

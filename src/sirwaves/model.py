@@ -48,11 +48,6 @@ class ModelParams:
         """q = beta - gamma - delta, the linearization's one number at the disease-free state; R0 > 1 iff q > 0."""
         return self.beta - self.gamma - self.delta
 
-    @property
-    def wave_regime(self) -> bool:
-        """True iff fronts can exist: R0 > 1 (growth_rate > 0) together with d3 < 2*d2."""
-        return self.growth_rate > 0 and self.d3 < 2.0 * self.d2
-
 
 def check_spacing(dx: float) -> None:
     """Raise ValueError unless the grid spacing dx is finite and positive."""

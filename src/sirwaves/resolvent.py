@@ -28,7 +28,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .model import Grid, GridFunction, ModelParams
-from .linear_analysis import envelope_image, lambda0, stencil_roots, symbol, symbol_roots
+from .linear_analysis import envelope, envelope_image, lambda0, stencil_roots, symbol, symbol_roots
 
 
 class TailIncompatible(ValueError):
@@ -263,5 +263,5 @@ def delta_inverse_piecewise_g(
         )
     result = _kernel_sums(dg, kern, t_left, 0.0)
 
-    g_vals = np.maximum(np.exp(lam * x) * (1.0 - big_m * np.exp(eps * x)), 0.0)
+    g_vals = envelope(x, 1.0, lam, eps, big_m)
     return result, g_vals, result - g_vals

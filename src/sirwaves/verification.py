@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .model import Grid, ModelParams
-from .linear_analysis import SubThreshold, lambda0, minimal_speed
+from .linear_analysis import NoFront, lambda0, minimal_speed
 from .resolvent import TailIncompatible, choose_alphas, delta_inverse_piecewise_g, inverse_operator
 from .wave_profile import (
     NotConverged,
@@ -183,7 +183,10 @@ class _Context:
 
     p: ModelParams
     c: float
-    c_star: float
+
+    @cached_property
+    def c_star(self) -> float:
+        return minimal_speed(self.p).c_star
 
     @cached_property
     def l0(self) -> float:
@@ -385,24 +388,19 @@ def run_suite(p: ModelParams, c: float, level: str = "quick") -> list:
     quick: operator identities, envelope inequalities, invariance of the
     convex set, the fixed point with its Newton agreement, and the
     profile diagnostics. full: adds the spreading-speed measurement and the
-    two nonexistence falsification runs.
+    two nonexistence falsification runs. Where the solve meets front_roots'
+    NoFront, every check that needs a wave is skipped with its message.
     """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    try:
-        c_star = minimal_speed(p).c_star
-    except SubThreshold:
-        c_star = float("nan")
-    wave_ok = p.wave_regime and c > c_star
-    ctx = _Context(p, c, c_star)
+    ctx = _Context(p, c)
 
     results: list[CheckResult] = []
     for name, claim, needs_wave, compute in QUICK_CHECKS + (FULL_CHECKS if level == "full" else ()):
-        if needs_wave and not wave_ok:
-            results.append(_skipped(name, claim, "outside the wave regime"))
-            continue
         start = time.perf_counter()
         try:
+            if needs_wave and isinstance(ctx._solve, NoFront):  # the first such check runs the solve
+                raise _Skip(str(ctx._solve))
             margin, tol, details = compute(ctx)
         except _Skip as why:
             results.append(_skipped(name, claim, str(why)))

@@ -22,7 +22,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .model import Grid, ModelParams, check_spacing, incidence_partials, reaction_terms, wave_operator
-from .linear_analysis import characteristic_f, envelope_image, lambda0, stencil_roots, symbol_roots
+from .linear_analysis import characteristic_f, envelope, envelope_image, front_roots, lambda0
+from .linear_analysis import stencil_roots, symbol_roots
 from .resolvent import choose_alphas, choose_mu, first_order_recursion, inverse_operator
 
 # Residual sup norm the Newton solve must reach where its roundoff floor is
@@ -38,12 +39,12 @@ BAND_KL, BAND_KU = 3, 3
 MAX_WINDOW_POINTS = 50_001
 
 
-class SearchExhausted(RuntimeError):
-    """No envelope amplitude below 1e12 satisfies its inequality."""
-
-
 class EnvelopeConditionFailed(ValueError):
     """An inequality of the envelope construction fails at these parameters and speed."""
+
+
+class SearchExhausted(EnvelopeConditionFailed):
+    """No envelope amplitude below 1e12 satisfies its inequality."""
 
 
 class NotConverged(RuntimeError):
@@ -78,28 +79,14 @@ class BoundSet:
     x2: float
     x3: float
 
-    def s_plus(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.s_minus_inf)
-
-    def s_minus(self, x):
+    def envelopes(self, x):
+        """The (super, sub) envelope pieces at x as (3, len(x)) arrays, rows S, I, R; the super pieces have M = 0."""
         x = np.asarray(x, dtype=float)
-        return np.maximum(self.s_minus_inf * (1.0 - self.m1 * np.exp(self.eps1 * x)), 0.0)
-
-    def i_plus(self, x):
-        return np.exp(self.lambda0 * np.asarray(x, dtype=float))
-
-    def i_minus(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(np.exp(self.lambda0 * x) * (1.0 - self.m2 * np.exp(self.eps2 * x)), 0.0)
-
-    def r_plus(self, x):
-        return self.r_coef * np.exp(self.lambda0 * np.asarray(x, dtype=float))
-
-    def r_minus(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(
-            self.r_coef * np.exp(self.lambda0 * x) * (1.0 - self.m3 * np.exp(self.eps3 * x)), 0.0
-        )
+        pieces = ((self.s_minus_inf, 0.0, self.eps1, self.m1), (1.0, self.lambda0, self.eps2, self.m2),
+                  (self.r_coef, self.lambda0, self.eps3, self.m3))
+        sup = np.array([envelope(x, amp, lam, 0.0, 0.0) for amp, lam, _, _ in pieces])
+        sub = np.array([envelope(x, *piece) for piece in pieces])
+        return sup, sub
 
 
 @dataclass(frozen=True)
@@ -302,17 +289,9 @@ def make_bound_set(p: ModelParams, c: float) -> BoundSet:
     )
 
 
-def eval_bounds(b: BoundSet, grid: Grid):
-    """Evaluate the envelopes on the grid as (super, sub) arrays of shape (3, n), rows S, I, R."""
-    x = grid.x
-    sup = np.array([b.s_plus(x), b.i_plus(x), b.r_plus(x)])
-    sub = np.array([b.s_minus(x), b.i_minus(x), b.r_minus(x)])
-    return sup, sub
-
-
 def make_gamma_set(p: ModelParams, c: float, grid: Grid, bounds: BoundSet | None = None) -> GammaSet:
     b = bounds if bounds is not None else make_bound_set(p, c)
-    sup, sub = eval_bounds(b, grid)
+    sup, sub = b.envelopes(grid.x)
     return GammaSet(bounds=b, super_array=sup, sub_array=sub)
 
 
@@ -334,18 +313,16 @@ def verify_sub_inequalities(b: BoundSet, p: ModelParams, c: float, grid: Grid) -
     s_image = b.s_minus_inf * envelope_image(x, 0.0, b.eps1, b.m1, p.d1, c, 0.0)
     s_margin = worst(-p.beta * np.exp(l0 * x) - s_image, x <= b.x1)
 
-    # infected envelope inequality on x <= x2 (sub-branch formulas are exact there)
+    # infected envelope inequality on x <= x2, with the lower I envelope in its expanded
+    # form: exact there, and the bits the margin is computed from, unlike the clipped piece
+    sup, sub = b.envelopes(x)
     i_minus = np.exp(l0 * x) - b.m2 * np.exp((l0 + b.eps2) * x)
-    s_minus = b.s_minus(x)
-    lhs = (
-        p.beta * s_minus * i_minus / (s_minus + b.i_plus(x) + b.r_plus(x))
-        - (p.gamma + p.delta) * i_minus
-    )
+    lhs = p.beta * sub[0] * i_minus / (sub[0] + sup[1] + sup[2]) - (p.gamma + p.delta) * i_minus
     i_margin = worst(lhs - envelope_image(x, l0, b.eps2, b.m2, p.d2, c, 0.0), x <= b.x2)
 
     # removed envelope inequality on x <= x3
     r_image = b.r_coef * envelope_image(x, l0, b.eps3, b.m3, p.d3, c, 0.0)
-    r_margin = worst(p.gamma * b.i_minus(x) - r_image, x <= b.x3)
+    r_margin = worst(p.gamma * sub[1] - r_image, x <= b.x3)
 
     return SubInequalityReport(s_margin=s_margin, i_margin=i_margin, r_margin=r_margin)
 
@@ -463,15 +440,11 @@ def solve_fixed_point(p: ModelParams, c: float, grid: Grid, tol: float = 1e-8) -
     gamma_margin is the profile's signed distance to the envelopes, which can
     be slightly negative (a root dipping up to 1e-5 below a lower envelope on
     a coarse grid). NotConverged and SingularJacobian from the Newton solve
-    propagate; so does the ValueError of a point outside the wave regime.
-    A tol that is not finite and positive raises ValueError before any work.
+    propagate; so does front_roots' NoFront where the construction does not
+    apply. A tol that is not finite and positive raises ValueError before any work.
     """
     check_tolerance(tol)
-    roots = lambda0(c, p)  # raises ComplexRoots below the minimal speed
-    if not p.wave_regime:
-        raise ValueError("parameters outside the wave regime (need R0 > 1 and d3 < 2*d2)")
-    if roots.degenerate:
-        raise ValueError(f"c = {c} is the minimal speed; the envelope construction needs c > c*")
+    roots = front_roots(c, p)  # a grid given in the config has not passed wave_window's refusal
     specs = choose_alphas(p, c)
     mu = choose_mu(specs, roots.lambda0)
     gamma_set = make_gamma_set(p, c, grid)
@@ -686,7 +659,8 @@ def solve_bvp_newton(p: ModelParams, c: float, grid: Grid, init: np.ndarray, bou
     SingularJacobian on a zero pivot or a non-finite step.
     """
     dx, x0, n = grid.dx, grid.x_min, grid.n
-    bc_left = np.array([bounds.s_minus(x0), bounds.i_plus(x0), bounds.r_minus(x0)])
+    (_, i_sup, _), (s_sub, _, r_sub) = bounds.envelopes([x0])
+    bc_left = np.concatenate([s_sub, i_sup, r_sub])
     edge = np.array([closure for _, _, closure in inverses]).T
     settle = max(NEWTON_TOL, 4.0 * np.finfo(float).eps * max(p.d1, p.d2, p.d3) / dx**2 * p.s_minus_inf)
     system = _NewtonSystem(p, c, dx, n, bc_left, edge)
@@ -732,10 +706,10 @@ def wave_window(p: ModelParams, c: float, dx: float | None = None) -> Grid:
     puts I below exp(-26) at x_min, under the solve's window guard, and lets S,
     which settles at the slower rate, meet the map's constant tail there. The
     right edge max(half, ceil(16.1/kappa/10)*10), kappa = outflow_rate(p, c),
-    lets I fall below exp(-16.1) of its scale by x_max. Raises lambda0's errors first (c < c*,
+    lets I fall below exp(-16.1) of its scale by x_max. Raises front_roots' NoFront first (c <= c*,
     c <= 0 included), then ValueError above MAX_WINDOW_POINTS or for a spacing not finite and positive.
     """
-    l0 = lambda0(c, p).lambda0
+    l0 = front_roots(c, p).lambda0
     if dx is None:
         dx = min(0.05, 0.9 * 2.0 * min(p.d1, p.d2, p.d3) / c)
     check_spacing(dx)

@@ -162,3 +162,40 @@ def test_golden_section_serves_only_align_profiles():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{owner}")
     assert callers == {"wave_profile.align_profiles"}
+
+
+def _sites(match) -> set:
+    """module.owner of every AST node in src/ that match accepts; owner is the top-level def or class holding it."""
+    found = set()
+    for path in (ROOT / "src" / "sirwaves").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            found |= {f"{path.stem}.{owner}" for node in ast.walk(top) if match(node)}
+    return found
+
+
+# the hypothesis d3 < 2*d2 of the envelope construction, or its negation
+D3_HYPOTHESIS = re.compile(r"[\w.]*\bd3 (<|<=|>|>=) 2(\.0)? \* [\w.]*\bd2")
+
+
+def test_only_linear_analysis_compares_d3_with_2_d2():
+    # front_roots decides where the construction applies; no module keeps its own copy of the test
+    compares = _sites(lambda node: isinstance(node, ast.Compare) and D3_HYPOTHESIS.fullmatch(ast.unparse(node)))
+    assert {site.split(".")[0] for site in compares} == {"linear_analysis"}
+
+
+def test_only_front_roots_and_analyze_read_degenerate():
+    # c = c* is refused in front_roots; analyze reports the double root
+    readers = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "degenerate")
+    assert readers == {"linear_analysis.front_roots", "cli.cmd_analyze"}
+
+
+def _clips_an_exponential(node) -> bool:
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.maximum"
+            and any(isinstance(inner, ast.Call) and ast.unparse(inner.func) == "np.exp"
+                    for arg in node.args for inner in ast.walk(arg)))
+
+
+def test_one_envelope_formula():
+    # every envelope piece max(amp*exp(lam*x)*(1 - M*exp(eps*x)), 0) is linear_analysis.envelope
+    assert _sites(_clips_an_exponential) == {"linear_analysis.envelope"}

@@ -462,6 +462,56 @@ def test_verify_just_above_r0_one_fails_on_the_window(tmp_path):
     assert failed and all("over 50001" in c["details"] for c in failed)
 
 
+# Points where the envelope construction does not apply: P0 with d3 = 3
+# below and above c* = 2, and d3 = 3 near R0 = 1, where the window the left
+# tail needs would also be too large. (config params, c, refusal, sweep outcome)
+REFUSED_POINTS = [
+    ({**P0_CONFIG["params"], "d3": 3.0}, 1.9, "c = 1.9 is below the minimal speed 2.0", "subcritical"),
+    ({**P0_CONFIG["params"], "d3": 3.0}, 2.5, "d3 = 3.0 is not below 2*d2 = 2.0", "no_wave_regime"),
+    ({**P0_CONFIG["params"], "d3": 3.0, "beta": 0.21, "gamma": 0.2, "delta": 0.0}, 0.8,
+     "d3 = 3.0 is not below 2*d2 = 2.0", "no_wave_regime"),
+]
+
+
+@pytest.mark.parametrize("params,c,refusal,outcome", REFUSED_POINTS, ids=["d3-3-c1.9", "d3-3-c2.5", "d3-3-r0-1.05"])
+def test_profile_verify_and_sweep_give_one_refusal(tmp_path, capsys, params, c, refusal, outcome):
+    # front_roots decides the refusal once: profile prints it, verify skips
+    # every wave check with it, and sweep labels it
+    path = write_config(tmp_path, {"params": params, "c": c})
+    assert main(["profile", path, "--out", str(tmp_path / "p")]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    reason = line.removeprefix("solve failed: ")
+    assert line.startswith("solve failed: ") and reason.startswith(refusal)
+    assert main(["verify", path, "--out", str(tmp_path / "v")]) == 0
+    checks = json.loads((tmp_path / "v" / "verify_report.json").read_text())["checks"]
+    assert {(ch["status"], ch["details"]) for ch in checks} == {("skipped", reason)}
+    assert main(["sweep", path, "--vary", f"c={c}:{c}:1", "--out", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["outcome"] == outcome and not row.get("error")
+
+
+# P0 with S(-inf) = 1e-30: the amplitude search of the first envelope runs
+# past its cap of 1e12
+EXHAUSTED = {"params": {**P0_CONFIG["params"], "s_minus_inf": 1e-30}, "c": 2.5}
+
+
+def test_profile_exits_2_when_the_amplitude_search_is_exhausted(tmp_path, capsys):
+    path = write_config(tmp_path, EXHAUSTED)
+    assert main(["profile", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["solve failed: no amplitude below 1000000000000.0 satisfies the inequality"]
+
+
+def test_verify_fails_the_envelope_checks_when_the_amplitude_search_is_exhausted(tmp_path):
+    path = write_config(tmp_path, EXHAUSTED)
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+    checks = json.loads((tmp_path / "out" / "verify_report.json").read_text())["checks"]
+    failed = {ch["name"]: ch["details"] for ch in checks if ch["status"] == "fail"}
+    assert list(failed) == ["sub_solution_inequalities", "gamma_invariance", "fixed_point", "profile_diagnostics"]
+    assert set(failed.values()) == {"no amplitude below 1000000000000.0 satisfies the inequality"}
+
+
 def test_analyze_writes_the_phi_samples_as_csv(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", config_path, "--phi-samples", "7", "--out", str(out)]) == 0

@@ -4,12 +4,15 @@ import pytest
 from sirwaves import (
     ComplexRoots,
     ModelParams,
+    NoFront,
     NonPositiveLambda,
+    OutsideHypothesis,
     SubThreshold,
     a_lambda_eigenvalues,
     a_lambda_matrix,
     characteristic_f,
     check_d3_condition,
+    front_roots,
     jacobian_dfe,
     lambda0,
     minimal_speed,
@@ -250,6 +253,26 @@ def test_d3_condition():
     p = ModelParams(1, 1, 1.9, 2.0, 0.5, 0.5, 1)
     rep = check_d3_condition(p, 2.01)
     assert rep.satisfied and rep.implied_positive
+
+
+def test_front_roots_refuses_in_order():
+    # R0 <= 1 first, then c < c*, then the hypothesis d3 < 2*d2, then c = c*
+    d3_3 = ModelParams(1, 1, 3.0, 2.0, 0.5, 0.5, 1)
+    c_star = minimal_speed(P0).c_star
+    refusals = []
+    for p, c, kind in (
+        (ModelParams(1, 1, 3.0, 0.9, 0.5, 0.5, 1), 2.5, SubThreshold),
+        (d3_3, 1.9, ComplexRoots),
+        (d3_3, c_star, OutsideHypothesis),
+        (P0, c_star, NoFront),
+    ):
+        with pytest.raises(NoFront) as info:
+            front_roots(c, p)
+        assert type(info.value) is kind
+        refusals.append(info.value)
+    assert all(isinstance(exc, ValueError) for exc in refusals)
+    assert str(refusals[-1]) == "c = 2.0 is the minimal speed; the envelope construction needs c > c*"
+    assert front_roots(2.5, P0) == lambda0(2.5, P0)
 
 
 def test_d3_condition_implies_positivity_property():

@@ -5,6 +5,9 @@ from sirwaves import (
     Grid,
     GridFunction,
     ModelParams,
+    OutsideHypothesis,
+    SubThreshold,
+    front_roots,
     incidence,
     r_naught,
     reaction_terms,
@@ -21,6 +24,11 @@ def test_r_naught_values():
     assert r_naught(ModelParams(1, 1, 1, beta=0.9, gamma=0.5, delta=0.5, s_minus_inf=1)) == 0.9
 
 
+def test_r_naught_divides_by_the_removal_rate():
+    # gamma + delta = 1.5 here, so beta*(gamma + delta) = 4.5 would not pass
+    assert r_naught(ModelParams(1, 1, 1, beta=3.0, gamma=1.0, delta=0.5, s_minus_inf=1)) == 2.0
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(0.0, 1, 1, 2, 0.5, 0.5, 1)
@@ -30,12 +38,13 @@ def test_params_validation():
         ModelParams(1, 1, 1, -2, 0.5, 0.5, 1)
 
 
-def test_wave_regime_flag():
-    assert P0.wave_regime
-    # R0 <= 1
-    assert not ModelParams(1, 1, 1, 0.9, 0.5, 0.5, 1).wave_regime
-    # d3 >= 2*d2
-    assert not ModelParams(1, 1, 2.0, 2, 0.5, 0.5, 1).wave_regime
+def test_wave_regime_is_decided_by_front_roots():
+    # R0 > 1 and d3 < 2*d2 are read in one place, linear_analysis.front_roots
+    assert front_roots(2.5, P0).lambda0 == pytest.approx(0.5)
+    with pytest.raises(SubThreshold):  # R0 <= 1
+        front_roots(2.5, ModelParams(1, 1, 1, 0.9, 0.5, 0.5, 1))
+    with pytest.raises(OutsideHypothesis):  # d3 >= 2*d2
+        front_roots(2.5, ModelParams(1, 1, 2.0, 2, 0.5, 0.5, 1))
 
 
 def test_incidence_values():

@@ -181,6 +181,15 @@ def test_automatic_step_error_in_the_front_speed():
     assert auto == pytest.approx(minimal_speed(P0).c_star, rel=0.02)
 
 
+def test_front_speeds_do_not_move_with_s_minus_inf():
+    # standard incidence is homogeneous of degree one and the pulse and every
+    # front level scale with S(-inf), so doubling it changes no speed, bit for bit
+    runs = [run(config(p, L=60.0, t_end=20.0)) for p in (P0, dataclasses.replace(P0, s_minus_inf=2.0))]
+    assert runs[0].trace.speed_fit == runs[1].trace.speed_fit
+    assert runs[0].threshold_speeds == runs[1].threshold_speeds
+    assert runs[0].threshold_speeds["1e-3"] == pytest.approx(1.9496221412065204, rel=1e-12)
+
+
 def test_no_ignition_ahead_of_the_front():
     # a roundoff floor of 1e-16 ahead of the front would grow like
     # exp((beta-gamma-delta)*t) and cross the tracking threshold near t = 28,

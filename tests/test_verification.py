@@ -10,6 +10,7 @@ import sirwaves.wave_profile
 from sirwaves import (
     ModelParams,
     choose_alphas,
+    front_roots,
     lambda0,
     make_gamma_set,
     map_inverses,
@@ -229,7 +230,7 @@ def test_subthreshold_decay_fails_on_a_late_rise_of_max_i(monkeypatch):
     trace = 1e-2 * np.exp(-0.25 * np.arange(101.0))
     trace[81] = trace[80] + 1e-13
     monkeypatch.setattr("sirwaves.pde_sim.run", lambda cfg: SimpleNamespace(i_max_trace=trace))
-    margin, tol, details = _subthreshold_decay(_Context(P0, 2.5, 2.0))
+    margin, tol, details = _subthreshold_decay(_Context(P0, 2.5))
     assert trace[-1] / trace[0] < 1e-8  # the overall decay alone would pass
     assert _result("subthreshold_decay", "dies out", margin, tol, details).status == "fail"
 
@@ -255,11 +256,12 @@ def test_oversized_window_fails_the_wave_checks():
 
 def test_r0_edge_point_is_in_the_wave_regime_everywhere():
     # beta > gamma + delta exactly here (q = 2.8e-17), though beta/(gamma + delta)
-    # rounds to 1; the regime flag, the decay rates, c* and the suite all agree on R0 > 1
+    # rounds to 1; front_roots, the decay rates, c* and the suite all agree on R0 > 1
     p = ModelParams(1, 1, 1, beta=0.30000000000000004, gamma=0.1, delta=0.2, s_minus_inf=1)
-    assert p.growth_rate > 0 and p.wave_regime
-    roots = lambda0(1e-6, p)
+    assert p.growth_rate > 0
+    roots = front_roots(1e-6, p)
     assert 0.0 < roots.lambda0 < roots.lambda0_plus
+    assert roots == lambda0(1e-6, p)
     assert 0.0 < minimal_speed(p).c_star < 1e-6
     results = run_suite(p, 1e-6)
-    assert all(r.details != "outside the wave regime" for r in results)
+    assert [r.name for r in results if r.status == "skipped"] == []

@@ -12,7 +12,6 @@ from sirwaves import (
     characteristic_f,
     choose_alphas,
     discrete_decay_rate,
-    eval_bounds,
     lambda0,
     make_bound_set,
     make_gamma_set,
@@ -129,10 +128,10 @@ def test_bound_set_inequalities_reverified(solved):
 def test_eval_bounds_crossover_and_values():
     g = Grid.symmetric(20.0, 0.01)
     b = make_bound_set(P0, C)
-    sup, sub = eval_bounds(b, g)
+    sup, sub = b.envelopes(g.x)
     assert sup.shape == sub.shape == (3, g.n)
     # infected lower envelope vanishes exactly at its crossover
-    assert b.i_minus(np.array([b.x2]))[0] == pytest.approx(0.0, abs=1e-15)
+    assert b.envelopes([b.x2])[1][1, 0] == pytest.approx(0.0, abs=1e-15)
     assert np.all(sub[1][g.x >= b.x2] == 0.0)
     # removed upper envelope at the origin: gamma/(c*lam0 - d3*lam0^2) = 0.5 for P0
     k = np.argmin(np.abs(g.x))
@@ -269,6 +268,13 @@ def test_fixed_point_monotonicity(solved):
 def test_fixed_point_profile_in_sandwich(solved):
     gset = solved.gamma_set
     assert gset.membership_margin(solved.profile) >= -1e-9
+
+
+def test_membership_margin_sees_a_point_above_the_upper_envelope(solved):
+    gset = solved.gamma_set
+    above = gset.sub_array.copy()
+    above[1, 1200] = gset.super_array[1, 1200] + 1e-3
+    assert gset.membership_margin(above) == pytest.approx(-1e-3, rel=1e-9)
 
 
 def test_fixed_point_s_inf_strictly_below_left_level(solved):
@@ -809,6 +815,16 @@ def test_loose_cross_check_returns_the_carried_root():
     assert rep.newton_residuals[-1] <= 1e-12
     assert rep.agreement == float(np.max(np.abs(rep.profile - rep.newton))) <= 1e-10
 
+
+# ---------- diagnostics ----------
+
+def test_identity_spread_does_not_move_with_s_minus_inf(solved):
+    # the spread is relative to c*(S(-inf) - S(+inf)), and twice the P0 front
+    # is the front of P0 with S(-inf) = 2, so the spread is the same, bit for bit
+    p2 = dataclasses.replace(P0, s_minus_inf=2.0)
+    spread = profile_diagnostics(solved.profile, solved.grid, P0, C).integral_identity_spread
+    assert profile_diagnostics(2.0 * solved.profile, solved.grid, p2, C).integral_identity_spread == spread
+    assert spread == pytest.approx(6.80167280095435e-07, rel=1e-6)
 
 # ---------- diagnostics ----------
 
