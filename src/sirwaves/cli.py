@@ -2,9 +2,10 @@
 
 Configs are flat JSON ({"params": {...}, "c": ..., "grid": {...}}); unknown
 keys are rejected. Every run directory receives a manifest with the resolved
-configuration, derived constants and content hashes of all outputs, so a run
-can be reproduced bit for bit from its manifest. Exit codes: 0 success,
-1 bad configuration, 2 non-convergence, 3 verification failure.
+configuration, derived constants and the sha256 of exactly the files the run
+wrote, hashed as written, so a run can be reproduced bit for bit from its
+manifest; outputs the same command's earlier manifest there listed are removed.
+Exit codes: 0 success, 1 bad configuration, 2 non-convergence, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
+import itertools
 import json
 import os
 import sys
@@ -132,38 +135,66 @@ def check_speed(c) -> None:
 def _out_dir(args) -> str:
     root = os.environ.get("SIRWAVES_OUT_ROOT", ".")
     out = args.out if os.path.isabs(args.out) else os.path.join(root, args.out)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or under the path
+        raise ConfigInvalid(f"cannot use output directory {out}: {exc}") from exc
     return out
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _write(out: str, name: str, text: str, outputs: dict) -> None:
+    """Write text to out/name and record the sha256 of those same bytes as outputs[name]."""
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    outputs[name] = hashlib.sha256(text.encode()).hexdigest()
 
 
-def write_manifest(out_dir: str, command: str, resolved: dict, derived: dict, timings: dict | None = None):
-    """Write manifest.json; timings (seconds per phase) is telemetry and goes in no other output."""
-    files = {}
-    for name in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, name)
-        if name != "manifest.json" and os.path.isfile(path):
-            files[name] = _sha256(path)
+def _csv(header: str, columns) -> str:
+    """Columns side by side under header, each value with 17 significant digits as _fmt writes it.
+
+    The whole table is formatted by one % over the row format repeated once per row.
+    """
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return header + "\n" + line * rows.shape[0] % tuple(rows.ravel().tolist())
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def write_manifest(out_dir: str, command: str, resolved: dict, derived: dict, outputs: dict,
+                   timings: dict | None = None):
+    """Write manifest.json listing outputs, the {name: sha256} that _write recorded.
+
+    If the previous manifest is this command's and of format 2 (older ones listed every file
+    in the folder, kept ones too), the files it listed and this run did not write are removed.
+    timings (seconds per phase) is telemetry and goes in no other output.
+    """
+    path = os.path.join(out_dir, "manifest.json")
+    try:  # a previous manifest that does not parse lists nothing
+        with open(path) as fh:
+            old = json.load(fh)
+        previous = old["outputs"].keys() if (old["manifest_format"], old["command"]) == (2, command) else ()
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        previous = ()
+    for name in set(previous) - set(outputs):  # a plain name only: nothing in a subfolder or outside
+        plain = name == os.path.basename(name) and name not in ("", ".", "..", "manifest.json")
+        if plain and os.path.isfile(os.path.join(out_dir, name)):
+            os.remove(os.path.join(out_dir, name))
     manifest = {
         "tool": "sirwaves",
         "version": __version__,
         "command": command,
+        "manifest_format": 2,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": resolved,
         "derived": derived,
-        "outputs": files,
+        "outputs": dict(sorted(outputs.items())),
     }
     if timings is not None:
         manifest["timings"] = timings
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, manifest)
+    _write(out_dir, "manifest.json", _json(manifest), {})
     return path
 
 
@@ -177,23 +208,6 @@ def _timed(timings: dict, phase: str):
         timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - start
 
 
-def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def _write_csv(path: str, header: str, columns):
-    """Columns side by side under header, each value with 17 significant digits as _fmt writes it.
-
-    The whole table is formatted by one % over the row format repeated once per row.
-    """
-    rows = np.column_stack(columns)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
-
-
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     p = params_from_config(cfg)
@@ -201,10 +215,13 @@ def cmd_analyze(args) -> int:
     try:  # before any output: a non-finite speed would be written as invalid JSON
         for c in c_values:
             check_speed(c)
+        if args.phi_samples < 0:
+            raise ValueError(f"--phi-samples must be at least 0, got {args.phi_samples}")
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
     out = _out_dir(args)
 
+    outputs: dict = {}
     payload: dict = {"r0": r_naught(p)}
     derived: dict = {"r0": r_naught(p)}
     try:
@@ -219,7 +236,7 @@ def cmd_analyze(args) -> int:
         derived.update(c_star=speed.c_star, lambda_star=speed.lambda_star)
         if speed.phi_samples:
             payload["phi_samples"] = [[lam, val] for lam, val in speed.phi_samples]
-            _write_csv(os.path.join(out, "phi_samples.csv"), "lambda,phi", np.array(speed.phi_samples).T)
+            _write(out, "phi_samples.csv", _csv("lambda,phi", np.array(speed.phi_samples).T), outputs)
     except SubThreshold:
         payload.update(c_star=None, lambda_star=None, subthreshold=True)
 
@@ -243,9 +260,9 @@ def cmd_analyze(args) -> int:
         table.append(entry)
     payload["lambda0_table"] = table
 
-    _write_json(os.path.join(out, "analysis.json"), payload)
-    write_manifest(out, "analyze", cfg, derived)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _write(out, "analysis.json", _json(payload), outputs)
+    write_manifest(out, "analyze", cfg, derived, outputs)
+    print(_json(payload))
     return 0
 
 
@@ -271,10 +288,7 @@ def cmd_profile(args) -> int:
     except (ValueError, NotConverged, SingularJacobian) as exc:
         # no profile: clear the previous run's outputs and record why in the manifest
         reason = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
-        for name in ("profile.csv", "diagnostics.json"):
-            if os.path.exists(os.path.join(out, name)):
-                os.remove(os.path.join(out, name))
-        write_manifest(out, "profile", {**cfg, "c": c}, {"solve": {"failed": reason}}, timings)
+        write_manifest(out, "profile", {**cfg, "c": c}, {"solve": {"failed": reason}}, {}, timings)
         print(f"solve failed: {reason}", file=sys.stderr)
         return 2
     grid = report.grid
@@ -282,8 +296,9 @@ def cmd_profile(args) -> int:
     # the root itself for newton; picard and both write the certifying step of F from it
     chosen = report.newton if args.solver == "newton" else report.profile
 
+    outputs: dict = {}
     with _timed(timings, "writes"):
-        _write_csv(os.path.join(out, "profile.csv"), "x,S,I,R", (grid.x, *chosen))
+        _write(out, "profile.csv", _csv("x,S,I,R", (grid.x, *chosen)), outputs)
     with _timed(timings, "diagnostics"):
         diag = profile_diagnostics(chosen, grid, p, c)
     b = report.gamma_set.bounds
@@ -320,15 +335,15 @@ def cmd_profile(args) -> int:
         },
     }
     with _timed(timings, "writes"):
-        _write_json(os.path.join(out, "diagnostics.json"), payload)
+        _write(out, "diagnostics.json", _json(payload), outputs)
     write_manifest(
         out, "profile", {**cfg, "c": c},
         {"c_star": minimal_speed(p).c_star, "lambda0": report.lambda0, "mu": report.mu,
          "alphas": [s.alpha for s in report.specs],
          "bound_set": payload["bound_set"], "solve": solve},
-        timings,
+        outputs, timings,
     )
-    print(json.dumps(payload["diagnostics"], indent=2, sort_keys=True))
+    print(_json(payload["diagnostics"]))
     if failure:
         print(failure, file=sys.stderr)
         return 2
@@ -368,21 +383,13 @@ def cmd_simulate(args) -> int:
             result = exc.result
             hit = True
 
-    x = grid.x
+    outputs: dict = {}
     with _timed(timings, "writes"):
         for t, arr in result.snapshots:
-            _write_csv(
-                os.path.join(out, f"snapshot_t{t:09.3f}.csv"), "x,S,I,R",
-                (x, arr[0], arr[1], arr[2]),
-            )
-        _write_csv(
-            os.path.join(out, "front_trace.csv"), "t,x_front",
-            (result.mass_times, result.trace.positions),
-        )
-        _write_csv(
-            os.path.join(out, "mass_budget.csv"), "t,total_mass,infected_mass",
-            (result.mass_times, result.mass_total, result.mass_infected),
-        )
+            _write(out, f"snapshot_t{t:09.3f}.csv", _csv("x,S,I,R", (grid.x, *arr)), outputs)
+        _write(out, "front_trace.csv", _csv("t,x_front", (result.mass_times, result.trace.positions)), outputs)
+        masses = (result.mass_times, result.mass_total, result.mass_infected)
+        _write(out, "mass_budget.csv", _csv("t,total_mass,infected_mass", masses), outputs)
     try:
         c_star = minimal_speed(p).c_star
     except SubThreshold:
@@ -402,10 +409,10 @@ def cmd_simulate(args) -> int:
     if np.isfinite(result.trace.pulled_front_speed):
         summary["pulled_front_speed"] = result.trace.pulled_front_speed
     with _timed(timings, "writes"):
-        _write_json(os.path.join(out, "summary.json"), summary)
+        _write(out, "summary.json", _json(summary), outputs)
     write_manifest(out, "simulate", {**cfg, "sim": {**sim_block, "t_end": t_end}},
-                   {"c_star": c_star, "dt": result.dt, "steps": result.steps}, timings)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+                   {"c_star": c_star, "dt": result.dt, "steps": result.steps}, outputs, timings)
+    print(_json(summary))
     return 0
 
 
@@ -478,6 +485,8 @@ def cmd_sweep(args) -> int:
         if cfg.get("c") is not None:
             check_speed(cfg["c"])
         check_tolerance(args.tol)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
@@ -489,15 +498,9 @@ def cmd_sweep(args) -> int:
             raise ConfigInvalid(f"cannot vary unknown key {key!r}")
     out = _out_dir(args)
 
+    keys = [a[0] for a in axes]
     grids = [np.linspace(lo, hi, num) for _, lo, hi, num in axes]
-    combos = []
-    if len(axes) == 1:
-        combos = [{axes[0][0]: float(v)} for v in grids[0]]
-    else:
-        for v0 in grids[0]:
-            for v1 in grids[1]:
-                combos.append({axes[0][0]: float(v0), axes[1][0]: float(v1)})
-
+    combos = [dict(zip(keys, map(float, values))) for values in itertools.product(*grids)]
     base = {k: float(cfg["params"][k]) for k in PARAM_KEYS}
     c = cfg.get("c")
     jobs = [(base, c, combo, args.dx, args.tol) for combo in combos]
@@ -507,21 +510,17 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_one(j) for j in jobs]
 
-    keys = [a[0] for a in axes]
     rows.sort(key=lambda r: tuple(r.get(k, 0.0) for k in keys))
-    columns: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in columns:
-                columns.append(k)
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        # minimal quoting: only a text field that needs it, an error message with a comma say
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(row[k]) if k in row else "" for k in columns] for row in rows)
-    write_manifest(out, "sweep", {**cfg, "vary": args.vary}, {"rows": len(rows)})
-    print(f"wrote {len(rows)} rows to {path}")
+    columns = list(dict.fromkeys(k for row in rows for k in row))  # first-seen order
+    buf = io.StringIO()
+    # minimal quoting: only a text field that needs it, an error message with a comma say
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[k]) if k in row else "" for k in columns] for row in rows)
+    outputs: dict = {}
+    _write(out, "sweep.csv", buf.getvalue(), outputs)
+    write_manifest(out, "sweep", {**cfg, "vary": args.vary}, {"rows": len(rows)}, outputs)
+    print(f"wrote {len(rows)} rows to {os.path.join(out, 'sweep.csv')}")
     return 0
 
 
@@ -538,10 +537,10 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     results = verification.run_suite(p, c, level=args.level)
     timings = {r.name: r.seconds for r in results}
+    outputs: dict = {}
     with _timed(timings, "writes"):
-        with open(os.path.join(out, "verify_report.json"), "w") as fh:
-            fh.write(verification.report_json(results))
-    write_manifest(out, "verify", {**cfg, "c": c, "level": args.level}, {}, timings)
+        _write(out, "verify_report.json", verification.report_json(results), outputs)
+    write_manifest(out, "verify", {**cfg, "c": c, "level": args.level}, {}, outputs, timings)
     print(verification.report_table(results))
     return 0 if verification.suite_passed(results) else 3
 

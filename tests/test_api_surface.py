@@ -199,3 +199,19 @@ def _clips_an_exponential(node) -> bool:
 def test_one_envelope_formula():
     # every envelope piece max(amp*exp(lam*x)*(1 - M*exp(eps*x)), 0) is linear_analysis.envelope
     assert _sites(_clips_an_exponential) == {"linear_analysis.envelope"}
+
+
+def _opens_for_writing(node) -> bool:
+    """An open(...) call whose mode writes, appends, creates or updates, or is not a literal."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "open"):
+        return False
+    modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+               for m in modes)
+
+
+def test_every_output_is_written_and_hashed_by_one_writer():
+    # cli._write records the sha256 of the bytes it writes, and the manifest lists exactly that
+    # record; a second writer or a second hash would let the manifest and the files drift apart
+    assert _sites(_opens_for_writing) == {"cli._write"}
+    assert _sites(lambda node: isinstance(node, ast.Name) and node.id == "hashlib") == {"cli._write"}

@@ -244,12 +244,12 @@ def test_profile_csv_roundtrip_precision(tmp_path):
 def test_csv_rows_match_per_value_formatting(tmp_path):
     # one format string per row writes the bytes of f"{v:.17g}" per value,
     # special values included
-    from sirwaves.cli import _write_csv
+    from sirwaves.cli import _csv, _write
 
     specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0]
     cols = (np.array(specials), np.array(specials[::-1]), np.arange(len(specials), dtype=float))
     path = tmp_path / "t.csv"
-    _write_csv(str(path), "a,b,c", cols)
+    _write(str(tmp_path), "t.csv", _csv("a,b,c", cols), {})
     expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols))
     assert path.read_bytes() == expected.encode()
 
@@ -854,6 +854,135 @@ def test_rerun_reproduces_output_hashes(tmp_path):
         outs.append(json.loads((tmp_path / name / "manifest.json").read_text()))
     assert outs[0]["outputs"] == outs[1]["outputs"]
     assert outs[0]["config"] == outs[1]["config"]
+
+
+# one quick run of each command on P0 with the GRID_40 block
+QUICK_RUNS = {
+    "analyze": ["--c", "2.5", "--phi-samples", "3"],
+    "profile": ["--c", "2.5", "--tol", "1e-7"],
+    "simulate": ["--t-end", "2"],
+    "sweep": ["--vary", "beta=0.2:0.4:2"],
+    "verify": [],
+}
+
+
+def _listed_and_on_disk(out):
+    """The manifest's outputs, and every file in out but the manifest."""
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    return outputs, sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+def test_manifest_lists_exactly_the_files_written_with_their_hashes(tmp_path, command):
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
+    out = tmp_path / "out"
+    assert main([command, path, *QUICK_RUNS[command], "--out", str(out)]) == 0
+    outputs, on_disk = _listed_and_on_disk(out)
+    assert list(outputs) == on_disk and on_disk
+    for name, digest in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_simulate_rerun_keeps_only_its_own_snapshots(tmp_path):
+    # a shorter rerun into the same --out must not leave the first run's later snapshots behind
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--t-end", "3", "--out", str(out)]) == 0
+    first, _ = _listed_and_on_disk(out)
+    assert main(["simulate", path, "--t-end", "2", "--out", str(out)]) == 0
+    outputs, on_disk = _listed_and_on_disk(out)
+    assert list(outputs) == on_disk and len(on_disk) == 11
+    assert max(name for name in on_disk if name.startswith("snapshot_t")) == "snapshot_t00002.000.csv"
+    gone = set(first) - set(on_disk)  # the first run's snapshot times that the second does not reach
+    assert gone and all(name.startswith("snapshot_t") for name in gone)
+
+
+def test_analyze_rerun_without_samples_removes_the_old_samples(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", config_path, "--phi-samples", "5", "--out", str(out)]) == 0
+    assert (out / "phi_samples.csv").exists()
+    assert main(["analyze", config_path, "--out", str(out)]) == 0
+    outputs, on_disk = _listed_and_on_disk(out)
+    assert list(outputs) == on_disk == ["analysis.json"]
+
+
+def test_a_previous_manifest_removes_nothing_outside_the_directory(config_path, tmp_path):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "sub" / "x").write_text("kept")
+    (tmp_path / "outside.txt").write_text("kept")
+    listed = {"../outside.txt": "0", "sub/x": "0", "": "0", "manifest.json": "0"}
+    previous = {"command": "analyze", "manifest_format": 2, "outputs": listed}
+    (out / "manifest.json").write_text(json.dumps(previous))
+    assert main(["analyze", config_path, "--out", str(out)]) == 0
+    assert (tmp_path / "outside.txt").read_text() == (out / "sub" / "x").read_text() == "kept"
+    assert sorted(p.name for p in out.iterdir()) == ["analysis.json", "manifest.json", "sub"]
+    assert list(json.loads((out / "manifest.json").read_text())["outputs"]) == ["analysis.json"]
+
+
+def test_a_manifest_from_before_the_one_writer_rule_removes_nothing(tmp_path):
+    # such a manifest listed every file in its folder: a config kept there, and notes
+    out = tmp_path / "out"
+    out.mkdir()
+    path = write_config(out, {**P0_CONFIG, "grid": GRID_40})
+    (out / "notes.txt").write_text("kept")
+    listed = {os.path.basename(path): "0", "notes.txt": "0", "analysis.json": "0"}
+    (out / "manifest.json").write_text(json.dumps({"command": "analyze", "outputs": listed}))
+    assert main(["analyze", path, "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "kept"
+    assert json.loads(open(path).read())["grid"] == GRID_40
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["outputs"]) == ["analysis.json"] and manifest["manifest_format"] == 2
+
+
+def test_another_commands_outputs_are_kept(tmp_path):
+    # only a rerun of the same command removes what the previous manifest listed
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
+    out = tmp_path / "out"
+    assert main(["profile", path, *QUICK_RUNS["profile"], "--out", str(out)]) == 0
+    assert main(["verify", path, *QUICK_RUNS["verify"], "--out", str(out)]) == 0
+    on_disk = sorted(p.name for p in out.iterdir())
+    assert on_disk == ["diagnostics.json", "manifest.json", "profile.csv", "verify_report.json"]
+    assert list(json.loads((out / "manifest.json").read_text())["outputs"]) == ["verify_report.json"]
+
+
+@pytest.mark.parametrize("previous", ["not json", "[1, 2]", '{"outputs": ["analysis.json"]}', '{"config": {}}'])
+def test_a_previous_manifest_that_does_not_parse_is_ignored(config_path, tmp_path, previous):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(previous)
+    (out / "notes.txt").write_text("kept")
+    assert main(["analyze", config_path, "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "kept"
+    assert list(json.loads((out / "manifest.json").read_text())["outputs"]) == ["analysis.json"]
+
+
+@pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_is_not_a_directory_is_a_config_error(tmp_path, capsys, command, under):
+    path = write_config(tmp_path, {**P0_CONFIG, "grid": GRID_40})
+    out = os.path.join(path, "sub") if under else path
+    assert main([command, path, *QUICK_RUNS[command], "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot use output directory {out}: ")
+    assert json.loads(open(path).read())["grid"] == GRID_40
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_refuses_fewer_than_one_job_before_any_output(config_path, tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["sweep", config_path, "--vary", "c=2.4:2.6:2", "--jobs", jobs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"sweep: --jobs must be at least 1, got {jobs}"]
+    assert not out.exists()
+
+
+def test_analyze_refuses_a_negative_sample_count_before_any_output(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", config_path, "--phi-samples", "-5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: --phi-samples must be at least 0, got -5"]
+    assert not out.exists()
 
 
 def test_out_root_env_override(config_path, tmp_path, monkeypatch):
